@@ -1,0 +1,20 @@
+package main
+
+import (
+	"syscall"
+	"time"
+	"unsafe"
+)
+
+// clockProcessCPUTime is Linux's CLOCK_PROCESS_CPUTIME_ID.
+const clockProcessCPUTime = 2
+
+// cpuTime is the CPU time the process has used so far, summed over its
+// threads, in nanoseconds.
+func cpuTime() time.Duration {
+	var ts syscall.Timespec
+	if _, _, errno := syscall.Syscall(syscall.SYS_CLOCK_GETTIME, clockProcessCPUTime, uintptr(unsafe.Pointer(&ts)), 0); errno != 0 {
+		panic("clock_gettime(CLOCK_PROCESS_CPUTIME_ID): " + errno.Error())
+	}
+	return time.Duration(ts.Nano())
+}
