@@ -141,7 +141,7 @@ func main() {
 	kernelName := flag.String("kernel", "", "kernel backend: narrows the scenario sweep to one registered kernel; selects the chaos soak driver (vdom or dpti, default vdom)")
 	scenarioPath := flag.String("scenario", "", "scenario/serve: the vdom-scenario/v1 spec file to run (see SCENARIOS.md)")
 	traceDump := flag.String("trace-dump", "", "chaos/snapshot: dump failing shards' replayable traces (and reproducer checkpoints) into this directory")
-	snapPath := flag.String("snap", "", "recover: the vdom-snap/v1 checkpoint to restore")
+	snapPath := flag.String("snap", "", "recover: the vdom-snap/v2 checkpoint to restore")
 	tailPath := flag.String("tail", "", "recover: the recorded trace whose tail rolls the checkpoint forward")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget: expiry cancels chaos/snapshot between ops (non-zero exit) and drains serve gracefully")
 	duration := flag.Duration("duration", 0, "serve: run length in wall-clock time (0 with -ops-per-shard 0: until SIGTERM or -timeout)")

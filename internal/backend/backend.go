@@ -4,7 +4,7 @@
 // every comparison surface of the repository. A backend registers once,
 // under its trace kernel-kind name, and through the Backend interface
 // reaches booting (replay.Boot), trace recording (the unified tap),
-// end-state verification, checkpoint capture/restore (its vdom-snap/v1
+// end-state verification, checkpoint capture/restore (its vdom-snap/v2
 // section), metrics attribution, and the generic workload adapter
 // (DomainOps) that the conformance suite, the kernel×arch matrix
 // experiment, and the public vdom.WithKernel routing drive.
@@ -29,6 +29,7 @@ import (
 	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
 	"vdom/internal/tap"
+	"vdom/internal/wire"
 )
 
 // ErrDomainCapacity reports a DomainOps.Alloc against a backend whose
@@ -118,26 +119,24 @@ type Backend interface {
 	EmitEnd(inst *Instance, emit func(name string, v uint64))
 	// Present reports whether the instance carries this backend's layer.
 	Present(inst *Instance) bool
-	// Section is the backend's vdom-snap/v1 section name.
+	// Section is the backend's vdom-snap/v2 section name.
 	Section() string
-	// ProcScoped reports whether the section lives inside the
-	// process-state block of a snapshot (false for EPK, which can exist
-	// without a process).
-	ProcScoped() bool
-	// Capture returns the gob-encodable checkpoint image of the domain
-	// layer. tableID maps live page tables to stable ids (nil for
-	// backends that keep no table references).
-	Capture(inst *Instance, tableID func(*pagetable.Table) int) any
-	// Restore decodes the checkpoint image via decode and loads it into
-	// the freshly attached domain layer. table and task resolve stable
-	// table ids and trace thread ids (nil for backends needing neither).
-	Restore(inst *Instance, decode func(any) error, table func(id int) *pagetable.Table, task func(tid int) *kernel.Task) error
+	// Capture appends the domain layer's checkpoint image to b. tableID
+	// maps live page tables to stable ids (nil without a process).
+	Capture(inst *Instance, b []byte, tableID func(*pagetable.Table) int) []byte
+	// Restore reads the checkpoint image from r, validates it against
+	// the booted instance (whose address space, if any, is already
+	// restored, so stable table ids resolve through it), and loads it
+	// into the freshly attached domain layer; an image that fails
+	// validation is left on r's sticky error and never loaded. task
+	// resolves trace thread ids (nil without a process).
+	Restore(inst *Instance, r *wire.Reader, task func(tid int) *kernel.Task)
 	// Ops returns the kernel-neutral workload adapter over the instance.
 	Ops(inst *Instance) DomainOps
 }
 
-// registry holds backends in registration order (which is also snapshot
-// section order, so it must stay stable: vdom, libmpk, epk, dpti).
+// registry holds backends in registration order (stable: vdom, libmpk,
+// epk, dpti — Names, Of, and every per-kernel sweep follow it).
 var registry []Backend
 
 // Register adds a backend under its Name. Duplicate names panic: the
@@ -200,7 +199,7 @@ func BootSubstrate(inst *Instance, spec Spec) {
 }
 
 func init() {
-	// Registration order is snapshot section order; keep it.
+	// Registration order is the order of every per-kernel sweep; keep it.
 	Register(vdomBackend{})
 	Register(libmpkBackend{})
 	Register(epkBackend{})

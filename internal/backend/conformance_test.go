@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"vdom/internal/backend"
@@ -17,6 +18,7 @@ import (
 	"vdom/internal/replay"
 	"vdom/internal/snapshot"
 	"vdom/internal/tlb"
+	"vdom/internal/wire"
 )
 
 // The backend-conformance suite: every registered kernel backend, on
@@ -244,6 +246,103 @@ func TestConformanceSnapshotRoundTrip(t *testing.T) {
 			})
 		}
 	}
+}
+
+// confSnapshot boots and drives one backend and returns its encoded
+// checkpoint.
+func confSnapshot(tb testing.TB, b backend.Backend, arch cycles.Arch) []byte {
+	tb.Helper()
+	spec := confSpec(b.Name(), arch)
+	sys := confBoot(tb, b.Name(), spec)
+	confDrive(tb, sys, b, nil)
+	st, err := snapshot.Capture(sys, confHeader(b.Name(), spec), 0, 0)
+	if err != nil {
+		tb.Fatalf("capture: %v", err)
+	}
+	return snapshot.Encode(st)
+}
+
+// TestConformanceSnapshotTruncation checks the restore-error contract on
+// every section of every backend's checkpoint: cut to any proper prefix
+// (the CRC recomputed over the cut payload), a section must fail
+// Restore with an ErrBadRecord that wraps a wire error and names the
+// section and its container offset — never a panic.
+func TestConformanceSnapshotTruncation(t *testing.T) {
+	for _, b := range backend.All() {
+		t.Run(b.Name(), func(t *testing.T) {
+			snap := confSnapshot(t, b, cycles.X86)
+			st, err := snapshot.Decode(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sec := range st.Sections {
+				for n := 0; n < len(sec.Data); n++ {
+					st.Sections[i].Data = sec.Data[:n]
+					cut, err := snapshot.Decode(snapshot.Encode(st))
+					if err != nil {
+						t.Fatalf("%s prefix %d: cut container must still decode, got %v", sec.Name, n, err)
+					}
+					_, _, rerr := snapshot.Restore(cut)
+					want := fmt.Sprintf("section %q at offset %d", sec.Name, cut.Sections[i].Offset)
+					if rerr == nil || !errors.Is(rerr, snapshot.ErrBadRecord) ||
+						!errors.Is(rerr, wire.ErrTruncated) && !errors.Is(rerr, wire.ErrBadRecord) ||
+						!strings.Contains(rerr.Error(), want) {
+						t.Fatalf("%s prefix %d/%d: got %v, want ErrBadRecord over a wire error naming %s",
+							sec.Name, n, len(sec.Data), rerr, want)
+					}
+				}
+				st.Sections[i].Data = sec.Data
+			}
+		})
+	}
+}
+
+// FuzzSnapshotRestore replaces one section payload of a real checkpoint
+// — a mid-soak VDom checkpoint and one conformance-drive checkpoint per
+// registered kernel — with arbitrary bytes, recomputes the CRC, and
+// requires Restore (and the crash harness's injector decode) to return
+// an error or a System, never to panic.
+func FuzzSnapshotRestore(f *testing.F) {
+	s := chaos.StartSoak(chaos.SoakConfig{
+		Chaos: chaos.Config{Seed: 3, DropIPI: 0.05, StaleTLB: 0.03, VDSAllocFail: 0.1, ASIDLimit: 24},
+		Ops:   300, Record: true,
+	})
+	for i := 0; i < 150; i++ {
+		s.Step()
+	}
+	soakSnap, err := s.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{soakSnap}
+	for _, b := range backend.All() {
+		seeds = append(seeds, confSnapshot(f, b, cycles.X86))
+	}
+	for i, snap := range seeds {
+		st, err := snapshot.Decode(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for j, sec := range st.Sections {
+			f.Add(uint8(i), uint8(j), sec.Data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed, section uint8, payload []byte) {
+		st, err := snapshot.Decode(seeds[int(seed)%len(seeds)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Sections[int(section)%len(st.Sections)].Data = payload
+		mutated, err := snapshot.Decode(snapshot.Encode(st))
+		if err != nil {
+			t.Fatalf("re-encoded container must decode: %v", err)
+		}
+		if sys, _, err := snapshot.Restore(mutated); err == nil && sys == nil {
+			t.Fatal("nil System with nil error")
+		}
+		var in chaos.InjectorSnap
+		_ = mutated.ReadSection(chaos.InjectorSection, in.Read)
+	})
 }
 
 // TestConformanceAuditClean checks cross-layer coherence: after the

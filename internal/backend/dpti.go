@@ -7,6 +7,7 @@ import (
 	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
 	"vdom/internal/tap"
+	"vdom/internal/wire"
 )
 
 // dptiBackend registers the DPTI baseline (one page table per domain,
@@ -17,7 +18,6 @@ func (dptiBackend) Name() string             { return "dpti" }
 func (dptiBackend) Standalone(Spec) bool     { return false }
 func (dptiBackend) Present(i *Instance) bool { return i.DPTI != nil }
 func (dptiBackend) Section() string          { return "dpti" }
-func (dptiBackend) ProcScoped() bool         { return true }
 
 func (dptiBackend) Attach(inst *Instance, spec Spec) error {
 	inst.DPTI = dpti.Attach(inst.Proc)
@@ -32,17 +32,16 @@ func (dptiBackend) EmitEnd(inst *Instance, emit func(string, uint64)) {
 	emit("dpti/live-tables", uint64(inst.DPTI.NumLiveTables()))
 }
 
-func (dptiBackend) Capture(inst *Instance, tableID func(*pagetable.Table) int) any {
-	return inst.DPTI.Snap(tableID)
+func (dptiBackend) Capture(inst *Instance, b []byte, tableID func(*pagetable.Table) int) []byte {
+	return inst.DPTI.Snap(tableID).Append(b)
 }
 
-func (dptiBackend) Restore(inst *Instance, decode func(any) error, table func(int) *pagetable.Table, task func(int) *kernel.Task) error {
+func (dptiBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kernel.Task) {
 	var ds dpti.Snap
-	if err := decode(&ds); err != nil {
-		return err
+	as := inst.Proc.AS()
+	if ds.Read(r, as.NumTables(), task); r.Err() == nil {
+		inst.DPTI.LoadSnap(ds, as.TableByID, task)
 	}
-	inst.DPTI.LoadSnap(ds, table, task)
-	return nil
 }
 
 func (dptiBackend) Ops(inst *Instance) DomainOps { return dptiOps{inst.DPTI} }

@@ -9,6 +9,7 @@ import (
 	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
 	"vdom/internal/tap"
+	"vdom/internal/wire"
 )
 
 // epkBackend registers the EPK baseline (VMFUNC-switched EPT groups of
@@ -20,7 +21,6 @@ func (epkBackend) Name() string              { return "epk" }
 func (epkBackend) Standalone(spec Spec) bool { return spec.Cores <= 0 }
 func (epkBackend) Present(i *Instance) bool  { return i.EPK != nil }
 func (epkBackend) Section() string           { return "epk" }
-func (epkBackend) ProcScoped() bool          { return false }
 
 func (epkBackend) Attach(inst *Instance, spec Spec) error {
 	inst.EPK = epk.New(spec.Domains, epk.DefaultVMTax())
@@ -35,17 +35,15 @@ func (epkBackend) EmitEnd(inst *Instance, emit func(string, uint64)) {
 	emit("epk/epts", uint64(inst.EPK.NumEPTs()))
 }
 
-func (epkBackend) Capture(inst *Instance, tableID func(*pagetable.Table) int) any {
-	return inst.EPK.Snap()
+func (epkBackend) Capture(inst *Instance, b []byte, tableID func(*pagetable.Table) int) []byte {
+	return inst.EPK.Snap().Append(b)
 }
 
-func (epkBackend) Restore(inst *Instance, decode func(any) error, table func(int) *pagetable.Table, task func(int) *kernel.Task) error {
+func (epkBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kernel.Task) {
 	var es epk.Snap
-	if err := decode(&es); err != nil {
-		return err
+	if es.Read(r, inst.EPK); r.Err() == nil {
+		inst.EPK.LoadSnap(es)
 	}
-	inst.EPK.LoadSnap(es)
-	return nil
 }
 
 func (epkBackend) Ops(inst *Instance) DomainOps { return &epkOps{s: inst.EPK} }

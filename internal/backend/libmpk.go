@@ -8,6 +8,7 @@ import (
 	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
 	"vdom/internal/tap"
+	"vdom/internal/wire"
 )
 
 // libmpkBackend registers the libmpk baseline (virtual keys over the 16
@@ -18,7 +19,6 @@ func (libmpkBackend) Name() string             { return "libmpk" }
 func (libmpkBackend) Standalone(Spec) bool     { return false }
 func (libmpkBackend) Present(i *Instance) bool { return i.Libmpk != nil }
 func (libmpkBackend) Section() string          { return "libmpk" }
-func (libmpkBackend) ProcScoped() bool         { return true }
 
 func (libmpkBackend) Attach(inst *Instance, spec Spec) error {
 	inst.Libmpk = libmpk.Attach(inst.Proc, nil)
@@ -35,17 +35,15 @@ func (libmpkBackend) EmitEnd(inst *Instance, emit func(string, uint64)) {
 	inst.Libmpk.Stats.Emit(emit)
 }
 
-func (libmpkBackend) Capture(inst *Instance, tableID func(*pagetable.Table) int) any {
-	return inst.Libmpk.Snap()
+func (libmpkBackend) Capture(inst *Instance, b []byte, tableID func(*pagetable.Table) int) []byte {
+	return inst.Libmpk.Snap().Append(b)
 }
 
-func (libmpkBackend) Restore(inst *Instance, decode func(any) error, table func(int) *pagetable.Table, task func(int) *kernel.Task) error {
+func (libmpkBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kernel.Task) {
 	var ls libmpk.Snap
-	if err := decode(&ls); err != nil {
-		return err
+	if ls.Read(r, task); r.Err() == nil {
+		inst.Libmpk.LoadSnap(ls, task)
 	}
-	inst.Libmpk.LoadSnap(ls, task)
-	return nil
 }
 
 func (libmpkBackend) Ops(inst *Instance) DomainOps { return libmpkOps{inst.Libmpk} }

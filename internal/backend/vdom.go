@@ -10,6 +10,7 @@ import (
 	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
 	"vdom/internal/tap"
+	"vdom/internal/wire"
 )
 
 // vdomBackend registers the VDom core (unlimited virtual domains over
@@ -20,7 +21,6 @@ func (vdomBackend) Name() string             { return "vdom" }
 func (vdomBackend) Standalone(Spec) bool     { return false }
 func (vdomBackend) Present(i *Instance) bool { return i.Manager != nil }
 func (vdomBackend) Section() string          { return "core/manager" }
-func (vdomBackend) ProcScoped() bool         { return true }
 
 func (vdomBackend) Attach(inst *Instance, spec Spec) error {
 	inst.Manager = core.Attach(inst.Proc, core.Policy{
@@ -43,17 +43,16 @@ func (vdomBackend) EmitEnd(inst *Instance, emit func(string, uint64)) {
 	emit("core/domain-digest", domainDigest(m))
 }
 
-func (vdomBackend) Capture(inst *Instance, tableID func(*pagetable.Table) int) any {
-	return inst.Manager.Snap(tableID)
+func (vdomBackend) Capture(inst *Instance, b []byte, tableID func(*pagetable.Table) int) []byte {
+	return inst.Manager.Snap(tableID).Append(b)
 }
 
-func (vdomBackend) Restore(inst *Instance, decode func(any) error, table func(int) *pagetable.Table, task func(int) *kernel.Task) error {
+func (vdomBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kernel.Task) {
 	var ms core.ManagerSnap
-	if err := decode(&ms); err != nil {
-		return err
+	as := inst.Proc.AS()
+	if ms.Read(r, as.NumTables(), task); r.Err() == nil {
+		inst.Manager.LoadSnap(ms, as.TableByID, task)
 	}
-	inst.Manager.LoadSnap(ms, table, task)
-	return nil
 }
 
 func (vdomBackend) Ops(inst *Instance) DomainOps { return vdomOps{inst.Manager} }

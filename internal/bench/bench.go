@@ -73,7 +73,7 @@ type Options struct {
 	TraceDump string
 
 	// SnapPath and TailPath point the recover subcommand at a crash
-	// reproducer: an encoded vdom-snap/v1 checkpoint and the recorded
+	// reproducer: an encoded vdom-snap/v2 checkpoint and the recorded
 	// trace whose tail rolls it forward (see RECOVERY.md).
 	SnapPath string
 	TailPath string

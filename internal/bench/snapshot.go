@@ -204,7 +204,7 @@ func SnapshotSoak(w io.Writer, o Options, seed uint64) error {
 }
 
 // Recover re-runs a crash recovery from persisted reproducer artifacts:
-// Options.SnapPath (the vdom-snap/v1 checkpoint) and Options.TailPath
+// Options.SnapPath (the vdom-snap/v2 checkpoint) and Options.TailPath
 // (the recorded trace). It restores the checkpoint, replays the trace
 // tail from the checkpoint's event index, audits the recovered System,
 // and reports the outcome; a divergence or audit violation is an error.

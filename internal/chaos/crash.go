@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -11,6 +9,8 @@ import (
 	"vdom/internal/replay"
 	"vdom/internal/sim"
 	"vdom/internal/snapshot"
+	"vdom/internal/tlb"
+	"vdom/internal/wire"
 )
 
 // Crash-fault model on top of the steppable soak: the harness
@@ -113,16 +113,72 @@ func counterSnaps(m map[string]uint64) []CounterSnap {
 	return out
 }
 
-func gobBytes(v any) []byte {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		panic(fmt.Sprintf("chaos: gob encode: %v", err))
+// Append appends the image's encoding: the config (seed, the fault
+// probabilities as fixed 8-byte floats, the ASID limit), the PRNG state,
+// the sequence number, both counter maps, and the event log.
+func (s InjectorSnap) Append(b []byte) []byte {
+	c := s.Cfg
+	b = wire.AppendUvarint(b, c.Seed)
+	for _, p := range [...]float64{c.DropIPI, c.DelayIPI, c.StaleTLB, c.ASIDExhaustion} {
+		b = wire.AppendFloat64(b, p)
 	}
-	return b.Bytes()
+	b = wire.AppendUvarint(b, uint64(c.ASIDLimit))
+	for _, p := range [...]float64{c.VDSAllocFail, c.PdomExhaustion, c.SpuriousFault} {
+		b = wire.AppendFloat64(b, p)
+	}
+	for _, v := range s.Rng {
+		b = wire.AppendUvarint(b, v)
+	}
+	b = wire.AppendUvarint(b, s.Seq)
+	b = appendCounters(b, s.Injected)
+	b = appendCounters(b, s.Recovered)
+	b = wire.AppendUvarint(b, uint64(len(s.Events)))
+	for _, e := range s.Events {
+		b = wire.AppendUvarint(b, e.Seq)
+		b = wire.AppendString(b, e.Kind)
+		b = wire.AppendString(b, e.Detail)
+	}
+	return b
+}
+
+// Read decodes an image Append wrote.
+func (s *InjectorSnap) Read(r *wire.Reader) {
+	c := &s.Cfg
+	c.Seed = r.Uvarint()
+	c.DropIPI, c.DelayIPI, c.StaleTLB, c.ASIDExhaustion = r.Float64(), r.Float64(), r.Float64(), r.Float64()
+	c.ASIDLimit = tlb.ReadASID(r)
+	c.VDSAllocFail, c.PdomExhaustion, c.SpuriousFault = r.Float64(), r.Float64(), r.Float64()
+	for i := range s.Rng {
+		s.Rng[i] = r.Uvarint()
+	}
+	s.Seq = r.Uvarint()
+	s.Injected = readCounters(r)
+	s.Recovered = readCounters(r)
+	s.Events = make([]Event, r.Count("event"))
+	for i := range s.Events {
+		s.Events[i] = Event{Seq: r.Uvarint(), Kind: r.String(), Detail: r.String()}
+	}
+}
+
+func appendCounters(b []byte, cs []CounterSnap) []byte {
+	b = wire.AppendUvarint(b, uint64(len(cs)))
+	for _, c := range cs {
+		b = wire.AppendString(b, c.Kind)
+		b = wire.AppendUvarint(b, c.N)
+	}
+	return b
+}
+
+func readCounters(r *wire.Reader) []CounterSnap {
+	cs := make([]CounterSnap, r.Count("counter"))
+	for i := range cs {
+		cs[i] = CounterSnap{Kind: r.String(), N: r.Uvarint()}
+	}
+	return cs
 }
 
 // Checkpoint captures the full System — every layer plus the injector —
-// as an encoded vdom-snap/v1 snapshot. It requires SoakConfig.Record:
+// as an encoded vdom-snap/v2 snapshot. It requires SoakConfig.Record:
 // recovery replays the recorded tail from the checkpoint's event index.
 func (s *SoakRun) Checkpoint() ([]byte, error) {
 	if s.rec == nil {
@@ -135,7 +191,7 @@ func (s *SoakRun) Checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.AddSection(InjectorSection, gobBytes(s.in.Snap()))
+	st.AddSection(InjectorSection, s.in.Snap().Append(nil))
 	return snapshot.Encode(st), nil
 }
 
@@ -197,13 +253,9 @@ func recoverFromCheckpoint(snap []byte, tail *replay.Trace) (*replay.System, map
 		return nil, nil, nil, nil, fmt.Errorf("%w: checkpoint config digest %#x does not match trace %#x",
 			snapshot.ErrBadRecord, st.Meta.Header.ConfigDigest, tail.Header.ConfigDigest)
 	}
-	data, ok := st.Section(InjectorSection)
-	if !ok {
-		return nil, nil, nil, nil, fmt.Errorf("%w: missing section %q", snapshot.ErrBadRecord, InjectorSection)
-	}
 	var isnap InjectorSnap
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&isnap); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%w: section %q: %v", snapshot.ErrBadRecord, InjectorSection, err)
+	if err := st.ReadSection(InjectorSection, isnap.Read); err != nil {
+		return nil, nil, nil, nil, err
 	}
 
 	sys, tasks, err := snapshot.Restore(st)

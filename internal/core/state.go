@@ -8,12 +8,22 @@ import (
 	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
 	"vdom/internal/tlb"
+	"vdom/internal/wire"
 )
 
-// Checkpoint capture and restore for the VDom core (vdom-snap/v1). The
+// Checkpoint capture and restore for the VDom core (vdom-snap/v2). The
 // manager's VDSes refer to their page tables through the memory
 // manager's stable ids, and VDRs/thread sets refer to tasks by TID, so a
-// snapshot is free of live pointers.
+// snapshot is free of live pointers. The section encodes the ManagerSnap
+// fields in declaration order: unsigned values as uvarints, Go ints as
+// zigzag varints, pdoms and permissions as one byte, and every slice as a
+// count then its elements.
+
+// maxSnapVdom caps the vdom ids a snapshot may carry in VDR permission
+// entries: a VDR's permission table is dense up to its highest vdom, so
+// a forged id would otherwise drive an unbounded allocation. It is far
+// above any vdom count a run reaches.
+const maxSnapVdom = 1 << 24
 
 // MapEntrySnap is one serialized domain-map slot (indexed by pdom).
 type MapEntrySnap struct {
@@ -154,8 +164,9 @@ func snapVDS(v *VDS, tableID func(*pagetable.Table) int) VDSSnap {
 }
 
 // LoadSnap restores the manager's image onto a freshly attached manager
-// (no vdoms, no VDSes beyond none, no VDRs). table resolves the memory
-// manager's stable table ids; task resolves TIDs to restored tasks.
+// (no vdoms, no VDSes beyond none, no VDRs); s must have passed Read's
+// validation. table resolves the memory manager's stable table ids; task
+// resolves TIDs to restored tasks.
 //
 // VDSes are rebuilt directly — not through allocVDS, which would draw
 // ASIDs and trace events — and VDT chains are reloaded slot-by-slot
@@ -188,29 +199,17 @@ func (m *Manager) LoadSnap(s ManagerSnap, table func(id int) *pagetable.Table, t
 		byID[v.id] = v
 	}
 	for _, rs := range s.VDRs {
-		t := task(rs.TID)
-		if t == nil {
-			panic(fmt.Sprintf("core: VDR snapshot references unknown TID %d", rs.TID))
-		}
-		r := &VDR{task: t, nas: rs.Nas}
+		r := &VDR{task: task(rs.TID), nas: rs.Nas}
 		for _, p := range rs.Perms {
 			r.perms.set(p.Vdom, p.Perm)
 		}
 		for _, id := range rs.VDSIDs {
-			v, ok := byID[id]
-			if !ok {
-				panic(fmt.Sprintf("core: VDR snapshot references unknown VDS %d", id))
-			}
-			r.vdses = append(r.vdses, v)
+			r.vdses = append(r.vdses, byID[id])
 		}
 		if rs.CurrentID != -1 {
-			v, ok := byID[rs.CurrentID]
-			if !ok {
-				panic(fmt.Sprintf("core: VDR snapshot resident in unknown VDS %d", rs.CurrentID))
-			}
-			r.current = v
+			r.current = byID[rs.CurrentID]
 		}
-		m.vdrs[t] = r
+		m.vdrs[r.task] = r
 	}
 }
 
@@ -228,9 +227,6 @@ func loadVDS(vs VDSSnap, table func(id int) *pagetable.Table, task func(tid int)
 		cachedCores: vs.CachedCores,
 		numPdoms:    vs.NumPdoms,
 	}
-	if v.table == nil {
-		panic(fmt.Sprintf("core: VDS %d snapshot has no table", vs.ID))
-	}
 	for p, e := range vs.DomainMap {
 		v.domainMap[p] = mapEntry{vdom: e.Vdom, used: e.Used, threads: e.Threads, lastUse: e.LastUse}
 		if e.Used {
@@ -238,11 +234,7 @@ func loadVDS(vs VDSSnap, table func(id int) *pagetable.Table, task func(tid int)
 		}
 	}
 	for _, tid := range vs.ThreadTIDs {
-		t := task(tid)
-		if t == nil {
-			panic(fmt.Sprintf("core: VDS %d snapshot references unknown TID %d", vs.ID, tid))
-		}
-		v.threads[t] = true
+		v.threads[task(tid)] = true
 	}
 	for _, e := range vs.LastMapping {
 		v.lastMapping[e.Vdom] = e.Pdom
@@ -281,6 +273,202 @@ func (t *VDT) load(chains []VdomAreasSnap) {
 		leaf.slots[lo] = append([]Area(nil), c.Areas...)
 		t.areas += len(c.Areas)
 	}
+}
+
+// Append appends the snapshot's encoding.
+func (s ManagerSnap) Append(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(s.NextVdom))
+	b = appendVdoms(b, s.Live)
+	b = appendVdoms(b, s.Freq)
+	b = wire.AppendUvarint(b, uint64(len(s.VDT)))
+	for _, c := range s.VDT {
+		b = wire.AppendUvarint(b, uint64(c.Vdom))
+		b = wire.AppendUvarint(b, uint64(len(c.Areas)))
+		for _, a := range c.Areas {
+			b = wire.AppendUvarint(b, uint64(a.Start))
+			b = wire.AppendUvarint(b, a.Length)
+		}
+	}
+	b = wire.AppendVarint(b, int64(s.NextVDSID))
+	b = wire.AppendUvarint(b, uint64(len(s.VDSes)))
+	for _, v := range s.VDSes {
+		b = v.append(b)
+	}
+	b = wire.AppendUvarint(b, uint64(len(s.VDRs)))
+	for _, v := range s.VDRs {
+		b = wire.AppendVarint(b, int64(v.TID))
+		b = wire.AppendVarint(b, int64(v.Nas))
+		b = appendInts(b, v.VDSIDs)
+		b = wire.AppendVarint(b, int64(v.CurrentID))
+		b = wire.AppendUvarint(b, uint64(len(v.Perms)))
+		for _, p := range v.Perms {
+			b = wire.AppendUvarint(b, uint64(p.Vdom))
+			b = append(b, byte(p.Perm))
+		}
+	}
+	st := s.Stats
+	for _, v := range [...]uint64{st.WrVdrCalls, st.MapsToFree, st.Migrations, st.VDSAllocs,
+		st.VDSSwitches, st.Evictions, st.EvictedPages, st.PMDFastEvicts, st.RangeFlushes,
+		st.ASIDFlushes, st.Shootdowns, st.DomainFaults, st.RegisterSyncs, st.HLRUHits} {
+		b = wire.AppendUvarint(b, v)
+	}
+	return b
+}
+
+func (v VDSSnap) append(b []byte) []byte {
+	b = wire.AppendVarint(b, int64(v.ID))
+	b = wire.AppendUvarint(b, uint64(v.ASID))
+	b = wire.AppendVarint(b, int64(v.TableID))
+	b = wire.AppendUvarint(b, uint64(len(v.DomainMap)))
+	for _, e := range v.DomainMap {
+		b = wire.AppendUvarint(b, uint64(e.Vdom))
+		b = wire.AppendBool(b, e.Used)
+		b = wire.AppendVarint(b, int64(e.Threads))
+		b = wire.AppendUvarint(b, e.LastUse)
+	}
+	b = appendInts(b, v.ThreadTIDs)
+	b = wire.AppendUvarint(b, v.Clock)
+	b = wire.AppendUvarint(b, uint64(len(v.LastMapping)))
+	for _, e := range v.LastMapping {
+		b = wire.AppendUvarint(b, uint64(e.Vdom))
+		b = append(b, byte(e.Pdom))
+	}
+	b = wire.AppendUvarint(b, uint64(len(v.Evicted)))
+	for _, e := range v.Evicted {
+		b = wire.AppendUvarint(b, uint64(e.Vdom))
+		b = append(b, byte(e.Pdom))
+		b = wire.AppendBool(b, e.ViaPMD)
+	}
+	b = wire.AppendUvarint(b, uint64(v.CachedCores))
+	return wire.AppendVarint(b, int64(v.NumPdoms))
+}
+
+// Read decodes a snapshot Append wrote and validates its references so
+// that LoadSnap cannot fail: every VDS must name a table within
+// numTables (not "none") and a domain map of at most hw.MaxPdoms slots,
+// every TID must resolve through task, every VDR's VDS ids must name
+// snapshot VDSes, and permission vdoms must stay below maxSnapVdom.
+func (s *ManagerSnap) Read(r *wire.Reader, numTables int, task func(tid int) *kernel.Task) {
+	s.NextVdom = VdomID(r.Uvarint())
+	s.Live = readVdoms(r)
+	s.Freq = readVdoms(r)
+	s.VDT = make([]VdomAreasSnap, r.Count("vdt chain"))
+	for i := range s.VDT {
+		c := &s.VDT[i]
+		c.Vdom = VdomID(r.Uvarint())
+		c.Areas = make([]Area, r.Count("vdt area"))
+		for j := range c.Areas {
+			c.Areas[j] = Area{Start: pagetable.VAddr(r.Uvarint()), Length: r.Uvarint()}
+		}
+	}
+	s.NextVDSID = int(r.Varint())
+	s.VDSes = make([]VDSSnap, r.Count("vds"))
+	ids := make(map[int]bool, len(s.VDSes))
+	for i := range s.VDSes {
+		v := &s.VDSes[i]
+		v.read(r, numTables, task)
+		ids[v.ID] = true
+	}
+	s.VDRs = make([]VDRSnap, r.Count("vdr"))
+	for i := range s.VDRs {
+		v := &s.VDRs[i]
+		v.TID = int(r.Varint())
+		v.Nas = int(r.Varint())
+		v.VDSIDs = readInts(r, "vdr vds")
+		v.CurrentID = int(r.Varint())
+		v.Perms = make([]PermSnap, r.Count("vdr perm"))
+		for j := range v.Perms {
+			v.Perms[j] = PermSnap{Vdom: VdomID(r.Uvarint()), Perm: VPerm(r.Byte())}
+			if v.Perms[j].Vdom >= maxSnapVdom {
+				r.Failf("vdr %d permission on vdom %d", v.TID, v.Perms[j].Vdom)
+			}
+		}
+		if r.Err() == nil && task(v.TID) == nil {
+			r.Failf("vdr of unknown task %d", v.TID)
+		}
+		for _, id := range v.VDSIDs {
+			if !ids[id] {
+				r.Failf("vdr %d attached to unknown vds %d", v.TID, id)
+			}
+		}
+		if v.CurrentID != -1 && !ids[v.CurrentID] {
+			r.Failf("vdr %d resident in unknown vds %d", v.TID, v.CurrentID)
+		}
+	}
+	s.Stats = Stats{
+		WrVdrCalls: r.Uvarint(), MapsToFree: r.Uvarint(), Migrations: r.Uvarint(),
+		VDSAllocs: r.Uvarint(), VDSSwitches: r.Uvarint(), Evictions: r.Uvarint(),
+		EvictedPages: r.Uvarint(), PMDFastEvicts: r.Uvarint(), RangeFlushes: r.Uvarint(),
+		ASIDFlushes: r.Uvarint(), Shootdowns: r.Uvarint(), DomainFaults: r.Uvarint(),
+		RegisterSyncs: r.Uvarint(), HLRUHits: r.Uvarint(),
+	}
+}
+
+func (v *VDSSnap) read(r *wire.Reader, numTables int, task func(tid int) *kernel.Task) {
+	v.ID = int(r.Varint())
+	v.ASID = tlb.ReadASID(r)
+	if v.TableID = pagetable.ReadTableID(r, numTables); v.TableID == -1 {
+		r.Failf("vds %d has no table", v.ID)
+	}
+	v.DomainMap = make([]MapEntrySnap, r.Count("domain map"))
+	for i := range v.DomainMap {
+		v.DomainMap[i] = MapEntrySnap{Vdom: VdomID(r.Uvarint()), Used: r.Bool(), Threads: int(r.Varint()), LastUse: r.Uvarint()}
+	}
+	v.ThreadTIDs = readInts(r, "vds thread")
+	v.Clock = r.Uvarint()
+	v.LastMapping = make([]VdomPdomSnap, r.Count("last mapping"))
+	for i := range v.LastMapping {
+		v.LastMapping[i] = VdomPdomSnap{Vdom: VdomID(r.Uvarint()), Pdom: pagetable.Pdom(r.Byte())}
+	}
+	v.Evicted = make([]EvictSnap, r.Count("evicted"))
+	for i := range v.Evicted {
+		v.Evicted[i] = EvictSnap{Vdom: VdomID(r.Uvarint()), Pdom: pagetable.Pdom(r.Byte()), ViaPMD: r.Bool()}
+	}
+	v.CachedCores = hw.CPUSet(r.Uvarint())
+	v.NumPdoms = int(r.Varint())
+	if r.Err() != nil {
+		return
+	}
+	if v.NumPdoms != len(v.DomainMap) || v.NumPdoms > hw.MaxPdoms {
+		r.Failf("vds %d has %d pdoms over a %d-slot domain map", v.ID, v.NumPdoms, len(v.DomainMap))
+	}
+	for _, tid := range v.ThreadTIDs {
+		if task(tid) == nil {
+			r.Failf("vds %d references unknown task %d", v.ID, tid)
+		}
+	}
+}
+
+func appendVdoms(b []byte, ds []VdomID) []byte {
+	b = wire.AppendUvarint(b, uint64(len(ds)))
+	for _, d := range ds {
+		b = wire.AppendUvarint(b, uint64(d))
+	}
+	return b
+}
+
+func readVdoms(r *wire.Reader) []VdomID {
+	ds := make([]VdomID, r.Count("vdom"))
+	for i := range ds {
+		ds[i] = VdomID(r.Uvarint())
+	}
+	return ds
+}
+
+func appendInts(b []byte, vs []int) []byte {
+	b = wire.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = wire.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func readInts(r *wire.Reader, name string) []int {
+	vs := make([]int, r.Count(name))
+	for i := range vs {
+		vs[i] = int(r.Varint())
+	}
+	return vs
 }
 
 // TearDomainMap deterministically corrupts one VDS's domain map the way

@@ -6,13 +6,22 @@ import (
 	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
 	"vdom/internal/tlb"
+	"vdom/internal/wire"
 )
 
-// Checkpoint capture and restore (vdom-snap/v1). Materialized domain
+// Checkpoint capture and restore (vdom-snap/v2). Materialized domain
 // tables live in the address space's synchronization set, so the mm
 // section carries their contents and the kernel section their ASIDs;
 // this image only records the linkage (domain → table id → ASID) plus
-// the manager's own bookkeeping.
+// the manager's own bookkeeping. The section encodes the Snap fields in
+// declaration order: unsigned values as uvarints, Go ints as zigzag
+// varints, and every slice as a count then its elements.
+
+// maxSnapDomains caps the domain-id space a snapshot may describe: the
+// domain table is dense up to NextID, so a forged id would otherwise
+// drive an unbounded allocation. It is far above any domain count a run
+// reaches.
+const maxSnapDomains = 1 << 20
 
 // AreaSnap is one serialized protected area.
 type AreaSnap struct {
@@ -75,11 +84,12 @@ func (m *Manager) Snap(tableID func(*pagetable.Table) int) Snap {
 	return s
 }
 
-// LoadSnap restores a captured image onto a freshly attached manager.
-// table resolves stable table ids to the restored address space's
-// tables; task resolves TIDs to restored tasks (TID 0 must resolve to
-// nil). The tables themselves — and the ASID live set — are restored by
-// the mm and kernel sections, so only linkage is rebuilt here.
+// LoadSnap restores a captured image onto a freshly attached manager; s
+// must have passed Read's validation. table resolves stable table ids to
+// the restored address space's tables; task resolves TIDs to restored
+// tasks (TID 0 must resolve to nil). The tables themselves — and the
+// ASID live set — are restored by the mm and kernel sections, so only
+// linkage is rebuilt here.
 func (m *Manager) LoadSnap(s Snap, table func(id int) *pagetable.Table, task func(tid int) *kernel.Task) {
 	if len(m.domains) != 0 {
 		panic("dpti: LoadSnap on a non-fresh manager")
@@ -102,5 +112,84 @@ func (m *Manager) LoadSnap(s Snap, table func(id int) *pagetable.Table, task fun
 	}
 	for _, c := range s.Current {
 		m.current[task(c.TID)] = c.Dom
+	}
+}
+
+// Append appends the snapshot's encoding.
+func (s Snap) Append(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(s.NextID))
+	b = wire.AppendUvarint(b, uint64(len(s.Domains)))
+	for _, d := range s.Domains {
+		b = wire.AppendUvarint(b, uint64(d.ID))
+		b = wire.AppendUvarint(b, uint64(len(d.Areas)))
+		for _, a := range d.Areas {
+			b = wire.AppendUvarint(b, uint64(a.Start))
+			b = wire.AppendUvarint(b, a.Length)
+		}
+		b = wire.AppendVarint(b, int64(d.TableID))
+		b = wire.AppendUvarint(b, uint64(d.ASID))
+		b = wire.AppendBool(b, d.Live)
+		b = wire.AppendUvarint(b, d.LastUse)
+	}
+	b = wire.AppendUvarint(b, uint64(len(s.Current)))
+	for _, c := range s.Current {
+		b = wire.AppendVarint(b, int64(c.TID))
+		b = wire.AppendUvarint(b, uint64(c.Dom))
+	}
+	b = wire.AppendVarint(b, int64(s.MaxTables))
+	b = wire.AppendUvarint(b, s.Clock)
+	st := s.Stats
+	for _, v := range [...]uint64{st.Enters, st.Exits, st.Materializations, st.Evictions,
+		st.SwitchCycles, st.ShootdownCycles, st.MgmtCycles} {
+		b = wire.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// Read decodes a snapshot Append wrote and validates it so that LoadSnap
+// cannot fail: NextID within [1, maxSnapDomains], domain ids strictly
+// ascending below it, a table within numTables for every live domain,
+// task TIDs that are 0 or resolve through task, and a positive table
+// cap.
+func (s *Snap) Read(r *wire.Reader, numTables int, task func(tid int) *kernel.Task) {
+	if s.NextID = DomainID(r.Uvarint()); s.NextID < 1 || s.NextID > maxSnapDomains {
+		r.Failf("next domain id %d", s.NextID)
+		return
+	}
+	s.Domains = make([]DomainSnap, r.Count("domain"))
+	for i := range s.Domains {
+		d := &s.Domains[i]
+		d.ID = DomainID(r.Uvarint())
+		if d.ID < 1 || d.ID >= s.NextID || i > 0 && d.ID <= s.Domains[i-1].ID {
+			r.Failf("domain %d out of order or range", d.ID)
+			return
+		}
+		d.Areas = make([]AreaSnap, r.Count("area"))
+		for j := range d.Areas {
+			d.Areas[j] = AreaSnap{Start: pagetable.VAddr(r.Uvarint()), Length: r.Uvarint()}
+		}
+		d.TableID = pagetable.ReadTableID(r, numTables)
+		d.ASID = tlb.ReadASID(r)
+		d.Live = r.Bool()
+		d.LastUse = r.Uvarint()
+		if d.Live && d.TableID == -1 {
+			r.Failf("live domain %d has no table", d.ID)
+		}
+	}
+	s.Current = make([]CurrentSnap, r.Count("current"))
+	for i := range s.Current {
+		c := CurrentSnap{TID: int(r.Varint()), Dom: DomainID(r.Uvarint())}
+		if r.Err() == nil && c.TID != 0 && task(c.TID) == nil {
+			r.Failf("unknown task %d entered domain %d", c.TID, c.Dom)
+		}
+		s.Current[i] = c
+	}
+	if s.MaxTables = int(r.Varint()); s.MaxTables < 1 {
+		r.Failf("table cap %d", s.MaxTables)
+	}
+	s.Clock = r.Uvarint()
+	s.Stats = Stats{
+		Enters: r.Uvarint(), Exits: r.Uvarint(), Materializations: r.Uvarint(), Evictions: r.Uvarint(),
+		SwitchCycles: r.Uvarint(), ShootdownCycles: r.Uvarint(), MgmtCycles: r.Uvarint(),
 	}
 }

@@ -1,8 +1,14 @@
 package epk
 
-import "sort"
+import (
+	"sort"
 
-// Checkpoint capture and restore (vdom-snap/v1).
+	"vdom/internal/wire"
+)
+
+// Checkpoint capture and restore (vdom-snap/v2). The section is the
+// domain capacity, the (thread, group) bindings in ascending thread
+// order, and the stats; ints are zigzag varints, counters uvarints.
 
 // ThreadGroupSnap is one (thread → current EPT group) binding.
 type ThreadGroupSnap struct {
@@ -28,15 +34,38 @@ func (s *System) Snap() Snap {
 	return st
 }
 
-// LoadSnap restores a captured image onto a freshly created System with
-// the same domain capacity.
+// LoadSnap restores a captured image onto a freshly created System; st
+// must have passed Read's validation against it.
 func (s *System) LoadSnap(st Snap) {
-	if st.NumDomains != s.numDomains {
-		panic("epk: LoadSnap domain capacity mismatch")
-	}
 	s.current = make(map[int]int, len(st.Current))
 	for _, tg := range st.Current {
 		s.current[tg.ThreadID] = tg.Group
 	}
 	s.Stats = st.Stats
+}
+
+// Append appends the snapshot's encoding.
+func (st Snap) Append(b []byte) []byte {
+	b = wire.AppendVarint(b, int64(st.NumDomains))
+	b = wire.AppendUvarint(b, uint64(len(st.Current)))
+	for _, tg := range st.Current {
+		b = wire.AppendVarint(b, int64(tg.ThreadID))
+		b = wire.AppendVarint(b, int64(tg.Group))
+	}
+	b = wire.AppendUvarint(b, st.Stats.MPKSwitches)
+	return wire.AppendUvarint(b, st.Stats.VMFuncSwitches)
+}
+
+// Read decodes a snapshot Append wrote; a domain capacity other than
+// sys's fails the reader.
+func (st *Snap) Read(r *wire.Reader, sys *System) {
+	if st.NumDomains = int(r.Varint()); st.NumDomains != sys.numDomains {
+		r.Failf("domain capacity %d, booted %d", st.NumDomains, sys.numDomains)
+		return
+	}
+	st.Current = make([]ThreadGroupSnap, r.Count("thread group"))
+	for i := range st.Current {
+		st.Current[i] = ThreadGroupSnap{ThreadID: int(r.Varint()), Group: int(r.Varint())}
+	}
+	st.Stats = Stats{MPKSwitches: r.Uvarint(), VMFuncSwitches: r.Uvarint()}
 }

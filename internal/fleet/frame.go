@@ -13,7 +13,7 @@ import (
 //	magic "VDFL" (4 bytes) | type (1 byte) | payload length (uvarint) | payload
 //
 // and every payload field is uvarint- or length-prefixed, exactly like
-// the repository's other binary formats (vdom-trace/v1, vdom-snap/v1).
+// the repository's other binary formats (vdom-trace/v1, vdom-snap/v2).
 // The per-frame magic buys cheap desync detection: a transport fault
 // that shears the stream mid-frame makes the next read fail ErrBadMagic
 // immediately instead of misparsing tail bytes as a frame header.

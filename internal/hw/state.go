@@ -1,75 +1,110 @@
 package hw
 
 import (
-	"fmt"
-
 	"vdom/internal/pagetable"
 	"vdom/internal/tlb"
+	"vdom/internal/wire"
 )
 
-// Checkpoint capture and restore for the hardware layer (vdom-snap/v1).
+// Checkpoint capture and restore for the hardware layer (vdom-snap/v2).
 // Page tables are owned by the memory-management layer and serialized
-// there; a core snapshot refers to its loaded table by an opaque id the
-// caller maps in both directions.
+// there; a core image refers to its loaded table by an opaque id the
+// caller maps in both directions (-1 = none loaded).
+//
+// The machine image is the frame allocator watermark, the core count,
+// and per core: the raw permission register, the ASID, the loaded
+// table's id, the page-walk cache (its hit/miss counters are published
+// as metrics, so an exact restore must carry it), and the TLB image.
+// Everything is encoded straight from the live state.
 
-// WalkSnap is the per-core page-walk cache image. The cache is a
-// host-side memoization, but its hit/miss counters are published as
-// metrics, so an exact restore must carry it.
-type WalkSnap struct {
-	TableID int
-	Gen     uint64
-	VPN     uint64
-	Valid   bool
-	Res     pagetable.WalkResult
-	Hits    uint64
-	Misses  uint64
-}
-
-// CoreSnap is the serializable image of one Core.
-type CoreSnap struct {
-	PermRaw uint64
-	ASID    tlb.ASID
-	// TableID identifies the loaded page table via the caller's mapping;
-	// the caller reserves a value (conventionally -1) for "none loaded".
-	TableID int
-	Walk    WalkSnap
-	TLB     tlb.CacheState
-}
-
-// Snap captures the core's image. tableID maps a live *pagetable.Table
-// (or nil) to the caller's stable table id.
-func (c *Core) Snap(tableID func(*pagetable.Table) int) CoreSnap {
-	return CoreSnap{
-		PermRaw: c.perm.Raw(),
-		ASID:    c.asid,
-		TableID: tableID(c.table),
-		Walk: WalkSnap{
-			TableID: tableID(c.walkTable),
-			Gen:     c.walkGen,
-			VPN:     c.walkVPN,
-			Valid:   c.walkValid,
-			Res:     c.walkRes,
-			Hits:    c.walkHits,
-			Misses:  c.walkMisses,
-		},
-		TLB: c.tlb.State(),
+// AppendState appends the machine's image. tableID maps a live
+// *pagetable.Table (or nil) to the caller's stable table id.
+func (m *Machine) AppendState(b []byte, tableID func(*pagetable.Table) int) []byte {
+	b = wire.AppendUvarint(b, uint64(m.nextFrame))
+	b = wire.AppendUvarint(b, uint64(len(m.cores)))
+	for _, c := range m.cores {
+		b = c.appendState(b, tableID)
 	}
+	return b
 }
 
-// LoadSnap restores the core from a captured image. table is the inverse
-// of the Snap tableID mapping (it must return nil for the "none" id).
-func (c *Core) LoadSnap(s CoreSnap, table func(id int) *pagetable.Table) {
-	c.perm.SetRaw(s.PermRaw)
-	c.asid = s.ASID
-	c.table = table(s.TableID)
-	c.walkTable = table(s.Walk.TableID)
-	c.walkGen = s.Walk.Gen
-	c.walkVPN = s.Walk.VPN
-	c.walkValid = s.Walk.Valid
-	c.walkRes = s.Walk.Res
-	c.walkHits = s.Walk.Hits
-	c.walkMisses = s.Walk.Misses
-	c.tlb.LoadState(s.TLB)
+func (c *Core) appendState(b []byte, tableID func(*pagetable.Table) int) []byte {
+	b = wire.AppendUvarint(b, c.perm.Raw())
+	b = wire.AppendUvarint(b, uint64(c.asid))
+	b = wire.AppendVarint(b, int64(tableID(c.table)))
+
+	// A walk memo on a table the snapshot does not carry (a reaped VDS's
+	// table) can never hit again: it restores as invalid.
+	walkID := tableID(c.walkTable)
+	b = wire.AppendVarint(b, int64(walkID))
+	b = wire.AppendUvarint(b, c.walkGen)
+	b = wire.AppendUvarint(b, c.walkVPN)
+	b = wire.AppendBool(b, c.walkValid && walkID != -1)
+	res := c.walkRes
+	b = wire.AppendUvarint(b, uint64(res.PTE.Frame))
+	b = wire.AppendBool(b, res.PTE.Present)
+	b = wire.AppendBool(b, res.PTE.Writable)
+	b = append(b, byte(res.PTE.Pdom))
+	b = wire.AppendBool(b, res.Present)
+	b = wire.AppendBool(b, res.PMDDisabled)
+	b = wire.AppendUvarint(b, uint64(res.LevelsVisited))
+	b = wire.AppendUvarint(b, c.walkHits)
+	b = wire.AppendUvarint(b, c.walkMisses)
+	return c.tlb.AppendState(b)
+}
+
+// ReadState restores the machine from an image AppendState wrote. table
+// is the inverse of the tableID mapping (nil for -1), valid for ids up to
+// numTables. A core count, table id, TLB geometry, or a frame watermark
+// that would move backwards past frames this machine already handed out
+// fails the reader.
+func (m *Machine) ReadState(r *wire.Reader, table func(id int) *pagetable.Table, numTables int) {
+	frames := pagetable.Frame(r.Uvarint())
+	if frames < m.nextFrame {
+		r.Failf("frame watermark %d would orphan %d allocated frames", frames, m.nextFrame)
+		return
+	}
+	if n := r.Uvarint(); n != uint64(len(m.cores)) {
+		r.Failf("snapshot has %d cores, machine boots %d", n, len(m.cores))
+		return
+	}
+	for _, c := range m.cores {
+		c.readState(r, table, numTables)
+	}
+	m.nextFrame = frames
+}
+
+func (c *Core) readState(r *wire.Reader, table func(id int) *pagetable.Table, numTables int) {
+	c.perm.SetRaw(r.Uvarint())
+	c.asid = tlb.ReadASID(r)
+	tableID := pagetable.ReadTableID(r, numTables)
+	walkID := pagetable.ReadTableID(r, numTables)
+	c.walkGen = r.Uvarint()
+	c.walkVPN = r.Uvarint()
+	c.walkValid = r.Bool()
+	c.walkRes = pagetable.WalkResult{
+		PTE: pagetable.PTE{
+			Frame:    pagetable.Frame(r.Uvarint()),
+			Present:  r.Bool(),
+			Writable: r.Bool(),
+			Pdom:     pagetable.Pdom(r.Byte()),
+		},
+		Present:     r.Bool(),
+		PMDDisabled: r.Bool(),
+	}
+	if lv := r.Uvarint(); lv <= pagetable.Levels {
+		c.walkRes.LevelsVisited = int(lv)
+	} else {
+		r.Failf("walk cache levels %d", lv)
+	}
+	c.walkHits = r.Uvarint()
+	c.walkMisses = r.Uvarint()
+	if r.Err() != nil {
+		return
+	}
+	c.table = table(tableID)
+	c.walkTable = table(walkID)
+	c.tlb.ReadState(r)
 }
 
 // CrashVolatile models the architectural effect of a core crash on the
@@ -84,18 +119,4 @@ func (c *Core) CrashVolatile() {
 	c.walkTable = nil
 	c.table = nil
 	c.asid = 0
-}
-
-// FrameWatermark returns the frame allocator's high-water mark (the next
-// frame AllocFrames would hand out).
-func (m *Machine) FrameWatermark() pagetable.Frame { return m.nextFrame }
-
-// SetFrameWatermark restores the frame allocator's high-water mark from
-// a checkpoint. It refuses to move the watermark backwards past frames
-// already handed out on a fresh machine.
-func (m *Machine) SetFrameWatermark(f pagetable.Frame) {
-	if f < m.nextFrame {
-		panic(fmt.Sprintf("hw: frame watermark %d would orphan %d allocated frames", f, m.nextFrame))
-	}
-	m.nextFrame = f
 }

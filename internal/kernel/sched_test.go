@@ -212,7 +212,7 @@ func snapHeader(cores int) replay.Header {
 	return h
 }
 
-// checkpoint round-trips the live system through the vdom-snap/v1
+// checkpoint round-trips the live system through the vdom-snap/v2
 // container and restores it into a fresh System.
 func checkpoint(t *testing.T, k *kernel.Kernel, p *kernel.Process, mgr *core.Manager) (*replay.System, map[uint64]*kernel.Task) {
 	t.Helper()

@@ -1,62 +1,72 @@
 package mm
 
-import "vdom/internal/pagetable"
+import (
+	"vdom/internal/pagetable"
+	"vdom/internal/wire"
+)
 
 // Checkpoint capture and restore for the memory-management layer
-// (vdom-snap/v1). The snapshot owns the process's page tables: the
+// (vdom-snap/v2). The snapshot owns the process's page tables: the
 // shadow table plus every registered per-VDS table, identified by a
 // stable id (0 = shadow, j >= 1 = Tables()[j-1], -1 = none) that the
 // hardware and core-layer snapshots refer to.
+//
+// The image is encoded straight from the live state: the VMA count and
+// each area (start, length, writable, tag) in ascending start order, the
+// shadow table's image, then the count and images of the per-VDS tables
+// in registration order (table id j+1 is the j-th).
 
-// VMASnap is one serialized virtual memory area.
-type VMASnap struct {
-	Start    pagetable.VAddr
-	Length   uint64
-	Writable bool
-	Tag      Tag
-}
-
-// ASSnap is the serializable image of an AddressSpace.
-type ASSnap struct {
-	// VMAs holds every area in ascending start order.
-	VMAs []VMASnap
-	// Shadow is the authoritative shadow table's image.
-	Shadow pagetable.TableState
-	// Tables are the registered per-VDS tables' images, in registration
-	// order (table id j+1 corresponds to Tables[j]).
-	Tables []pagetable.TableState
-}
-
-// Snap captures the address space's image.
-func (as *AddressSpace) Snap() ASSnap {
-	var s ASSnap
+// AppendState appends the address space's image.
+func (as *AddressSpace) AppendState(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(as.vmas.Len()))
 	as.vmas.All(func(v *VMA) bool {
-		s.VMAs = append(s.VMAs, VMASnap{Start: v.Start, Length: v.Length, Writable: v.Writable, Tag: v.Tag})
+		b = wire.AppendUvarint(b, uint64(v.Start))
+		b = wire.AppendUvarint(b, v.Length)
+		b = wire.AppendBool(b, v.Writable)
+		b = wire.AppendUvarint(b, uint64(v.Tag))
 		return true
 	})
-	s.Shadow = as.shadow.State()
+	b = as.shadow.AppendState(b)
+	b = wire.AppendUvarint(b, uint64(len(as.tables)))
 	for _, t := range as.tables {
-		s.Tables = append(s.Tables, t.State())
+		b = t.AppendState(b)
 	}
-	return s
+	return b
 }
 
-// LoadSnap restores the address space in place: the VMA tree is rebuilt,
-// the shadow table reloaded, and one fresh table registered per
-// serialized per-VDS table. The address space must be freshly booted (no
-// VMAs, no registered tables).
-func (as *AddressSpace) LoadSnap(s ASSnap) {
+// ReadState restores the address space in place from an image
+// AppendState wrote: the VMA tree is rebuilt, the shadow table reloaded,
+// and one fresh table registered per serialized per-VDS table. The
+// address space must be freshly booted (no VMAs, no registered tables).
+// Areas out of ascending start order fail the reader.
+func (as *AddressSpace) ReadState(r *wire.Reader) {
 	if as.vmas.Len() != 0 || len(as.tables) != 0 {
-		panic("mm: LoadSnap on a non-fresh address space")
+		panic("mm: ReadState on a non-fresh address space")
 	}
-	for i := range s.VMAs {
-		v := s.VMAs[i]
-		as.vmas.Insert(&VMA{Start: v.Start, Length: v.Length, Writable: v.Writable, Tag: v.Tag})
+	n := r.Count("vma")
+	var prev pagetable.VAddr
+	for i := 0; i < n; i++ {
+		v := &VMA{
+			Start:    pagetable.VAddr(r.Uvarint()),
+			Length:   r.Uvarint(),
+			Writable: r.Bool(),
+			Tag:      Tag(r.Uvarint()),
+		}
+		if r.Err() != nil {
+			return
+		}
+		if i > 0 && v.Start <= prev {
+			r.Failf("vma %d at %#x out of order", i, uint64(v.Start))
+			return
+		}
+		prev = v.Start
+		as.vmas.Insert(v)
 	}
-	as.shadow.LoadState(s.Shadow)
-	for _, ts := range s.Tables {
+	as.shadow.ReadState(r)
+	n = r.Count("table")
+	for i := 0; i < n; i++ {
 		t := pagetable.New()
-		t.LoadState(ts)
+		t.ReadState(r)
 		as.RegisterTable(t)
 	}
 }

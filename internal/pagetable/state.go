@@ -1,47 +1,37 @@
 package pagetable
 
+import "vdom/internal/wire"
+
 // This file implements checkpoint capture and restore for Table
-// (vdom-snap/v1). The snapshot must reproduce the table *exactly* — not
+// (vdom-snap/v2). The snapshot must reproduce the table *exactly* — not
 // just its present translations but the radix skeleton (empty page
 // tables left behind by Unmap still add walk levels, which the hardware
 // charges cycles for), the per-PMD disabled marks, the write counters,
 // and the mutation generation — so a restored System's cycle accounting
 // is bit-identical to an uninterrupted run.
+//
+// The image is encoded straight from the radix, one record per PMD-entry
+// coordinate (virtual address >> PMDShift) that carries a leaf table or
+// a disabled mark, in ascending coordinate order:
+//
+//	tag byte (coordPT | coordDisabled) | uvarint coordinate gap |
+//	    [if coordPT: uvarint #present | { uvarint index gap | uvarint packed PTE }*]
+//
+// A zero tag ends the records; the five counters follow. Gaps are
+// measured from the previous record (or entry) plus one, so any value
+// decodes to a strictly ascending sequence.
 
-// PageState is one present PTE and its address in a TableState.
-type PageState struct {
-	Addr uint64
-	PTE  PTE
-}
+const (
+	coordPT = 1 << iota
+	coordDisabled
+)
 
-// TableState is the serializable image of a Table.
-type TableState struct {
-	// Pages holds every present PTE in ascending address order.
-	Pages []PageState
-	// PTs lists the coordinates (virtual address >> PMDShift) of every
-	// materialized leaf page table, including empty ones: they decide
-	// how many levels a walk of an unmapped address visits.
-	PTs []uint64
-	// DisabledPMDs lists the coordinates (virtual address >> PMDShift)
-	// of PMD entries disabled by the §5.5 eviction fast path.
-	DisabledPMDs []uint64
+// maxCoord bounds a PMD-entry coordinate: 27 index bits above PMDShift.
+const maxCoord = 1 << (AddrBits - PMDShift)
 
-	PTEWrites  uint64
-	PMDWrites  uint64
-	RetiredPTE uint64
-	RetiredPMD uint64
-	Gen        uint64
-}
-
-// State captures the table's full image for a checkpoint.
-func (t *Table) State() TableState {
-	st := TableState{
-		PTEWrites:  t.PTEWrites,
-		PMDWrites:  t.PMDWrites,
-		RetiredPTE: t.retiredPTE,
-		RetiredPMD: t.retiredPMD,
-		Gen:        t.gen,
-	}
+// AppendState appends the table's full image.
+func (t *Table) AppendState(b []byte) []byte {
+	var next uint64
 	for i3, pi := range t.pgd {
 		if pi == 0 {
 			continue
@@ -53,52 +43,121 @@ func (t *Table) State() TableState {
 			}
 			pmd := &t.pmds[mi-1]
 			for i1, ti := range pmd.pts {
-				coord := uint64(i3)<<18 | uint64(i2)<<9 | uint64(i1)
-				if pmd.isDisabled(i1) {
-					st.DisabledPMDs = append(st.DisabledPMDs, coord)
+				var tag byte
+				if ti != 0 {
+					tag |= coordPT
 				}
-				if ti == 0 {
+				if pmd.isDisabled(i1) {
+					tag |= coordDisabled
+				}
+				if tag == 0 {
 					continue
 				}
-				st.PTs = append(st.PTs, coord)
-				pt := &t.pts[ti-1]
-				for i0 := range pt.ptes {
-					if pt.ptes[i0]&pteP == 0 {
-						continue
-					}
-					a := coord<<PMDShift | uint64(i0)<<PageShift
-					st.Pages = append(st.Pages, PageState{Addr: a, PTE: pt.ptes[i0].unpack()})
+				coord := uint64(i3)<<18 | uint64(i2)<<9 | uint64(i1)
+				b = append(b, tag)
+				b = wire.AppendUvarint(b, coord-next)
+				next = coord + 1
+				if ti != 0 {
+					b = t.pts[ti-1].appendPresent(b)
 				}
 			}
 		}
 	}
-	return st
+	b = append(b, 0)
+	for _, v := range [...]uint64{t.PTEWrites, t.PMDWrites, t.retiredPTE, t.retiredPMD, t.gen} {
+		b = wire.AppendUvarint(b, v)
+	}
+	return b
 }
 
-// LoadState overwrites the table in place with a previously captured
-// image. The radix is rebuilt directly — not through Map — so the write
+// appendPresent appends the leaf's present entries in index order.
+func (pt *ptNode) appendPresent(b []byte) []byte {
+	n := 0
+	for _, p := range pt.ptes {
+		if p&pteP != 0 {
+			n++
+		}
+	}
+	b = wire.AppendUvarint(b, uint64(n))
+	next := 0
+	for i0, p := range pt.ptes {
+		if p&pteP == 0 {
+			continue
+		}
+		b = wire.AppendUvarint(b, uint64(i0-next))
+		b = wire.AppendUvarint(b, uint64(p))
+		next = i0 + 1
+	}
+	return b
+}
+
+// ReadState overwrites the table in place with an image AppendState
+// wrote. The radix is rebuilt directly — not through Map — so the write
 // counters and generation land exactly on the checkpointed values.
-func (t *Table) LoadState(st TableState) {
+func (t *Table) ReadState(r *wire.Reader) {
 	*t = Table{}
-	for _, coord := range st.PTs {
-		t.materialize(coord)
-	}
-	for _, coord := range st.DisabledPMDs {
+	var next uint64
+	for {
+		tag := r.Byte()
+		if tag == 0 {
+			break
+		}
+		coord := next + r.Uvarint()
+		if tag&^(coordPT|coordDisabled) != 0 || coord < next || coord >= maxCoord {
+			r.Failf("page-table record tag %#x at coordinate %#x", tag, coord)
+			return
+		}
+		next = coord + 1
 		pmd := t.materializePMD(coord)
-		pmd.setDisabled(int(coord&0x1ff), true)
+		i1 := int(coord & 0x1ff)
+		if tag&coordDisabled != 0 {
+			pmd.setDisabled(i1, true)
+		}
+		if tag&coordPT != 0 {
+			t.pts = append(t.pts, ptNode{})
+			pmd.pts[i1] = int32(len(t.pts))
+			t.readPresent(r, &t.pts[len(t.pts)-1])
+		}
 	}
-	for _, pg := range st.Pages {
-		pt := t.ptOf(VAddr(pg.Addr))
-		i0 := int(pg.Addr >> 12 & 0x1ff)
-		pt.ptes[i0] = packPTE(pg.PTE)
+	t.PTEWrites = r.Uvarint()
+	t.PMDWrites = r.Uvarint()
+	t.retiredPTE = r.Uvarint()
+	t.retiredPMD = r.Uvarint()
+	t.gen = r.Uvarint()
+}
+
+// readPresent fills a fresh leaf with the entries appendPresent wrote.
+func (t *Table) readPresent(r *wire.Reader, pt *ptNode) {
+	n := r.Uvarint()
+	if n > EntriesPerTable {
+		r.Failf("page table with %d present entries", n)
+		return
+	}
+	var next uint64
+	for ; n > 0; n-- {
+		i0 := next + r.Uvarint()
+		p := packedPTE(r.Uvarint())
+		if i0 < next || i0 >= EntriesPerTable || p&pteP == 0 {
+			r.Failf("page-table entry %d (%#x)", i0, uint64(p))
+			return
+		}
+		next = i0 + 1
+		pt.ptes[i0] = p
 		pt.present++
 		t.present++
 	}
-	t.PTEWrites = st.PTEWrites
-	t.PMDWrites = st.PMDWrites
-	t.retiredPTE = st.RetiredPTE
-	t.retiredPMD = st.RetiredPMD
-	t.gen = st.Gen
+}
+
+// ReadTableID reads a stable table id written as a varint: -1 for none,
+// 0 for the shadow table, j for the j-th per-VDS table (see
+// mm.TableID). An id beyond numTables fails the reader.
+func ReadTableID(r *wire.Reader, numTables int) int {
+	id := r.Varint()
+	if id < -1 || id > int64(numTables) {
+		r.Failf("table id %d of %d", id, numTables)
+		return -1
+	}
+	return int(id)
 }
 
 // materializePMD ensures the pud/pmd path for a pt coordinate exists and
@@ -119,18 +178,4 @@ func (t *Table) materializePMD(coord uint64) *pmdNode {
 		t.puds[pi-1].pmds[i2] = mi
 	}
 	return &t.pmds[mi-1]
-}
-
-// materialize ensures the full path to the leaf page table at coord
-// exists, without touching any counter.
-func (t *Table) materialize(coord uint64) {
-	pmd := t.materializePMD(coord)
-	i1 := int(coord & 0x1ff)
-	if pmd.pts[i1] == 0 {
-		t.pts = append(t.pts, ptNode{})
-		// Re-resolve after append: the pmd pointer may be stale only if
-		// pmds moved, which appending to pts cannot cause — but keep the
-		// index write on the freshly resolved node for clarity.
-		pmd.pts[i1] = int32(len(t.pts))
-	}
 }

@@ -15,7 +15,7 @@
 //   - parallel-grid: isolated experiment-grid cells (one simulated
 //     System each) completed per second under the internal/par worker
 //     pool;
-//   - checkpoint: vdom-snap/v1 capture+encode throughput in bytes per
+//   - checkpoint: vdom-snap/v2 capture+encode throughput in bytes per
 //     second on a mid-soak chaos system.
 //
 // Every benchmark's per-iteration workload is fixed — Options.Quick
@@ -360,7 +360,7 @@ func setupGrid(Options) (float64, func() error, error) {
 }
 
 // setupCheckpoint steps a seeded chaos soak to mid-run and measures full
-// System capture+encode (vdom-snap/v1) throughput in snapshot bytes per
+// System capture+encode (vdom-snap/v2) throughput in snapshot bytes per
 // second.
 func setupCheckpoint(Options) (float64, func() error, error) {
 	s := chaos.StartSoak(chaos.SoakConfig{

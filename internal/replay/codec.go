@@ -2,19 +2,20 @@ package replay
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
+
+	"vdom/internal/wire"
 )
 
 // traceMagic opens every binary trace.
 var traceMagic = [4]byte{'V', 'D', 'T', 'R'}
 
-// Sanity caps for the decoder: a well-formed trace never exceeds these, so
-// anything beyond them is rejected as malformed rather than allocated.
-const (
-	maxStringLen  = 1 << 20
-	maxSmallField = 1 << 20
-)
+// maxSmallField caps the header's geometry fields (core counts and the
+// like): anything beyond it is rejected as malformed.
+const maxSmallField = 1 << 20
 
 // Encode serializes the trace to the compact binary form: the VDTR magic,
 // then header, events (times delta-encoded), and end-state section, all
@@ -26,285 +27,177 @@ func Encode(t *Trace) []byte {
 	// large traces.
 	b := make([]byte, 0, 256+24*len(t.Events)+32*len(t.End))
 	b = append(b, traceMagic[:]...)
-	b = putUvarint(b, uint64(t.Header.Version))
-	b = putString(b, t.Header.Kernel)
-	b = putString(b, t.Header.Arch)
-	b = putUvarint(b, uint64(t.Header.Cores))
-	b = putUvarint(b, uint64(t.Header.TLBCap))
-	b = putUvarint(b, t.Header.Seed)
-	b = putString(b, t.Header.Workload)
-	b = putUvarint(b, t.Header.ConfigDigest)
-	b = putUvarint(b, uint64(t.Header.Flags))
-	b = putUvarint(b, t.Header.FlushThreshold)
-	b = putUvarint(b, uint64(t.Header.Nas))
-	b = putUvarint(b, uint64(t.Header.Domains))
-	b = putUvarint(b, uint64(len(t.Header.Extra)))
-	for _, k := range sortedU64Keys(t.Header.Extra) {
-		b = putString(b, k)
-		b = putUvarint(b, t.Header.Extra[k])
-	}
+	b = AppendHeader(b, t.Header)
 
-	b = putUvarint(b, uint64(len(t.Events)))
+	b = wire.AppendUvarint(b, uint64(len(t.Events)))
 	var prev uint64
 	for _, e := range t.Events {
-		b = putUvarint(b, e.Time-prev)
+		b = wire.AppendUvarint(b, e.Time-prev)
 		prev = e.Time
-		b = putUvarint(b, e.TID)
-		b = putUvarint(b, uint64(e.Op))
-		b = putUvarint(b, e.Addr)
-		b = putUvarint(b, e.Len)
-		b = putUvarint(b, e.Dom)
-		b = putUvarint(b, uint64(e.Perm))
-		b = putUvarint(b, uint64(e.Flags))
-		b = putUvarint(b, e.Cost)
-		b = putUvarint(b, uint64(e.Err))
+		b = wire.AppendUvarint(b, e.TID)
+		b = wire.AppendUvarint(b, uint64(e.Op))
+		b = wire.AppendUvarint(b, e.Addr)
+		b = wire.AppendUvarint(b, e.Len)
+		b = wire.AppendUvarint(b, e.Dom)
+		b = wire.AppendUvarint(b, uint64(e.Perm))
+		b = wire.AppendUvarint(b, uint64(e.Flags))
+		b = wire.AppendUvarint(b, e.Cost)
+		b = wire.AppendUvarint(b, uint64(e.Err))
 	}
 
 	if t.End == nil {
-		b = putUvarint(b, 0)
+		b = wire.AppendUvarint(b, 0)
 	} else {
-		b = putUvarint(b, 1)
-		b = putUvarint(b, uint64(len(t.End)))
-		for _, k := range sortedU64Keys(t.End) {
-			b = putString(b, k)
-			b = putUvarint(b, t.End[k])
-		}
+		b = wire.AppendUvarint(b, 1)
+		b = appendU64Map(b, t.End)
 	}
 	return b
+}
+
+// AppendHeader appends the header's field sequence — the one the VDTR
+// trace codec and the vdom-snap/v2 meta section share.
+func AppendHeader(b []byte, h Header) []byte {
+	b = wire.AppendUvarint(b, uint64(h.Version))
+	b = wire.AppendString(b, h.Kernel)
+	b = wire.AppendString(b, h.Arch)
+	b = wire.AppendUvarint(b, uint64(h.Cores))
+	b = wire.AppendUvarint(b, uint64(h.TLBCap))
+	b = wire.AppendUvarint(b, h.Seed)
+	b = wire.AppendString(b, h.Workload)
+	b = wire.AppendUvarint(b, h.ConfigDigest)
+	b = wire.AppendUvarint(b, uint64(h.Flags))
+	b = wire.AppendUvarint(b, h.FlushThreshold)
+	b = wire.AppendUvarint(b, uint64(h.Nas))
+	b = wire.AppendUvarint(b, uint64(h.Domains))
+	return appendU64Map(b, h.Extra)
+}
+
+// ReadHeader reads the field sequence AppendHeader writes. It does not
+// check the version: the trace decoder does that before anything else,
+// and a snapshot carries whatever header its run recorded.
+func ReadHeader(r *wire.Reader) Header {
+	var h Header
+	h.Version = smallInt(r, "version")
+	h.Kernel = r.String()
+	h.Arch = r.String()
+	h.Cores = smallInt(r, "cores")
+	h.TLBCap = smallInt(r, "tlb-cap")
+	h.Seed = r.Uvarint()
+	h.Workload = r.String()
+	h.ConfigDigest = r.Uvarint()
+	flags := r.Uvarint()
+	if flags > math.MaxUint32 {
+		r.Failf("header flags %#x out of range", flags)
+	}
+	h.Flags = uint32(flags)
+	h.FlushThreshold = r.Uvarint()
+	h.Nas = smallInt(r, "nas")
+	h.Domains = smallInt(r, "domains")
+	if n := r.Count("extra"); n > 0 {
+		h.Extra = readU64Map(r, n)
+	}
+	return h
 }
 
 // Decode parses a binary trace. Malformed input yields a typed error
 // (ErrBadMagic, ErrBadVersion, ErrTruncated, ErrBadRecord) — never a
 // panic, whatever the bytes.
 func Decode(data []byte) (*Trace, error) {
-	d := &decoder{buf: data}
 	if len(data) < len(traceMagic) || string(data[:4]) != string(traceMagic[:]) {
 		return nil, ErrBadMagic
 	}
-	d.off = 4
-
-	t := &Trace{}
-	h := &t.Header
-	v, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if v != FormatVersion {
+	if v, n := binary.Uvarint(data[4:]); n > 0 && v != FormatVersion {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, v, FormatVersion)
 	}
-	h.Version = int(v)
-	if h.Kernel, err = d.string(); err != nil {
-		return nil, err
-	}
-	if h.Arch, err = d.string(); err != nil {
-		return nil, err
-	}
-	if h.Cores, err = d.smallInt("cores"); err != nil {
-		return nil, err
-	}
-	if h.TLBCap, err = d.smallInt("tlb-cap"); err != nil {
-		return nil, err
-	}
-	if h.Seed, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	if h.Workload, err = d.string(); err != nil {
-		return nil, err
-	}
-	if h.ConfigDigest, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	flags, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if flags > 1<<32-1 {
-		return nil, fmt.Errorf("%w: header flags %#x out of range", ErrBadRecord, flags)
-	}
-	h.Flags = uint32(flags)
-	if h.FlushThreshold, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	if h.Nas, err = d.smallInt("nas"); err != nil {
-		return nil, err
-	}
-	if h.Domains, err = d.smallInt("domains"); err != nil {
-		return nil, err
-	}
-	nExtra, err := d.count("extra")
-	if err != nil {
-		return nil, err
-	}
-	if nExtra > 0 {
-		h.Extra = make(map[string]uint64, nExtra)
-		for i := 0; i < nExtra; i++ {
-			k, err := d.string()
-			if err != nil {
-				return nil, err
-			}
-			if h.Extra[k], err = d.uvarint(); err != nil {
-				return nil, err
-			}
-		}
-	}
+	r := wire.NewReader(data)
+	r.Bytes(len(traceMagic))
 
-	nEvents, err := d.count("events")
-	if err != nil {
-		return nil, err
-	}
+	t := &Trace{Header: ReadHeader(r)}
+	nEvents := r.Count("events")
 	t.Events = make([]Event, 0, nEvents)
 	var clock uint64
 	for i := 0; i < nEvents; i++ {
 		var e Event
-		dt, err := d.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		clock += dt
+		clock += r.Uvarint()
 		e.Time = clock
-		if e.TID, err = d.uvarint(); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
+		e.TID = r.Uvarint()
+		if op := r.Uvarint(); op == uint64(opInvalid) || op > uint64(opMax) {
+			r.Failf("unknown op %d", op)
+		} else {
+			e.Op = Op(op)
 		}
-		op, err := d.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
+		e.Addr = r.Uvarint()
+		e.Len = r.Uvarint()
+		e.Dom = r.Uvarint()
+		e.Perm = byteField(r, "perm")
+		e.Flags = byteField(r, "flags")
+		e.Cost = r.Uvarint()
+		e.Err = ErrCode(byteField(r, "err"))
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("event %d: %w", i, codecErr(err))
 		}
-		if op == uint64(opInvalid) || op > uint64(opMax) {
-			return nil, fmt.Errorf("%w: event %d: unknown op %d", ErrBadRecord, i, op)
-		}
-		e.Op = Op(op)
-		if e.Addr, err = d.uvarint(); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		if e.Len, err = d.uvarint(); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		if e.Dom, err = d.uvarint(); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		if e.Perm, err = d.byteField("perm", i); err != nil {
-			return nil, err
-		}
-		if e.Flags, err = d.byteField("flags", i); err != nil {
-			return nil, err
-		}
-		if e.Cost, err = d.uvarint(); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		code, err := d.byteField("err", i)
-		if err != nil {
-			return nil, err
-		}
-		e.Err = ErrCode(code)
 		t.Events = append(t.Events, e)
 	}
 
-	hasEnd, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	switch hasEnd {
+	switch marker := r.Uvarint(); marker {
 	case 0:
 	case 1:
-		nEnd, err := d.count("end")
-		if err != nil {
-			return nil, err
-		}
-		t.End = make(map[string]uint64, nEnd)
-		for i := 0; i < nEnd; i++ {
-			k, err := d.string()
-			if err != nil {
-				return nil, err
-			}
-			if t.End[k], err = d.uvarint(); err != nil {
-				return nil, err
-			}
-		}
+		t.End = readU64Map(r, r.Count("end"))
 	default:
-		return nil, fmt.Errorf("%w: bad end-state marker %d", ErrBadRecord, hasEnd)
+		r.Failf("bad end-state marker %d", marker)
 	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, len(d.buf)-d.off)
+	if err := r.Done(); err != nil {
+		return nil, codecErr(err)
 	}
 	return t, nil
 }
 
-// decoder walks the byte slice with bounds checking.
-type decoder struct {
-	buf []byte
-	off int
+// codecErr re-types a wire failure with the trace format's sentinels.
+func codecErr(err error) error {
+	if errors.Is(err, wire.ErrTruncated) {
+		return fmt.Errorf("%w: %w", ErrTruncated, err)
+	}
+	return fmt.Errorf("%w: %w", ErrBadRecord, err)
 }
 
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			return 0, ErrTruncated
-		}
-		return 0, fmt.Errorf("%w: varint overflow at offset %d", ErrBadRecord, d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *decoder) string() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxStringLen || n > uint64(len(d.buf)-d.off) {
-		return "", fmt.Errorf("%w: string length %d at offset %d", ErrBadRecord, n, d.off)
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-// smallInt decodes a field that fits in an int and must be small (header
+// smallInt reads a field that fits in an int and must be small (header
 // geometry like core counts).
-func (d *decoder) smallInt(name string) (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func smallInt(r *wire.Reader, name string) int {
+	v := r.Uvarint()
 	if v > maxSmallField {
-		return 0, fmt.Errorf("%w: %s %d out of range", ErrBadRecord, name, v)
+		r.Failf("%s %d out of range", name, v)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-// count decodes a collection length, bounded by the bytes remaining so a
-// forged count cannot drive a huge allocation (every element costs at
-// least one byte).
-func (d *decoder) count(name string) (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
+// byteField reads a uvarint that must fit in one byte.
+func byteField(r *wire.Reader, name string) uint8 {
+	v := r.Uvarint()
+	if v > math.MaxUint8 {
+		r.Failf("%s %d out of range", name, v)
 	}
-	if v > uint64(len(d.buf)-d.off) {
-		return 0, fmt.Errorf("%w: %s count %d exceeds remaining input", ErrBadRecord, name, v)
-	}
-	return int(v), nil
+	return uint8(v)
 }
 
-func (d *decoder) byteField(name string, event int) (uint8, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, fmt.Errorf("event %d: %w", event, err)
+// appendU64Map appends a count and the map's entries in key order.
+func appendU64Map(b []byte, m map[string]uint64) []byte {
+	b = wire.AppendUvarint(b, uint64(len(m)))
+	for _, k := range sortedU64Keys(m) {
+		b = wire.AppendString(b, k)
+		b = wire.AppendUvarint(b, m[k])
 	}
-	if v > 255 {
-		return 0, fmt.Errorf("%w: event %d: %s %d out of range", ErrBadRecord, event, name, v)
-	}
-	return uint8(v), nil
+	return b
 }
 
-func putUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-func putString(b []byte, s string) []byte {
-	b = putUvarint(b, uint64(len(s)))
-	return append(b, s...)
+// readU64Map reads n map entries.
+func readU64Map(r *wire.Reader, n int) map[string]uint64 {
+	m := make(map[string]uint64, n)
+	for i := 0; i < n; i++ {
+		k := r.String()
+		m[k] = r.Uvarint()
+	}
+	return m
 }
 
 // sortedU64Keys returns the map's keys in lexical order.

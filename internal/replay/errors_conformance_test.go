@@ -22,6 +22,7 @@ import (
 	"vdom/internal/sim"
 	"vdom/internal/snapshot"
 	"vdom/internal/tlb"
+	"vdom/internal/wire"
 )
 
 const cpg = pagetable.PageSize
@@ -293,11 +294,12 @@ func TestSentinelConformance(t *testing.T) {
 			code: replay.CodeOther,
 		},
 		{
-			name: "snapshot/truncated-gob-section",
+			name: "snapshot/truncated-section",
 			run: func(t *testing.T) error {
-				// A section that truncates mid-gob while its CRC still
+				// A section that truncates mid-payload while its CRC still
 				// verifies (the CRC covers the truncated payload) is
-				// Restore's to reject — naming the section and offset.
+				// Restore's to reject — naming the section and offset,
+				// and wrapping the wire error underneath.
 				sys := bootConformance(t, replay.KernelVDom)
 				h := replay.Header{Version: replay.FormatVersion, Kernel: replay.KernelVDom, Arch: "x86", Cores: 1}
 				st, err := snapshot.Capture(sys, h, 0, 0)
@@ -317,7 +319,7 @@ func TestSentinelConformance(t *testing.T) {
 				_, _, rerr := snapshot.Restore(cut)
 				return rerr
 			},
-			want: []error{snapshot.ErrBadRecord},
+			want: []error{snapshot.ErrBadRecord, wire.ErrTruncated},
 			code: replay.CodeOther,
 		},
 		{

@@ -6,7 +6,7 @@
 // the serve fleet's crash model and snapshot ring).
 //
 // A Spec decodes with the same discipline as vdom-trace/v1 and
-// vdom-snap/v1 (magic/version check, typed sentinels, anti-panic caps,
+// vdom-snap/v2 (magic/version check, typed sentinels, anti-panic caps,
 // fuzzable decoder) and encodes canonically, so decode → re-encode is a
 // fixed point. Compile lowers a validated spec to a deterministic seeded
 // Plan of independent cells — one isolated System per (phase, ramp step)

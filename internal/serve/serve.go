@@ -4,7 +4,7 @@
 // events rather than test cases.
 //
 // Each shard gets a Supervisor owning one steppable chaos.SoakRun, a
-// rolling on-disk checkpoint ring (snapshot.Ring, last K vdom-snap/v1
+// rolling on-disk checkpoint ring (snapshot.Ring, last K vdom-snap/v2
 // entries, written atomically via temp+rename+fsync), a stall watchdog
 // (sim.Watchdog), and a seeded crash schedule. Worker panics are
 // isolated into typed ShardFailures — they trigger a recovery, never

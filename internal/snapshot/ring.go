@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// Ring is a rolling on-disk checkpoint ring: the last Cap vdom-snap/v1
+// Ring is a rolling on-disk checkpoint ring: the last Cap vdom-snap/v2
 // snapshots of one shard, newest last. The supervised soak service
 // (internal/serve) appends a checkpoint every cadence and recovers from
 // the newest entry that still decodes — a corrupted or torn entry is

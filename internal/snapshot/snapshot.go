@@ -1,4 +1,4 @@
-// Package snapshot implements vdom-snap/v1, the versioned full-System
+// Package snapshot implements vdom-snap/v2, the versioned full-System
 // checkpoint/restore subsystem of the crash-tolerance layer (see
 // RECOVERY.md).
 //
@@ -7,19 +7,25 @@
 // marks, and mutation generations included), the kernel's task, ASID-
 // generation, and per-core residency state, the hardware cores' ASID-
 // tagged TLBs, permission registers, and walk caches, and the domain
-// layer of the trace's kernel kind (VDom manager, libmpk key cache, or
-// EPK groups) — into a self-describing container:
+// layer of the trace's kernel kind (VDom manager, libmpk key cache, EPK
+// groups, or DPTI domains) — into a self-describing container:
 //
 //	"VDSN" | uvarint version | uvarint #sections |
 //	    { uvarint len(name) | name | uvarint len(payload) |
 //	      crc32(payload) | payload }*
 //
 // The first section is always "meta": the replay.Header of the recorded
-// run (carrying the config digest), the virtual clock, and the trace
-// event index the checkpoint corresponds to. Every payload is CRC-32
-// (IEEE) protected and gob-encoded; Decode returns typed errors
-// (ErrBadMagic, ErrBadVersion, ErrTruncated, ErrBadChecksum,
-// ErrBadRecord) and never panics on hostile input.
+// run (carrying the config digest, in the trace codec's field sequence),
+// the virtual clock, and the trace event index the checkpoint
+// corresponds to. Every payload is CRC-32 (IEEE) protected and written
+// by its layer's explicit binary codec on internal/wire (uvarints,
+// zigzag varints, flag bytes); the layout is deterministic, so capturing
+// a restored System reproduces the snapshot byte for byte. Decode
+// returns typed errors (ErrBadMagic, ErrBadVersion, ErrTruncated,
+// ErrBadChecksum, ErrBadRecord) and never panics on hostile input, and
+// Restore validates every section against the booted System before
+// loading it, so a checksum-valid but corrupted payload is an
+// ErrBadRecord naming the section and its offset, never a panic.
 //
 // Restore composes with internal/replay: it boots a fresh System from
 // the meta header and loads each section into its layer, after which
@@ -30,24 +36,23 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"vdom/internal/backend"
-	"vdom/internal/hw"
 	"vdom/internal/kernel"
-	"vdom/internal/mm"
 	"vdom/internal/pagetable"
 	"vdom/internal/replay"
+	"vdom/internal/wire"
 )
 
-// FormatVersion is the on-disk snapshot format version.
-const FormatVersion = 1
+// FormatVersion is the on-disk snapshot format version. Version 1
+// payloads were gob-encoded; they are rejected with ErrBadVersion.
+const FormatVersion = 2
 
 // FormatName identifies the format in docs and reports.
-const FormatName = "vdom-snap/v1"
+const FormatName = "vdom-snap/v2"
 
 // Typed decode errors, all matchable with errors.Is.
 var (
@@ -60,7 +65,8 @@ var (
 	// ErrBadChecksum means a section payload failed CRC verification.
 	ErrBadChecksum = errors.New("snapshot: section checksum mismatch")
 	// ErrBadRecord means a structurally invalid record (bad counts,
-	// oversized lengths, undecodable payloads, missing sections).
+	// oversized lengths, undecodable or inconsistent payloads, missing
+	// sections).
 	ErrBadRecord = errors.New("snapshot: bad record")
 )
 
@@ -116,6 +122,27 @@ func (s *State) Section(name string) ([]byte, bool) {
 	return sec.Data, ok
 }
 
+// ReadSection decodes the named section with read, which must consume
+// the payload exactly. A missing section, a read failure, or trailing
+// bytes yield an ErrBadRecord naming the section and its container
+// offset (and still matching the wire error underneath).
+func (s *State) ReadSection(name string, read func(r *wire.Reader)) error {
+	sec, ok := s.lookup(name)
+	if !ok {
+		return fmt.Errorf("%w: missing section %q", ErrBadRecord, name)
+	}
+	return sec.read(read)
+}
+
+func (sec Section) read(read func(r *wire.Reader)) error {
+	r := wire.NewReader(sec.Data)
+	read(r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: section %q at offset %d: %w", ErrBadRecord, sec.Name, sec.Offset, err)
+	}
+	return nil
+}
+
 // lookup returns the full named section, offset included.
 func (s *State) lookup(name string) (Section, bool) {
 	for _, sec := range s.Sections {
@@ -136,33 +163,6 @@ const (
 	secHW     = "hw/machine"
 )
 
-// machineSnap is the hardware section: the frame allocator watermark
-// plus every core's image.
-type machineSnap struct {
-	FrameWatermark pagetable.Frame
-	Cores          []hw.CoreSnap
-}
-
-// gobEncode serializes v; snapshot payloads are internal, so encoding
-// failures are programming errors.
-func gobEncode(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("snapshot: gob encode: %v", err))
-	}
-	return buf.Bytes()
-}
-
-// gobDecode decodes a section payload, typing any failure — including a
-// truncated-but-CRC-consistent payload — as ErrBadRecord with the
-// section's name and container offset.
-func gobDecode(sec Section, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(sec.Data)).Decode(v); err != nil {
-		return fmt.Errorf("%w: section %q at offset %d: %v", ErrBadRecord, sec.Name, sec.Offset, err)
-	}
-	return nil
-}
-
 // Capture builds a snapshot of the live System: hdr describes the run
 // (as recorded by the trace recorder), clock is the current virtual
 // clock, and eventIndex is the number of trace events recorded so far.
@@ -172,9 +172,17 @@ func Capture(sys *replay.System, hdr replay.Header, clock uint64, eventIndex int
 	}
 	st := &State{Meta: Meta{Header: hdr, Clock: clock, EventIndex: eventIndex}}
 
+	// Every section is appended to one growing buffer; each keeps a
+	// capacity-capped view of its own bytes.
+	var buf []byte
+	add := func(name string, b []byte) {
+		st.AddSection(name, b[len(buf):len(b):len(b)])
+		buf = b
+	}
+	var tableID func(*pagetable.Table) int
 	if sys.Proc != nil {
 		as := sys.Proc.AS()
-		st.AddSection(secMM, gobEncode(as.Snap()))
+		add(secMM, as.AppendState(buf))
 
 		// Stable table-id mapping; stale pointers (a reaped VDS's table
 		// lingering in a core's loaded-table or walk-memo slot) map to
@@ -184,235 +192,153 @@ func Capture(sys *replay.System, hdr replay.Header, clock uint64, eventIndex int
 		for j, t := range as.Tables() {
 			ids[t] = j + 1
 		}
-		tableID := func(t *pagetable.Table) int {
-			if t == nil {
-				return -1
-			}
+		tableID = func(t *pagetable.Table) int {
 			if id, ok := ids[t]; ok {
 				return id
 			}
 			return -1
 		}
-		st.AddSection(secKernel, gobEncode(sys.Kernel.Snap(sys.Proc, tableID)))
-
-		ms := machineSnap{FrameWatermark: sys.Machine.FrameWatermark()}
-		for i := 0; i < sys.Machine.NumCores(); i++ {
-			cs := sys.Machine.Core(i).Snap(tableID)
-			if cs.Walk.TableID == -1 {
-				cs.Walk.Valid = false
-			}
-			ms.Cores = append(ms.Cores, cs)
-		}
-		st.AddSection(secHW, gobEncode(ms))
-
-		// Process-scoped domain layers, in backend registration order —
-		// which is also the container's stable section order.
-		for _, b := range backend.All() {
-			if b.ProcScoped() && b.Present(sys) {
-				st.AddSection(b.Section(), gobEncode(b.Capture(sys, tableID)))
-			}
-		}
+		add(secKernel, sys.Kernel.Snap(sys.Proc, tableID).Append(buf))
+		add(secHW, sys.Machine.AppendState(buf, tableID))
 	}
-	for _, b := range backend.All() {
-		if !b.ProcScoped() && b.Present(sys) {
-			st.AddSection(b.Section(), gobEncode(b.Capture(sys, nil)))
-		}
+	if b := backend.Of(sys); b != nil {
+		add(b.Section(), b.Capture(sys, buf, tableID))
 	}
 	return st, nil
 }
 
 // Restore boots a fresh System from the snapshot's header and loads
 // every captured layer into it. It returns the System and its live
-// tasks keyed by trace thread id, ready for replay.RunTail.
+// tasks keyed by trace thread id, ready for replay.RunTail. Each section
+// is validated against the booted System before it is loaded.
 func Restore(st *State) (*replay.System, map[uint64]*kernel.Task, error) {
 	sys, err := replay.Boot(st.Meta.Header)
 	if err != nil {
 		return nil, nil, err
 	}
 	tasks := map[uint64]*kernel.Task{}
+	var task func(int) *kernel.Task
 
 	if sys.Proc != nil {
-		sec, ok := st.lookup(secMM)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: missing section %q", ErrBadRecord, secMM)
-		}
-		var asSnap mm.ASSnap
-		if err := gobDecode(sec, &asSnap); err != nil {
-			return nil, nil, err
-		}
 		space := sys.Proc.AS()
-		space.LoadSnap(asSnap)
-		numTables := len(asSnap.Tables)
+		if err := st.ReadSection(secMM, space.ReadState); err != nil {
+			return nil, nil, err
+		}
+		numTables, table := space.NumTables(), space.TableByID
 
-		sec, ok = st.lookup(secKernel)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: missing section %q", ErrBadRecord, secKernel)
-		}
 		var ks kernel.Snap
-		if err := gobDecode(sec, &ks); err != nil {
+		if err := st.ReadSection(secKernel, func(r *wire.Reader) { ks.Read(r, sys.Kernel, numTables) }); err != nil {
 			return nil, nil, err
 		}
-		if err := checkTableIDs(sec, ks, numTables); err != nil {
-			return nil, nil, err
-		}
-		byTID := sys.Kernel.LoadSnap(ks, sys.Proc, space.TableByID)
+		byTID := sys.Kernel.LoadSnap(ks, sys.Proc, table)
 		for tid, tk := range byTID {
 			tasks[uint64(tid)] = tk
 		}
-		taskFn := func(tid int) *kernel.Task {
-			if tid == 0 {
-				return nil
-			}
-			return byTID[tid]
-		}
+		task = func(tid int) *kernel.Task { return byTID[tid] } // nil for tid 0
 
-		sec, ok = st.lookup(secHW)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: missing section %q", ErrBadRecord, secHW)
-		}
-		var ms machineSnap
-		if err := gobDecode(sec, &ms); err != nil {
+		if err := st.ReadSection(secHW, func(r *wire.Reader) { sys.Machine.ReadState(r, table, numTables) }); err != nil {
 			return nil, nil, err
 		}
-		if len(ms.Cores) != sys.Machine.NumCores() {
-			return nil, nil, fmt.Errorf("%w: section %q at offset %d: snapshot has %d cores, header boots %d",
-				ErrBadRecord, sec.Name, sec.Offset, len(ms.Cores), sys.Machine.NumCores())
-		}
-		for i, cs := range ms.Cores {
-			if cs.TableID < -1 || cs.TableID > numTables ||
-				cs.Walk.TableID < -1 || cs.Walk.TableID > numTables {
-				return nil, nil, fmt.Errorf("%w: section %q at offset %d: core %d references table out of range",
-					ErrBadRecord, sec.Name, sec.Offset, i)
-			}
-			sys.Machine.Core(i).LoadSnap(cs, space.TableByID)
-		}
-		sys.Machine.SetFrameWatermark(ms.FrameWatermark)
-
-		for _, b := range backend.All() {
-			if !b.ProcScoped() || !b.Present(sys) {
-				continue
-			}
-			if err := restoreSection(st, b, sys, space.TableByID, taskFn); err != nil {
-				return nil, nil, err
-			}
-		}
 	}
-	for _, b := range backend.All() {
-		if b.ProcScoped() || !b.Present(sys) {
-			continue
-		}
-		if err := restoreSection(st, b, sys, nil, nil); err != nil {
+	if b := backend.Of(sys); b != nil {
+		if err := st.ReadSection(b.Section(), func(r *wire.Reader) { b.Restore(sys, r, task) }); err != nil {
 			return nil, nil, err
 		}
 	}
 	return sys, tasks, nil
 }
 
-// restoreSection locates a backend's section and hands it to the
-// backend's decoder, preserving the typed missing-section and
-// bad-payload errors.
-func restoreSection(st *State, b backend.Backend, sys *replay.System,
-	table func(int) *pagetable.Table, task func(int) *kernel.Task) error {
-	sec, ok := st.lookup(b.Section())
-	if !ok {
-		return fmt.Errorf("%w: missing section %q", ErrBadRecord, b.Section())
-	}
-	return b.Restore(sys, func(v any) error { return gobDecode(sec, v) }, table, task)
-}
-
-// checkTableIDs validates the kernel section's table references against
-// the restored address space, turning out-of-range ids (a corrupted but
-// checksum-valid snapshot) into typed errors — naming the section and
-// its container offset — instead of panics.
-func checkTableIDs(sec Section, ks kernel.Snap, numTables int) error {
-	for _, ts := range ks.Tasks {
-		if ts.TableID < -1 || ts.TableID > numTables {
-			return fmt.Errorf("%w: section %q at offset %d: task %d references table %d of %d",
-				ErrBadRecord, sec.Name, sec.Offset, ts.TID, ts.TableID, numTables)
-		}
-	}
-	return nil
-}
-
-// Encode serializes the snapshot into the vdom-snap/v1 container.
+// Encode serializes the snapshot into the vdom-snap/v2 container.
 func Encode(st *State) []byte {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	writeUvarint(&buf, FormatVersion)
-	writeUvarint(&buf, uint64(1+len(st.Sections)))
-	writeSection(&buf, Section{Name: secMeta, Data: gobEncode(st.Meta)})
+	meta := replay.AppendHeader(nil, st.Meta.Header)
+	meta = wire.AppendUvarint(meta, st.Meta.Clock)
+	meta = wire.AppendVarint(meta, int64(st.Meta.EventIndex))
+
+	size := 16 + len(meta)
 	for _, sec := range st.Sections {
-		writeSection(&buf, sec)
+		size += 24 + len(sec.Name) + len(sec.Data)
 	}
-	return buf.Bytes()
+	b := make([]byte, 0, size)
+	b = append(b, magic[:]...)
+	b = wire.AppendUvarint(b, FormatVersion)
+	b = wire.AppendUvarint(b, uint64(1+len(st.Sections)))
+	b = appendSection(b, Section{Name: secMeta, Data: meta})
+	for _, sec := range st.Sections {
+		b = appendSection(b, sec)
+	}
+	return b
 }
 
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-}
-
-func writeSection(buf *bytes.Buffer, sec Section) {
+func appendSection(b []byte, sec Section) []byte {
 	if len(sec.Name) > maxNameLen {
 		panic(fmt.Sprintf("snapshot: section name %q too long", sec.Name))
 	}
 	if len(sec.Data) > maxPayloadSize {
 		panic(fmt.Sprintf("snapshot: section %q payload %d exceeds cap", sec.Name, len(sec.Data)))
 	}
-	writeUvarint(buf, uint64(len(sec.Name)))
-	buf.WriteString(sec.Name)
-	writeUvarint(buf, uint64(len(sec.Data)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(sec.Data))
-	buf.Write(crc[:])
-	buf.Write(sec.Data)
+	b = wire.AppendString(b, sec.Name)
+	b = wire.AppendUvarint(b, uint64(len(sec.Data)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(sec.Data))
+	return append(b, sec.Data...)
 }
 
-// Decode parses a vdom-snap/v1 container. It verifies the magic,
-// version, structure, and every section's CRC, returning typed errors
-// for each failure mode; it never panics on hostile input.
+// Decode parses a vdom-snap/v2 container. It verifies the magic,
+// version, structure, every section's CRC, and the meta section,
+// returning typed errors for each failure mode; it never panics on
+// hostile input. The decoded sections own their bytes (the input is
+// copied once).
 func Decode(b []byte) (*State, error) {
-	r := bytes.NewReader(b)
-	var m [4]byte
-	if _, err := r.Read(m[:]); err != nil || m != magic {
+	if len(b) < len(magic) || [4]byte(b[:4]) != magic {
 		return nil, ErrBadMagic
 	}
-	version, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, ErrTruncated
-	}
-	if version != FormatVersion {
+	r := wire.NewReader(bytes.Clone(b))
+	r.Bytes(len(magic))
+	if version := r.Uvarint(); r.Err() == nil && version != FormatVersion {
 		return nil, fmt.Errorf("%w: %d (supported: %d)", ErrBadVersion, version, FormatVersion)
 	}
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, ErrTruncated
-	}
-	if count == 0 || count > maxSections {
+	count := r.Uvarint()
+	if r.Err() == nil && (count == 0 || count > maxSections) {
 		return nil, fmt.Errorf("%w: %d sections", ErrBadRecord, count)
 	}
 	st := &State{}
 	sawMeta := false
-	for i := uint64(0); i < count; i++ {
-		off := int64(len(b) - r.Len())
-		sec, err := readSection(r, off)
-		if err != nil {
-			return nil, err
+	for i := uint64(0); i < count && r.Err() == nil; i++ {
+		off := int64(r.Offset())
+		nameLen := r.Uvarint()
+		if r.Err() == nil && (nameLen == 0 || nameLen > maxNameLen) {
+			return nil, fmt.Errorf("%w: section name length %d at offset %d", ErrBadRecord, nameLen, off)
 		}
-		if sec.Name == secMeta {
-			if sawMeta {
-				return nil, fmt.Errorf("%w: duplicate meta section at offset %d", ErrBadRecord, off)
-			}
-			sawMeta = true
-			if err := gobDecode(sec, &st.Meta); err != nil {
-				return nil, err
-			}
+		name := string(r.Bytes(int(nameLen)))
+		payLen := r.Uvarint()
+		if r.Err() == nil && payLen > maxPayloadSize {
+			return nil, fmt.Errorf("%w: section %q at offset %d: payload length %d", ErrBadRecord, name, off, payLen)
+		}
+		crc := r.Bytes(4)
+		data := r.Bytes(int(payLen))
+		if r.Err() != nil {
+			break
+		}
+		if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(crc) {
+			return nil, fmt.Errorf("%w: section %q at offset %d", ErrBadChecksum, name, off)
+		}
+		sec := Section{Name: name, Data: data, Offset: off}
+		if name != secMeta {
+			st.Sections = append(st.Sections, sec)
 			continue
 		}
-		st.Sections = append(st.Sections, sec)
+		if sawMeta {
+			return nil, fmt.Errorf("%w: duplicate meta section at offset %d", ErrBadRecord, off)
+		}
+		sawMeta = true
+		if err := sec.read(st.Meta.read); err != nil {
+			return nil, err
+		}
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, r.Len())
+	if err := r.Done(); err != nil {
+		if errors.Is(err, wire.ErrTruncated) {
+			return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
+		}
+		return nil, fmt.Errorf("%w: %w", ErrBadRecord, err)
 	}
 	if !sawMeta {
 		return nil, fmt.Errorf("%w: missing meta section", ErrBadRecord)
@@ -420,52 +346,11 @@ func Decode(b []byte) (*State, error) {
 	return st, nil
 }
 
-// readSection reads one section record; off is the record's offset in
-// the container, carried into the section and its error messages.
-func readSection(r *bytes.Reader, off int64) (Section, error) {
-	nameLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return Section{}, ErrTruncated
+// read decodes the meta section's payload.
+func (m *Meta) read(r *wire.Reader) {
+	m.Header = replay.ReadHeader(r)
+	m.Clock = r.Uvarint()
+	if m.EventIndex = int(r.Varint()); m.EventIndex < 0 {
+		r.Failf("event index %d", m.EventIndex)
 	}
-	if nameLen == 0 || nameLen > maxNameLen {
-		return Section{}, fmt.Errorf("%w: section name length %d at offset %d", ErrBadRecord, nameLen, off)
-	}
-	name := make([]byte, nameLen)
-	if _, err := readFull(r, name); err != nil {
-		return Section{}, ErrTruncated
-	}
-	payLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return Section{}, ErrTruncated
-	}
-	if payLen > maxPayloadSize {
-		return Section{}, fmt.Errorf("%w: section %q at offset %d: payload length %d", ErrBadRecord, name, off, payLen)
-	}
-	if uint64(r.Len()) < payLen+4 {
-		return Section{}, ErrTruncated
-	}
-	var crc [4]byte
-	if _, err := readFull(r, crc[:]); err != nil {
-		return Section{}, ErrTruncated
-	}
-	data := make([]byte, payLen)
-	if _, err := readFull(r, data); err != nil {
-		return Section{}, ErrTruncated
-	}
-	if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(crc[:]) {
-		return Section{}, fmt.Errorf("%w: section %q at offset %d", ErrBadChecksum, string(name), off)
-	}
-	return Section{Name: string(name), Data: data, Offset: off}, nil
-}
-
-func readFull(r *bytes.Reader, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := r.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }

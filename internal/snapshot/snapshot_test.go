@@ -12,6 +12,7 @@ import (
 	"vdom/internal/replay"
 	"vdom/internal/snapshot"
 	"vdom/internal/tlb"
+	"vdom/internal/wire"
 )
 
 // soakCfg is the shared crash-soak configuration: every fault class
@@ -143,6 +144,10 @@ func TestDecodeTypedErrors(t *testing.T) {
 	if _, err := snapshot.Decode(bad); !errors.Is(err, snapshot.ErrBadVersion) {
 		t.Errorf("bad version: got %v", err)
 	}
+	bad[4] = 1 // vdom-snap/v1 (gob payloads): no longer read
+	if _, err := snapshot.Decode(bad); !errors.Is(err, snapshot.ErrBadVersion) {
+		t.Errorf("v1 container: got %v", err)
+	}
 	if _, err := snapshot.Decode(valid[:len(valid)-3]); !errors.Is(err, snapshot.ErrTruncated) {
 		t.Errorf("truncated: got %v", err)
 	}
@@ -193,6 +198,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Checkpoint(); err != nil {
@@ -213,6 +219,7 @@ func BenchmarkRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := snapshot.Decode(snap)
@@ -241,6 +248,7 @@ func BenchmarkTailRecovery(b *testing.B) {
 		s.Step()
 	}
 	var events int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec, err := s.Recover(snap)
@@ -256,11 +264,15 @@ func BenchmarkTailRecovery(b *testing.B) {
 }
 
 // TestRestoreNamesSectionAndOffset pins the restore-error contract: a
-// section whose payload passes the CRC but truncates mid-gob must fail
-// with an error that names the section, carries its container offset,
-// and stays errors.Is-matchable against ErrBadRecord.
+// section whose payload passes the CRC but is cut short — at every
+// prefix length — must fail with an error that names the section,
+// carries its container offset, and stays errors.Is-matchable against
+// ErrBadRecord and the wire error underneath. It covers every section of
+// a mid-soak VDom checkpoint; the libmpk, EPK and DPTI sections are
+// covered by the backend conformance suite's TestConformanceSnapshotTruncation.
 func TestRestoreNamesSectionAndOffset(t *testing.T) {
-	s := chaos.StartSoak(soakCfg(11))
+	cfg := soakCfg(11)
+	s := chaos.StartSoak(cfg)
 	for i := 0; i < 50; i++ {
 		s.Step()
 	}
@@ -268,53 +280,71 @@ func TestRestoreNamesSectionAndOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"mm/as", "kernel", "hw/machine", "core/manager"} {
+	for s.NextOp() <= cfg.Ops {
+		s.Step()
+	}
+	tail := s.Finish().Trace
+	restore := func(cut []byte) error {
+		st, err := snapshot.Decode(cut)
+		if err != nil {
+			t.Fatalf("cut container must still decode (CRC-valid), got %v", err)
+		}
+		_, _, err = snapshot.Restore(st)
+		return err
+	}
+	for _, name := range []string{"mm/as", "kernel", "hw/machine", "core/manager", chaos.InjectorSection} {
 		t.Run(name, func(t *testing.T) {
-			st, err := snapshot.Decode(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Drop the payload's final byte and re-encode: the CRC is
-			// recomputed over the truncated payload, so the container
-			// decodes cleanly and the gob failure is Restore's to report.
-			found := false
-			for i := range st.Sections {
-				if st.Sections[i].Name == name {
-					d := st.Sections[i].Data
-					if len(d) == 0 {
-						t.Fatalf("section %q empty", name)
-					}
-					st.Sections[i].Data = d[:len(d)-1]
-					found = true
+			run := restore
+			if name == chaos.InjectorSection {
+				// Restore leaves the injector to the crash harness, whose
+				// recovery decodes it before touching the System.
+				run = func(cut []byte) error {
+					_, err := chaos.RecoverFromArtifacts(cut, tail)
+					return err
 				}
 			}
-			if !found {
-				t.Fatalf("section %q missing from checkpoint", name)
-			}
-			cut, err := snapshot.Decode(snapshot.Encode(st))
-			if err != nil {
-				t.Fatalf("truncated container must still decode (CRC-valid), got %v", err)
-			}
-			var off int64 = -1
-			for _, sec := range cut.Sections {
-				if sec.Name == name {
-					off = sec.Offset
-				}
-			}
-			_, _, rerr := snapshot.Restore(cut)
-			if rerr == nil {
-				t.Fatal("Restore succeeded on a truncated section")
-			}
-			if !errors.Is(rerr, snapshot.ErrBadRecord) {
-				t.Errorf("errors.Is(%v, ErrBadRecord) = false", rerr)
-			}
-			if !strings.Contains(rerr.Error(), fmt.Sprintf("%q", name)) {
-				t.Errorf("error does not name section %q: %v", name, rerr)
-			}
-			if !strings.Contains(rerr.Error(), fmt.Sprintf("offset %d", off)) {
-				t.Errorf("error does not carry offset %d: %v", off, rerr)
-			}
+			checkSectionPrefixes(t, snap, name, run)
 		})
+	}
+}
+
+// checkSectionPrefixes cuts the named section of an encoded snapshot to
+// every proper prefix, re-encodes (so the CRC covers the cut payload),
+// and requires run to reject each with an ErrBadRecord that names the
+// section and its container offset and wraps a wire error.
+func checkSectionPrefixes(t *testing.T, snap []byte, name string, run func(cut []byte) error) {
+	t.Helper()
+	st, err := snapshot.Decode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := -1
+	for i := range st.Sections {
+		if st.Sections[i].Name == name {
+			idx = i
+		}
+	}
+	if idx < 0 || len(st.Sections[idx].Data) == 0 {
+		t.Fatalf("section %q missing or empty", name)
+	}
+	full := st.Sections[idx].Data
+	for n := 0; n < len(full); n++ {
+		st.Sections[idx].Data = full[:n]
+		cut := snapshot.Encode(st)
+		dec, err := snapshot.Decode(cut)
+		if err != nil {
+			t.Fatalf("prefix %d: cut container must still decode (CRC-valid), got %v", n, err)
+		}
+		off := dec.Sections[idx].Offset
+		rerr := run(cut)
+		switch {
+		case rerr == nil:
+			t.Fatalf("prefix %d/%d of %q restored successfully", n, len(full), name)
+		case !errors.Is(rerr, snapshot.ErrBadRecord) || !errors.Is(rerr, wire.ErrTruncated) && !errors.Is(rerr, wire.ErrBadRecord):
+			t.Fatalf("prefix %d: errors.Is(%v, ErrBadRecord and a wire error) = false", n, rerr)
+		case !strings.Contains(rerr.Error(), fmt.Sprintf("section %q at offset %d", name, off)):
+			t.Fatalf("prefix %d: error does not name section %q at offset %d: %v", n, name, off, rerr)
+		}
 	}
 }
 

@@ -8,7 +8,10 @@
 // shootdown-based approaches, while staying deterministic.
 package tlb
 
-import "vdom/internal/pagetable"
+import (
+	"vdom/internal/pagetable"
+	"vdom/internal/wire"
+)
 
 // ASID is an address-space identifier (PCID on x86).
 type ASID uint16
@@ -314,12 +317,12 @@ type Cache interface {
 	ResetStats()
 	CountASID(asid ASID) int
 	Each(fn func(Entry))
-	// State and LoadState capture and restore the cache image for the
-	// checkpoint subsystem (see internal/snapshot). Interposers that
+	// AppendState and ReadState encode and restore the cache image for
+	// the checkpoint subsystem (see internal/snapshot). Interposers that
 	// embed a Cache inherit them, so snapshots see through wrappers to
 	// the underlying hardware state.
-	State() CacheState
-	LoadState(st CacheState)
+	AppendState(b []byte) []byte
+	ReadState(r *wire.Reader)
 }
 
 var (
