@@ -163,9 +163,9 @@ func ChaosSeed(w io.Writer, o Options, seed uint64) error {
 }
 
 // chaosAgg aggregates shard wires in shard order: sums are
-// order-insensitive, listings keep shard order. It mirrors
-// chaos.SoakResult.Merge over the wire representation, so the fleet and
-// in-process paths aggregate identically.
+// order-insensitive, listings keep shard order. It works on the wire
+// representation, so the fleet and in-process paths aggregate
+// identically.
 type chaosAgg struct {
 	Ops           int
 	Cycles        uint64

@@ -3,10 +3,8 @@ package chaos
 import (
 	"fmt"
 
-	"vdom/internal/core"
-	"vdom/internal/hw"
-	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
+	"vdom/internal/replay"
 	"vdom/internal/tlb"
 )
 
@@ -27,12 +25,13 @@ func (v Violation) String() string {
 	return fmt.Sprintf("core %d: %s", v.Core, v.Desc)
 }
 
-// Audit performs the full cross-layer consistency check: every manager's
-// private metadata (domain maps, VDRs, register images, page tags) via
-// core.Manager.AuditInvariants, then every core's TLB against the address
-// space each cached ASID belongs to. A healthy system — even one under
-// active fault injection, thanks to the degradation paths — reports no
-// violations.
+// Audit performs the full cross-layer consistency check over instances
+// sharing one machine and kernel: every VDom manager's private metadata
+// via core.Manager.AuditInvariants, then every core's TLB against the
+// page table each cached ASID tags (task base ASIDs the shadow table,
+// VDom VDSes and DPTI domains their own). A healthy system — even one
+// under active fault injection, thanks to the degradation paths —
+// reports no violations.
 //
 // TLB entries under a retired ASID ("zombies") are legal: the kernel
 // defers ASID reuse until a generation rollover has flushed every TLB, so
@@ -41,34 +40,30 @@ func (v Violation) String() string {
 // matching domain tag, and no write permission beyond the PTE's. A cached
 // read-only entry for a now-writable page is benign staleness (the next
 // write faults and upgrades) and is not flagged.
-func Audit(m *hw.Machine, k *kernel.Kernel, mgrs ...*core.Manager) []Violation {
-	return AuditOwners(m, k, nil, mgrs...)
-}
-
-// AuditOwners is Audit with extra ASID ownership: owners maps live ASIDs
-// to their page tables for protection systems the auditor has no manager
-// handle for (the DPTI soak owns per-domain tables this way).
-func AuditOwners(m *hw.Machine, k *kernel.Kernel, owners map[tlb.ASID]*pagetable.Table, mgrs ...*core.Manager) []Violation {
-	var out []Violation
-	for _, mgr := range mgrs {
-		for _, desc := range mgr.AuditInvariants() {
-			out = append(out, Violation{Core: -1, Desc: desc})
-		}
+func Audit(insts ...*replay.System) []Violation {
+	if len(insts) == 0 {
+		return nil
 	}
-
+	m, k := insts[0].Machine, insts[0].Kernel
+	var out []Violation
 	// Map every live ASID to the page table it tags translations of.
 	byASID := make(map[tlb.ASID]*pagetable.Table)
-	for _, mgr := range mgrs {
-		proc := mgr.Process()
-		for _, t := range proc.Tasks() {
-			byASID[t.BaseASID()] = proc.AS().Shadow()
+	for _, sys := range insts {
+		shadow := sys.Proc.AS().Shadow()
+		for _, t := range sys.Proc.Tasks() {
+			byASID[t.BaseASID()] = shadow
 		}
-		for _, vds := range mgr.VDSes() {
-			byASID[vds.ASID()] = vds.Table()
+		if mgr := sys.Manager; mgr != nil {
+			for _, desc := range mgr.AuditInvariants() {
+				out = append(out, Violation{Core: -1, Desc: desc})
+			}
+			for _, vds := range mgr.VDSes() {
+				byASID[vds.ASID()] = vds.Table()
+			}
 		}
-	}
-	for a, t := range owners {
-		byASID[a] = t
+		if d := sys.DPTI; d != nil {
+			d.OwnedASIDs(func(a tlb.ASID, tb *pagetable.Table) { byASID[a] = tb })
+		}
 	}
 
 	for id := 0; id < m.NumCores(); id++ {

@@ -101,9 +101,6 @@ func New(cfg Config) *Injector {
 	}
 }
 
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // hit draws the PRNG against probability p. A non-positive p never draws,
 // keeping disabled faults out of the random stream.
 func (in *Injector) hit(p float64) bool {

@@ -9,6 +9,7 @@ import (
 	"vdom/internal/hw"
 	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
+	"vdom/internal/replay"
 	"vdom/internal/tlb"
 )
 
@@ -30,46 +31,84 @@ func allFaults(seed uint64) Config {
 	}
 }
 
-// TestSoakAllFaultsClean is the headline robustness check: a long soak
-// with every fault class enabled must complete with zero auditor
-// violations and zero unrecovered faults.
-func TestSoakAllFaultsClean(t *testing.T) {
-	res := Soak(SoakConfig{Chaos: allFaults(42), Ops: 5000})
+// dptiFaults is the DPTI soak's fault mix: allFaults minus the VDom
+// core's manager-level classes, which DPTI has no hooks for and which
+// would never draw.
+func dptiFaults(seed uint64) Config {
+	cfg := allFaults(seed)
+	cfg.VDSAllocFail, cfg.PdomExhaustion = 0, 0
+	return cfg
+}
 
-	for _, v := range res.Violations {
-		t.Errorf("auditor violation: %s", v)
-	}
-	for _, u := range res.Unrecovered {
-		t.Errorf("unrecovered fault: %s", u)
-	}
-	if res.TotalInjected() == 0 {
-		t.Fatal("soak injected no faults; fault mix is not exercising anything")
-	}
-	// Every fault class must actually have fired during the soak.
-	for _, kind := range []string{
-		"inject:ipi-drop", "inject:ipi-delay", "inject:stale-tlb",
-		"inject:asid-exhaustion", "inject:vds-alloc-fail",
-		"inject:pdom-exhaustion", "inject:spurious-fault",
+// TestSoakAllFaultsClean is the headline robustness check: a long soak
+// with every fault class the kernel has hooks for enabled must complete
+// with zero auditor violations and zero unrecovered faults, on every
+// kernel the soak drives.
+func TestSoakAllFaultsClean(t *testing.T) {
+	for _, tc := range []struct {
+		kernel    string
+		faults    Config
+		injected  []string
+		recovered []string
+	}{
+		{
+			kernel: "vdom",
+			faults: allFaults(42),
+			injected: []string{
+				"inject:ipi-drop", "inject:ipi-delay", "inject:stale-tlb",
+				"inject:asid-exhaustion", "inject:vds-alloc-fail",
+				"inject:pdom-exhaustion", "inject:spurious-fault",
+			},
+			recovered: []string{
+				"recover:ipi-retry", "recover:asid-rollover",
+				"recover:stale-full-flush", "recover:spurious-repair",
+				"recover:degraded",
+			},
+		},
+		{
+			kernel: "dpti",
+			faults: dptiFaults(42),
+			injected: []string{
+				"inject:ipi-drop", "inject:ipi-delay", "inject:stale-tlb",
+				"inject:asid-exhaustion", "inject:spurious-fault",
+			},
+			recovered: []string{
+				"recover:ipi-retry", "recover:asid-rollover",
+				"recover:stale-full-flush", "recover:spurious-repair",
+			},
+		},
 	} {
-		if res.Injected[kind] == 0 {
-			t.Errorf("fault class %s never fired in %d ops", kind, res.Ops)
-		}
-	}
-	// And the recovery paths must have run.
-	for _, kind := range []string{
-		"recover:ipi-retry", "recover:asid-rollover",
-		"recover:stale-full-flush", "recover:spurious-repair",
-		"recover:degraded",
-	} {
-		if res.Recovered[kind] == 0 {
-			t.Errorf("recovery path %s never ran in %d ops", kind, res.Ops)
-		}
-	}
-	if res.ASIDRollovers == 0 {
-		t.Error("no ASID generation rollover despite shrunken ASID space")
-	}
-	if res.Audits < res.Ops/100 {
-		t.Errorf("only %d audit passes over %d ops", res.Audits, res.Ops)
+		t.Run(tc.kernel, func(t *testing.T) {
+			res := Soak(SoakConfig{Chaos: tc.faults, Ops: 5000, Kernel: tc.kernel})
+
+			for _, v := range res.Violations {
+				t.Errorf("auditor violation: %s", v)
+			}
+			for _, u := range res.Unrecovered {
+				t.Errorf("unrecovered fault: %s", u)
+			}
+			if res.TotalInjected() == 0 {
+				t.Fatal("soak injected no faults; fault mix is not exercising anything")
+			}
+			// Every fault class must actually have fired during the soak.
+			for _, kind := range tc.injected {
+				if res.Injected[kind] == 0 {
+					t.Errorf("fault class %s never fired in %d ops", kind, res.Ops)
+				}
+			}
+			// And the recovery paths must have run.
+			for _, kind := range tc.recovered {
+				if res.Recovered[kind] == 0 {
+					t.Errorf("recovery path %s never ran in %d ops", kind, res.Ops)
+				}
+			}
+			if res.ASIDRollovers == 0 {
+				t.Error("no ASID generation rollover despite shrunken ASID space")
+			}
+			if res.Audits < res.Ops/100 {
+				t.Errorf("only %d audit passes over %d ops", res.Audits, res.Ops)
+			}
+		})
 	}
 }
 
@@ -216,7 +255,8 @@ func TestAuditCatchesIncoherence(t *testing.T) {
 	if _, err := task.Access(base, true); err != nil {
 		t.Fatal(err)
 	}
-	if got := Audit(machine, kern, mgr); len(got) != 0 {
+	sys := &replay.System{Machine: machine, Kernel: kern, Proc: proc, Manager: mgr}
+	if got := Audit(sys); len(got) != 0 {
 		t.Fatalf("clean system reported violations: %v", got)
 	}
 
@@ -230,52 +270,13 @@ func TestAuditCatchesIncoherence(t *testing.T) {
 		ASID: task.BaseASID(), VPN: uint64(base) / pagetable.PageSize,
 		Frame: wr.PTE.Frame + 7, Pdom: wr.PTE.Pdom, Writable: true,
 	})
-	got := Audit(machine, kern, mgr)
+	got := Audit(sys)
 	if len(got) != 2 {
 		t.Fatalf("planted 2 incoherences, auditor found %d: %v", len(got), got)
 	}
 	// A zombie entry (retired ASID) must NOT be flagged.
 	machine.Core(1).TLB().Insert(tlb.Entry{ASID: 0x7777, VPN: 1, Frame: 1})
-	if after := Audit(machine, kern, mgr); len(after) != 2 {
+	if after := Audit(sys); len(after) != 2 {
 		t.Fatalf("zombie ASID entry changed the verdict: %v", after)
-	}
-}
-
-// TestSoakResultMerge checks that merging two shard soaks in shard order
-// reproduces the counters of one run covering both shards' work: sums,
-// key-wise map addition, ordered listing append, and CoreStats addition.
-func TestSoakResultMerge(t *testing.T) {
-	run := func(seed uint64, ops int) *SoakResult {
-		return Soak(SoakConfig{
-			Chaos: Config{Seed: seed, DropIPI: 0.1, StaleTLB: 0.05, VDSAllocFail: 0.2},
-			Ops:   ops,
-		})
-	}
-	a, b := run(1, 300), run(2, 300)
-
-	var agg SoakResult
-	agg.Merge(a)
-	agg.Merge(b)
-	agg.Merge(nil) // must be a no-op
-
-	if agg.Ops != a.Ops+b.Ops || agg.Cycles != a.Cycles+b.Cycles ||
-		agg.Audits != a.Audits+b.Audits {
-		t.Errorf("scalar sums wrong: agg=%+v", agg)
-	}
-	for k, v := range a.Injected {
-		if agg.Injected[k] != v+b.Injected[k] {
-			t.Errorf("Injected[%q] = %d, want %d", k, agg.Injected[k], v+b.Injected[k])
-		}
-	}
-	if len(agg.Events) != len(a.Events)+len(b.Events) {
-		t.Errorf("Events len = %d, want %d", len(agg.Events), len(a.Events)+len(b.Events))
-	}
-	if n := len(a.Events); n > 0 && len(b.Events) > 0 {
-		if !reflect.DeepEqual(agg.Events[n], b.Events[0]) {
-			t.Error("Merge did not append b's events after a's")
-		}
-	}
-	if got, want := agg.CoreStats, a.CoreStats.Add(b.CoreStats); got != want {
-		t.Errorf("CoreStats = %+v, want %+v", got, want)
 	}
 }

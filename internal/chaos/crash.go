@@ -77,15 +77,14 @@ type InjectorSnap struct {
 
 // Snap captures the injector's image, PRNG state included.
 func (in *Injector) Snap() InjectorSnap {
-	s := InjectorSnap{
-		Cfg:    in.cfg,
-		Rng:    in.rng.State(),
-		Seq:    in.seq,
-		Events: append([]Event(nil), in.events...),
+	return InjectorSnap{
+		Cfg:       in.cfg,
+		Rng:       in.rng.State(),
+		Seq:       in.seq,
+		Injected:  counterSnaps(in.injected),
+		Recovered: counterSnaps(in.recovered),
+		Events:    append([]Event(nil), in.events...),
 	}
-	s.Injected = counterSnaps(in.injected)
-	s.Recovered = counterSnaps(in.recovered)
-	return s
 }
 
 // NewFromSnap rebuilds an injector from its image: same config, same
@@ -184,10 +183,7 @@ func (s *SoakRun) Checkpoint() ([]byte, error) {
 	if s.rec == nil {
 		return nil, fmt.Errorf("chaos: Checkpoint requires SoakConfig.Record")
 	}
-	h := soakHeader(s.cfg)
-	h.Version = replay.FormatVersion
-	sys := &replay.System{Machine: s.machine, Kernel: s.kern, Proc: s.proc, Manager: s.mgr}
-	st, err := snapshot.Capture(sys, h, s.rec.Clock(), s.rec.Len())
+	st, err := snapshot.Capture(s.sys, s.hdr, s.rec.Clock(), s.rec.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -203,20 +199,22 @@ func (s *SoakRun) Crash(kind CrashKind) string {
 	switch kind {
 	case CrashCore:
 		id := s.nextOp % s.cfg.Cores
-		s.machine.Core(id).CrashVolatile()
+		s.sys.Machine.Core(id).CrashVolatile()
 		return fmt.Sprintf("core %d volatile state wiped", id)
 	case CrashKernelPanic:
-		s.kern.ClearResidency()
+		s.sys.Kernel.ClearResidency()
 		return "kernel panic: per-core residency lost"
 	case CrashTornDomainMap:
-		detail, ok := s.mgr.TearDomainMap()
-		if !ok {
-			// No mapped vdom to tear; fall back to a residency wipe so
-			// the fault still strikes deterministically.
-			s.kern.ClearResidency()
-			return "no mapped vdom to tear; kernel residency wiped instead"
+		if m := s.sys.Manager; m != nil {
+			if detail, ok := m.TearDomainMap(); ok {
+				return "torn domain map: " + detail
+			}
 		}
-		return "torn domain map: " + detail
+		// No mapped vdom to tear (or no VDom manager at all); fall back
+		// to a residency wipe so the fault still strikes
+		// deterministically.
+		s.sys.Kernel.ClearResidency()
+		return "no mapped vdom to tear; kernel residency wiped instead"
 	default:
 		panic(fmt.Sprintf("chaos: unknown crash kind %d", int(kind)))
 	}
@@ -226,7 +224,7 @@ func (s *SoakRun) Crash(kind CrashKind) string {
 // crashed) system without folding the findings into the soak result —
 // crash detection findings describe state that recovery discards.
 func (s *SoakRun) AuditNow() []Violation {
-	return Audit(s.machine, s.kern, s.mgr)
+	return Audit(s.sys)
 }
 
 // Recovery describes one completed checkpoint-restore-tail-replay pass.
@@ -265,11 +263,7 @@ func recoverFromCheckpoint(snap []byte, tail *replay.Trace) (*replay.System, map
 	in := NewFromSnap(isnap)
 
 	res, err := replay.RunTail(tail, sys, tasks, st.Meta.Clock, st.Meta.EventIndex, replay.Options{
-		Setup: func(sys *replay.System) {
-			in.AttachMachine(sys.Machine)
-			in.AttachKernel(sys.Kernel)
-			in.AttachManager(sys.Manager)
-		},
+		Setup: in.AttachSystem,
 	})
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -278,7 +272,7 @@ func recoverFromCheckpoint(snap []byte, tail *replay.Trace) (*replay.System, map
 		return nil, nil, nil, nil, fmt.Errorf("chaos: tail replay diverged at event %d (cycle delta %d)",
 			res.Divergence.Index, res.Divergence.CycleDelta)
 	}
-	rec := &Recovery{TailEvents: res.Events, Violations: Audit(sys.Machine, sys.Kernel, sys.Manager)}
+	rec := &Recovery{TailEvents: res.Events, Violations: Audit(sys)}
 	return sys, tasks, in, rec, nil
 }
 
@@ -291,11 +285,11 @@ func RecoverFromArtifacts(snap []byte, tail *replay.Trace) (*Recovery, error) {
 	return rec, err
 }
 
-// Recover rebuilds the soak's live system from an encoded checkpoint:
-// restore, tail replay up to the crash point, audit, and swap the
-// recovered instances in. The workload then continues from the op the
-// crash interrupted. The recorder's taps stay on the wrecked instances
-// while the tail replays, so replayed ops are not re-recorded.
+// Recover rebuilds the soak's live system, whatever its kernel, from an
+// encoded checkpoint: restore, tail replay up to the crash point, audit,
+// and swap the recovered Instance in. The workload then continues from
+// the op the crash interrupted. The recorder's taps stay on the wrecked
+// instance while the tail replays, so replayed ops are not re-recorded.
 func (s *SoakRun) Recover(snap []byte) (*Recovery, error) {
 	if s.rec == nil {
 		return nil, fmt.Errorf("chaos: Recover requires SoakConfig.Record")
@@ -305,8 +299,8 @@ func (s *SoakRun) Recover(snap []byte) (*Recovery, error) {
 		return nil, err
 	}
 
-	// Swap the recovered instances in and re-wire the host-side taps.
-	s.machine, s.kern, s.proc, s.mgr, s.in = sys.Machine, sys.Kernel, sys.Proc, sys.Manager, in
+	// Swap the recovered instance in and re-wire the host-side taps.
+	s.sys, s.in = sys, in
 	for i, t := range s.tasks {
 		nt, ok := tasks[uint64(t.TID())]
 		if !ok {
@@ -314,11 +308,7 @@ func (s *SoakRun) Recover(snap []byte) (*Recovery, error) {
 		}
 		s.tasks[i] = nt
 	}
-	s.rec.AttachKernel(s.kern)
-	s.rec.AttachManager(s.mgr)
-	s.kern.SetMetrics(s.cfg.Metrics)
-	s.mgr.SetMetrics(s.cfg.Metrics)
-	s.attachTracer()
+	s.attach()
 	s.tracedEvents = len(s.in.Events())
 	return rec, nil
 }
@@ -377,9 +367,7 @@ type CrashOutcome struct {
 // Record set).
 func CrashSoak(cfg SoakConfig, crash CrashConfig) (*CrashOutcome, error) {
 	cfg.Record = true
-	if cfg.Ops <= 0 {
-		cfg.Ops = 5000
-	}
+	cfg = cfg.withDefaults()
 	if crash.AtOp <= 0 {
 		crash.AtOp = cfg.Ops/2 + 1
 	}

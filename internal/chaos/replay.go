@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"vdom/internal/core"
 	"vdom/internal/replay"
 	"vdom/internal/tlb"
 )
@@ -28,37 +27,23 @@ const (
 	extraSpuriousFault  = "chaos/spurious-fault"
 )
 
-// soakHeader describes a soak run's platform: the standard VDom boot of
-// Soak plus the injector configuration in Extra, so ReplayTrace can
-// rebuild the identical fault stream.
-func soakHeader(cfg SoakConfig) replay.Header {
-	pol := core.DefaultPolicy()
-	h := replay.Header{
-		Kernel:         replay.KernelVDom,
-		Arch:           replay.ArchName(cfg.Arch),
-		Cores:          cfg.Cores,
-		Seed:           cfg.Chaos.Seed,
-		Workload:       SoakWorkload,
-		Flags:          replay.HdrVDomKernel,
-		FlushThreshold: pol.RangeFlushThresholdPages,
-		Nas:            pol.DefaultNas,
-		ConfigDigest: replay.DigestString(fmt.Sprintf(
-			"chaos-soak|arch=%s|cores=%d|threads=%d|vdoms=%d|ops=%d|chaos=%+v",
-			replay.ArchName(cfg.Arch), cfg.Cores, cfg.Threads, cfg.Vdoms, cfg.Ops, cfg.Chaos)),
-		Extra: injectorExtra(cfg.Chaos),
-	}
-	if pol.SecureGate {
-		h.Flags |= replay.HdrSecureGate
-	}
-	return h
-}
-
 // ExtraConfig encodes an injector configuration into trace-header Extra
-// keys; ConfigFromExtra is the inverse. The scenario compiler embeds a
-// phase's fault schedule into cell headers through it, so a faulted
-// scenario trace replays under the identical fault stream.
+// keys; ConfigFromExtra is the inverse. Soak headers carry it, and the
+// scenario compiler embeds a phase's fault schedule into cell headers
+// through it, so a faulted trace replays under the identical fault
+// stream.
 func ExtraConfig(cfg Config) map[string]uint64 {
-	return injectorExtra(cfg)
+	return map[string]uint64{
+		extraSeed:           cfg.Seed,
+		extraDropIPI:        math.Float64bits(cfg.DropIPI),
+		extraDelayIPI:       math.Float64bits(cfg.DelayIPI),
+		extraStaleTLB:       math.Float64bits(cfg.StaleTLB),
+		extraASIDExhaustion: math.Float64bits(cfg.ASIDExhaustion),
+		extraASIDLimit:      uint64(cfg.ASIDLimit),
+		extraVDSAllocFail:   math.Float64bits(cfg.VDSAllocFail),
+		extraPdomExhaustion: math.Float64bits(cfg.PdomExhaustion),
+		extraSpuriousFault:  math.Float64bits(cfg.SpuriousFault),
+	}
 }
 
 // ConfigFromExtra rebuilds an injector configuration from trace-header
@@ -96,53 +81,18 @@ func (in *Injector) AttachSystem(sys *replay.System) {
 	}
 }
 
-// injectorExtra encodes the injector configuration into trace-header
-// Extra keys (configFromHeader is the inverse).
-func injectorExtra(cfg Config) map[string]uint64 {
-	return map[string]uint64{
-		extraSeed:           cfg.Seed,
-		extraDropIPI:        math.Float64bits(cfg.DropIPI),
-		extraDelayIPI:       math.Float64bits(cfg.DelayIPI),
-		extraStaleTLB:       math.Float64bits(cfg.StaleTLB),
-		extraASIDExhaustion: math.Float64bits(cfg.ASIDExhaustion),
-		extraASIDLimit:      uint64(cfg.ASIDLimit),
-		extraVDSAllocFail:   math.Float64bits(cfg.VDSAllocFail),
-		extraPdomExhaustion: math.Float64bits(cfg.PdomExhaustion),
-		extraSpuriousFault:  math.Float64bits(cfg.SpuriousFault),
-	}
-}
-
-// configFromHeader rebuilds the injector configuration a soak trace was
-// recorded under.
-func configFromHeader(h replay.Header) (Config, error) {
-	if h.Workload != SoakWorkload {
-		return Config{}, fmt.Errorf("%w: workload %q is not a chaos-soak trace", replay.ErrBadRecord, h.Workload)
-	}
-	if h.Extra == nil {
-		return Config{}, fmt.Errorf("%w: chaos-soak trace carries no injector config", replay.ErrBadRecord)
-	}
-	return Config{
-		Seed:           h.Extra[extraSeed],
-		DropIPI:        math.Float64frombits(h.Extra[extraDropIPI]),
-		DelayIPI:       math.Float64frombits(h.Extra[extraDelayIPI]),
-		StaleTLB:       math.Float64frombits(h.Extra[extraStaleTLB]),
-		ASIDExhaustion: math.Float64frombits(h.Extra[extraASIDExhaustion]),
-		ASIDLimit:      tlb.ASID(h.Extra[extraASIDLimit]),
-		VDSAllocFail:   math.Float64frombits(h.Extra[extraVDSAllocFail]),
-		PdomExhaustion: math.Float64frombits(h.Extra[extraPdomExhaustion]),
-		SpuriousFault:  math.Float64frombits(h.Extra[extraSpuriousFault]),
-	}, nil
-}
-
 // ReplayTrace replays a chaos-soak recording: it rebuilds the injector
 // from the trace header and attaches it to the freshly booted system
 // before the first event runs, so the replay experiences the identical
 // fault stream the recording did. Any Options.Setup the caller supplied
 // runs after the injector is attached.
 func ReplayTrace(t *replay.Trace, opt replay.Options) (*replay.Result, error) {
-	cfg, err := configFromHeader(t.Header)
-	if err != nil {
-		return nil, err
+	if t.Header.Workload != SoakWorkload {
+		return nil, fmt.Errorf("%w: workload %q is not a chaos-soak trace", replay.ErrBadRecord, t.Header.Workload)
+	}
+	cfg, ok := ConfigFromExtra(t.Header.Extra)
+	if !ok {
+		return nil, fmt.Errorf("%w: chaos-soak trace carries no injector config", replay.ErrBadRecord)
 	}
 	inner := opt.Setup
 	opt.Setup = func(sys *replay.System) {

@@ -18,39 +18,50 @@ func soakCfg(seed uint64) SoakConfig {
 	}
 }
 
-// TestSoakRecordReplay drives a fault-heavy soak with recording on and
-// replays the trace: the injector rebuilt from the header must produce
-// the identical fault stream, so the replay matches cycle-for-cycle.
+// TestSoakRecordReplay drives a fault-heavy soak with recording on, on
+// every kernel the soak drives, and replays the trace: the injector
+// rebuilt from the header must produce the identical fault stream, so
+// the replay matches cycle-for-cycle.
 func TestSoakRecordReplay(t *testing.T) {
-	res := Soak(soakCfg(7))
-	if res.Trace == nil {
-		t.Fatal("Record was set but SoakResult.Trace is nil")
-	}
-	if len(res.Trace.Events) == 0 {
-		t.Fatal("recording captured no events")
-	}
-	if res.Trace.Header.Workload != SoakWorkload {
-		t.Fatalf("workload = %q, want %q", res.Trace.Header.Workload, SoakWorkload)
-	}
+	for _, kern := range []string{replay.KernelVDom, replay.KernelDPTI} {
+		t.Run(kern, func(t *testing.T) {
+			cfg := soakCfg(7)
+			cfg.Kernel = kern
+			if kern == replay.KernelDPTI {
+				cfg.Chaos = dptiFaults(7)
+			}
+			res := Soak(cfg)
+			if res.Trace == nil {
+				t.Fatal("Record was set but SoakResult.Trace is nil")
+			}
+			if len(res.Trace.Events) == 0 {
+				t.Fatal("recording captured no events")
+			}
+			if res.Trace.Header.Workload != SoakWorkload || res.Trace.Header.Kernel != kern {
+				t.Fatalf("header workload/kernel = %q/%q, want %q/%q",
+					res.Trace.Header.Workload, res.Trace.Header.Kernel, SoakWorkload, kern)
+			}
 
-	// The trace must survive the binary codec (this is what gets dumped
-	// to disk for CI artifacts).
-	dec, err := replay.Decode(replay.Encode(res.Trace))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	rr, err := ReplayTrace(dec, replay.Options{})
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if rr.Divergence != nil {
-		t.Fatalf("replay diverged: %s", rr.Divergence)
-	}
-	if rr.Cycles != res.Trace.End["clock"] {
-		t.Fatalf("replayed clock %d != recorded %d", rr.Cycles, res.Trace.End["clock"])
-	}
-	if rr.Events != len(res.Trace.Events) {
-		t.Fatalf("replayed %d of %d events", rr.Events, len(res.Trace.Events))
+			// The trace must survive the binary codec (this is what gets
+			// dumped to disk for CI artifacts).
+			dec, err := replay.Decode(replay.Encode(res.Trace))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			rr, err := ReplayTrace(dec, replay.Options{})
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if rr.Divergence != nil {
+				t.Fatalf("replay diverged: %s", rr.Divergence)
+			}
+			if rr.Cycles != res.Trace.End["clock"] {
+				t.Fatalf("replayed clock %d != recorded %d", rr.Cycles, res.Trace.End["clock"])
+			}
+			if rr.Events != len(res.Trace.Events) {
+				t.Fatalf("replayed %d of %d events", rr.Events, len(res.Trace.Events))
+			}
+		})
 	}
 }
 

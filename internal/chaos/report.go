@@ -61,7 +61,6 @@ func NewShardReport(shard int, seed uint64, res *SoakResult) ShardReport {
 		Cycles:    uint64(res.Cycles),
 		Injected:  res.Injected,
 		Recovered: res.Recovered,
-		TracePath: res.TracePath,
 	}
 	if res.Trace != nil {
 		r.TraceEvents = len(res.Trace.Events)

@@ -1,12 +1,11 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 
+	"vdom/internal/backend"
 	"vdom/internal/core"
 	"vdom/internal/cycles"
-	"vdom/internal/hw"
 	"vdom/internal/kernel"
 	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
@@ -32,15 +31,18 @@ type SoakConfig struct {
 	AuditEvery int
 	// Arch selects the cost table (default X86).
 	Arch cycles.Arch
+	// Kernel selects the soaked kernel and its op mix: "" or "vdom"
+	// (the VDom core) or "dpti" (the per-domain-page-table baseline).
+	Kernel string `json:",omitempty"`
 
-	// Metrics, when non-nil, is attached to the kernel and the VDom
-	// manager; the run's per-(layer, op) cycle attribution then sums to
+	// Metrics, when non-nil, is attached to the kernel and the domain
+	// layer; the run's per-(layer, op) cycle attribution then sums to
 	// exactly SoakResult.Cycles, and the injector's and layers' event
 	// counters are harvested when the soak finishes.
 	Metrics *metrics.Registry
 	// Trace, when non-nil, receives one Chrome-trace decision span per
-	// domain-virtualization event, timestamped on the run's cumulative
-	// cycle clock.
+	// domain-virtualization event (VDom only), timestamped on the run's
+	// cumulative cycle clock, plus one instant per injected fault.
 	Trace *metrics.Trace
 	// Record captures the soak's domain-op stream as a replayable trace
 	// (SoakResult.Trace); failing runs can then be shrunk to a minimal
@@ -69,7 +71,8 @@ type SoakResult struct {
 	Audits int
 	// ASIDRollovers is the kernel's generation-rollover count.
 	ASIDRollovers uint64
-	// CoreStats snapshots the VDom manager's operation counters.
+	// CoreStats snapshots the VDom manager's operation counters (zero
+	// for other kernels).
 	CoreStats core.Stats
 	// Trace is the full replayable recording (nil unless
 	// SoakConfig.Record was set).
@@ -78,9 +81,6 @@ type SoakResult struct {
 	// unrecovered failure, or -1 when the run was healthy. FailTrace
 	// truncates the recording there.
 	FirstFailEvent int
-	// TracePath is where a harness persisted the (fail) trace, when it
-	// did; informational only.
-	TracePath string
 }
 
 // FailTrace returns the minimal replayable reproducer for an unhealthy
@@ -100,87 +100,8 @@ func (r *SoakResult) FailTrace() *replay.Trace {
 	}
 }
 
-// Merge folds another shard's result into r: counters and cycle totals
-// are summed, per-kind maps are added key-wise, and the event, violation,
-// and unrecovered listings are appended in call order. Merging shards of
-// a sharded soak in shard-index order therefore yields the same aggregate
-// regardless of which worker ran which shard.
-func (r *SoakResult) Merge(o *SoakResult) {
-	if o == nil {
-		return
-	}
-	r.Ops += o.Ops
-	r.Cycles += o.Cycles
-	r.Audits += o.Audits
-	r.ASIDRollovers += o.ASIDRollovers
-	if r.Injected == nil {
-		r.Injected = map[string]uint64{}
-	}
-	for k, v := range o.Injected {
-		r.Injected[k] += v
-	}
-	if r.Recovered == nil {
-		r.Recovered = map[string]uint64{}
-	}
-	for k, v := range o.Recovered {
-		r.Recovered[k] += v
-	}
-	r.Events = append(r.Events, o.Events...)
-	r.Violations = append(r.Violations, o.Violations...)
-	r.Unrecovered = append(r.Unrecovered, o.Unrecovered...)
-	r.CoreStats = r.CoreStats.Add(o.CoreStats)
-	// Traces do not merge; keep the first shard's recording (shards that
-	// need theirs kept dump them before merging).
-	if r.Trace == nil {
-		r.Trace, r.FirstFailEvent, r.TracePath = o.Trace, o.FirstFailEvent, o.TracePath
-	}
-}
-
-// regionPages is the size of each protected region in the soak workload.
-const regionPages = 4
-
-// SoakRun is a soak in progress, steppable one operation at a time so a
-// crash-fault harness can interleave checkpoints, crashes, and recovery
-// with the workload. StartSoak boots it; Step drives one op; Finish
-// seals the result. Soak composes the three for the plain
-// run-to-completion case.
-type SoakRun struct {
-	cfg SoakConfig
-
-	in      *Injector
-	machine *hw.Machine
-	kern    *kernel.Kernel
-	proc    *kernel.Process
-	mgr     *core.Manager
-	rec     *replay.Recorder
-
-	res    *SoakResult
-	total  cycles.Cost
-	tasks  []*kernel.Task
-	vdoms  []core.VdomID
-	r      *sim.Rand
-	nextOp int
-
-	tracedEvents int
-	finished     bool
-}
-
-// Soak boots a machine with the injector attached and drives a randomized
-// (but seed-deterministic) VDom workload through it: grants, accesses,
-// revocations, vdom free/realloc cycles, VDS spreading, VDR churn, and
-// frame reclaim — auditing cross-layer consistency as it goes. The same
-// SoakConfig reproduces the identical event sequence.
-func Soak(cfg SoakConfig) *SoakResult {
-	s := StartSoak(cfg)
-	for s.Step() {
-	}
-	return s.Finish()
-}
-
-// StartSoak boots the soak platform and runs the workload setup (task
-// spawns, region mmaps, initial vdom bindings), leaving the run poised
-// before op 1.
-func StartSoak(cfg SoakConfig) *SoakRun {
+// withDefaults fills the zero fields with their defaults.
+func (cfg SoakConfig) withDefaults() SoakConfig {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 5000
 	}
@@ -196,61 +117,105 @@ func StartSoak(cfg SoakConfig) *SoakRun {
 	if cfg.AuditEvery <= 0 {
 		cfg.AuditEvery = 64
 	}
+	return cfg
+}
 
-	s := &SoakRun{cfg: cfg, nextOp: 1}
-	s.in = New(cfg.Chaos)
-	s.machine = hw.NewMachine(hw.Config{Arch: cfg.Arch, NumCores: cfg.Cores})
-	s.kern = kernel.New(kernel.Config{Machine: s.machine, VDomEnabled: true})
-	s.in.AttachMachine(s.machine)
-	s.in.AttachKernel(s.kern)
-	s.proc = s.kern.NewProcess()
-	s.mgr = core.Attach(s.proc, core.DefaultPolicy())
-	s.in.AttachManager(s.mgr)
-	if cfg.Record {
-		s.rec = replay.NewRecorder(soakHeader(cfg))
-		s.rec.AttachKernel(s.kern)
-		s.rec.AttachManager(s.mgr)
+// regionPages is the size of each protected region in the soak workload.
+const regionPages = 4
+
+// SoakRun is a soak in progress over one booted backend Instance,
+// steppable one operation at a time so a crash-fault harness can
+// interleave checkpoints, crashes, and recovery with the workload.
+// StartSoak boots it; Step drives one op; Finish seals the result. Only
+// the op mix (mix.go) knows which kernel it drives.
+type SoakRun struct {
+	cfg SoakConfig
+	mix soakMix
+	hdr replay.Header
+
+	in  *Injector
+	sys *replay.System
+	ops backend.DomainOps // sys's kernel-neutral adapter
+	rec *replay.Recorder
+
+	res    *SoakResult
+	total  cycles.Cost
+	tasks  []*kernel.Task
+	doms   []uint64 // the domain guarding each region
+	r      *sim.Rand
+	nextOp int
+
+	tracedEvents int
+	finished     bool
+}
+
+// Soak boots a machine with the injector attached and drives a randomized
+// (but seed-deterministic) workload of the configured kernel's op mix
+// through it, auditing cross-layer consistency as it goes. The same
+// SoakConfig reproduces the identical event sequence.
+func Soak(cfg SoakConfig) *SoakResult {
+	s := StartSoak(cfg)
+	for s.Step() {
 	}
+	return s.Finish()
+}
 
+// StartSoak boots the soak platform and runs the workload setup (task
+// spawns, region mmaps, initial domain bindings), leaving the run poised
+// before op 1. It panics on a kernel with no op mix.
+func StartSoak(cfg SoakConfig) *SoakRun {
+	cfg = cfg.withDefaults()
+	s := &SoakRun{cfg: cfg, mix: mixFor(cfg.Kernel), nextOp: 1}
+	// The header carries the injector configuration in Extra, so
+	// ReplayTrace rebuilds the identical fault stream for any kernel.
+	s.hdr = replay.Header{
+		Version:  replay.FormatVersion,
+		Arch:     replay.ArchName(cfg.Arch),
+		Cores:    cfg.Cores,
+		Seed:     cfg.Chaos.Seed,
+		Workload: SoakWorkload,
+		Extra:    ExtraConfig(cfg.Chaos),
+	}
+	s.mix.header(&s.hdr, cfg)
+	sys, err := replay.Boot(s.hdr)
+	if err != nil {
+		panic(fmt.Sprintf("chaos: booting the soak platform: %v", err))
+	}
+	s.sys = sys
+	s.in = New(cfg.Chaos)
+	s.in.AttachSystem(sys)
+	if cfg.Record {
+		s.rec = replay.NewRecorder(s.hdr)
+	}
 	s.res = &SoakResult{Ops: cfg.Ops, FirstFailEvent: -1}
-	s.kern.SetMetrics(cfg.Metrics)
-	s.mgr.SetMetrics(cfg.Metrics)
-	s.attachTracer()
+	s.attach()
 
 	s.tasks = make([]*kernel.Task, cfg.Threads)
 	for i := range s.tasks {
-		s.tasks[i] = s.proc.NewTask(i % cfg.Cores)
+		s.tasks[i] = sys.Proc.NewTask(i % cfg.Cores)
 		if s.rec != nil {
 			s.rec.Spawn(s.tasks[i])
 		}
 	}
 
+	// A failed setup step is reported and its cost left off the clock.
 	if c, err := s.tasks[0].Mmap(plainBase, plainPages*pagetable.PageSize, true); err != nil {
 		s.fail(0, "setup mmap", err)
 	} else {
 		s.total += c
 	}
-	s.vdoms = make([]core.VdomID, cfg.Vdoms)
-	for i := range s.vdoms {
+	s.doms = make([]uint64, cfg.Vdoms)
+	for i := range s.doms {
 		if c, err := s.tasks[0].Mmap(region(i), regionPages*pagetable.PageSize, true); err != nil {
 			s.fail(0, "setup mmap", err)
 		} else {
 			s.total += c
 		}
-		d, c := s.mgr.AllocVdom(i%4 == 0)
-		s.total += c
-		if c, err := s.mgr.Mprotect(s.tasks[0], region(i), regionPages*pagetable.PageSize, d); err != nil {
-			s.fail(0, "setup mprotect", err)
-		} else {
-			s.total += c
-		}
-		s.vdoms[i] = d
+		s.doms[i] = s.mix.setupRegion(s, i)
 	}
 	for _, t := range s.tasks {
-		c, err := s.mgr.VdrAlloc(t, 0)
-		s.total += c
-		if err != nil {
-			s.fail(0, "setup vdr_alloc", err)
+		if err := s.charge(s.ops.PrepareThread(t, 0)); err != nil {
+			s.fail(0, "setup vdr_alloc", err) // VDom's per-thread VDR
 		}
 	}
 
@@ -261,7 +226,21 @@ func StartSoak(cfg SoakConfig) *SoakRun {
 	return s
 }
 
-// Working set: an unprotected scratch region plus one region per vdom.
+// attach (re-)attaches the host-side taps — recorder, metrics, the
+// DomainOps adapter, and the op mix's own taps — to the current
+// instance; recovery calls it again on the restored one.
+func (s *SoakRun) attach() {
+	if s.rec != nil {
+		s.rec.AttachSystem(s.sys)
+	}
+	s.sys.Kernel.SetMetrics(s.cfg.Metrics)
+	b := backend.Of(s.sys)
+	b.SetMetrics(s.sys, s.cfg.Metrics)
+	s.ops = b.Ops(s.sys)
+	s.mix.attach(s)
+}
+
+// Working set: an unprotected scratch region plus one region per domain.
 const (
 	plainBase  = pagetable.VAddr(0x1000_0000)
 	plainPages = 64
@@ -271,23 +250,21 @@ func region(i int) pagetable.VAddr {
 	return pagetable.VAddr(0x4000_0000 + uint64(i)*0x10_0000)
 }
 
+// regionPage draws a random page of region i.
+func (s *SoakRun) regionPage(i int) pagetable.VAddr {
+	return region(i) + pagetable.VAddr(uint64(s.r.Intn(regionPages))*pagetable.PageSize)
+}
+
 // NextOp returns the 1-based index of the op the next Step will run.
 func (s *SoakRun) NextOp() int { return s.nextOp }
 
 // ClockCycles returns the run's cumulative cycle clock.
 func (s *SoakRun) ClockCycles() uint64 { return uint64(s.total) }
 
-// attachTracer (re-)wires the Chrome-trace decision tap onto the current
-// manager instance; recovery calls it again on the restored one.
-func (s *SoakRun) attachTracer() {
-	if s.cfg.Trace == nil {
-		return
-	}
-	s.mgr.SetTracer(func(e core.Event) {
-		s.cfg.Trace.Decision(e.Kind.String(), e.TID, uint64(s.total), uint64(e.Cost), map[string]uint64{
-			"vdom": uint64(e.Vdom), "vds": uint64(e.VDS), "pdom": uint64(e.Pdom),
-		})
-	})
+// charge adds an op's cost to the run's clock and passes its error on.
+func (s *SoakRun) charge(c cycles.Cost, err error) error {
+	s.total += c
+	return err
 }
 
 func (s *SoakRun) fail(op int, what string, err error) {
@@ -301,7 +278,7 @@ func (s *SoakRun) fail(op int, what string, err error) {
 
 func (s *SoakRun) audit() {
 	s.res.Audits++
-	s.res.Violations = append(s.res.Violations, Audit(s.machine, s.kern, s.mgr)...)
+	s.res.Violations = append(s.res.Violations, Audit(s.sys)...)
 }
 
 // traceEvents turns each injected fault and recovery into a trace
@@ -316,6 +293,25 @@ func (s *SoakRun) traceEvents() {
 	}
 }
 
+// plainAccess touches a random page of the unprotected region (valid
+// inside or outside any domain).
+func (s *SoakRun) plainAccess(op int, t *kernel.Task) {
+	addr := plainBase + pagetable.VAddr(uint64(s.r.Intn(plainPages))*pagetable.PageSize)
+	if err := s.charge(t.Access(addr, s.r.Intn(2) == 0)); err != nil {
+		s.fail(op, fmt.Sprintf("plain access at %#x", uint64(addr)), err)
+	}
+}
+
+// reclaim applies kswapd pressure from t's core and records it.
+func (s *SoakRun) reclaim(t *kernel.Task) {
+	max := 1 + s.r.Intn(8)
+	n, c := s.sys.Proc.ReclaimFrames(t.CoreID(), max)
+	s.total += c
+	if s.rec != nil {
+		s.rec.Reclaim(t.CoreID(), max, n, c)
+	}
+}
+
 // Step drives one workload op (and the periodic audit that falls on it)
 // and reports whether ops remain.
 func (s *SoakRun) Step() bool {
@@ -326,90 +322,8 @@ func (s *SoakRun) Step() bool {
 	s.nextOp++
 
 	t := s.tasks[s.r.Intn(len(s.tasks))]
-	di := s.r.Intn(len(s.vdoms))
-	d := s.vdoms[di]
-	switch x := s.r.Intn(100); {
-	case x < 50: // grant, then touch a page of the region
-		perm := core.VPermReadWrite
-		if x < 10 {
-			perm = core.VPermRead
-		}
-		c, err := s.mgr.WrVdr(t, d, perm)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("wrvdr grant vdom %d", d), err)
-			break
-		}
-		addr := region(di) + pagetable.VAddr(uint64(s.r.Intn(regionPages))*pagetable.PageSize)
-		write := perm == core.VPermReadWrite && s.r.Intn(2) == 0
-		c, err = t.Access(addr, write)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("access vdom %d at %#x", d, uint64(addr)), err)
-		}
-	case x < 65: // revoke (sometimes pinning)
-		perm := core.VPermNone
-		if x < 55 {
-			perm = core.VPermPinned
-		}
-		c, err := s.mgr.WrVdr(t, d, perm)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("wrvdr revoke vdom %d", d), err)
-		}
-	case x < 75: // free the vdom, rebind its region to a fresh one
-		c, err := s.mgr.FreeVdom(d)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("free vdom %d", d), err)
-			break
-		}
-		nd, c := s.mgr.AllocVdom(s.r.Intn(4) == 0)
-		s.total += c
-		c, err = s.mgr.Mprotect(t, region(di), regionPages*pagetable.PageSize, nd)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("mprotect vdom %d", nd), err)
-			break
-		}
-		s.vdoms[di] = nd
-	case x < 83: // spread the thread into a fresh VDS
-		c, err := s.mgr.PlaceInNewVDS(t)
-		s.total += c
-		// A typed resource failure here is tolerated: the caller's
-		// recovery is simply staying in its current VDS.
-		if err != nil && !errors.Is(err, core.ErrNoResources) && !errors.Is(err, core.ErrExhausted) {
-			s.fail(op, "place_in_new_vds", err)
-		}
-	case x < 90: // VDR churn (exercises the base-ASID restore)
-		c, err := s.mgr.VdrFree(t)
-		s.total += c
-		if err != nil {
-			s.fail(op, "vdr_free", err)
-			break
-		}
-		c, err = s.mgr.VdrAlloc(t, 0)
-		s.total += c
-		if err != nil {
-			s.fail(op, "vdr_alloc", err)
-		}
-	case x < 96: // kswapd pressure, plus VDS garbage collection
-		max := 1 + s.r.Intn(8)
-		n, c := s.proc.ReclaimFrames(t.CoreID(), max)
-		s.total += c
-		reaped := s.mgr.ReapVDSes()
-		if s.rec != nil {
-			s.rec.Reclaim(t.CoreID(), max, n, c)
-			s.rec.Reap(reaped)
-		}
-	default: // unprotected access
-		addr := plainBase + pagetable.VAddr(uint64(s.r.Intn(plainPages))*pagetable.PageSize)
-		c, err := t.Access(addr, s.r.Intn(2) == 0)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("plain access at %#x", uint64(addr)), err)
-		}
-	}
+	di := s.r.Intn(len(s.doms))
+	s.mix.step(s, op, t, di, s.r.Intn(100))
 	s.traceEvents()
 	if op%s.cfg.AuditEvery == 0 {
 		s.audit()
@@ -430,13 +344,13 @@ func (s *SoakRun) Finish() *SoakResult {
 	s.res.Injected = s.in.Injected()
 	s.res.Recovered = s.in.Recovered()
 	s.res.Events = s.in.Events()
-	s.res.ASIDRollovers = s.kern.ASIDRollovers()
-	s.res.CoreStats = s.mgr.Stats
+	s.res.ASIDRollovers = s.sys.Kernel.ASIDRollovers()
 	if s.rec != nil {
 		s.res.Trace = s.rec.Finish()
 	}
 	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.Accumulate(s.in, s.machine, s.proc.AS(), s.kern)
+		s.cfg.Metrics.Accumulate(s.in, s.sys.Machine, s.sys.Proc.AS(), s.sys.Kernel)
 	}
+	s.mix.finish(s)
 	return s.res
 }

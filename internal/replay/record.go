@@ -4,7 +4,6 @@ import (
 	"vdom/internal/backend"
 	"vdom/internal/core"
 	"vdom/internal/cycles"
-	"vdom/internal/dpti"
 	"vdom/internal/epk"
 	"vdom/internal/kernel"
 	"vdom/internal/libmpk"
@@ -154,12 +153,6 @@ func (r *Recorder) AttachLibmpk(m *libmpk.Manager) {
 func (r *Recorder) AttachEPK(s *epk.System) {
 	r.sys.EPK = s
 	s.SetTap(r.TapEvent)
-}
-
-// AttachDPTI taps the DPTI baseline's public API.
-func (r *Recorder) AttachDPTI(m *dpti.Manager) {
-	r.sys.DPTI = m
-	m.SetTap(r.TapEvent)
 }
 
 // Spawn records a task creation. Workloads call it right after NewTask;

@@ -40,12 +40,34 @@ func soakCfg(seed uint64) chaos.SoakConfig {
 // restore + tail replay must yield a run whose trace (end state, final
 // clock, and domain-map digest included) is byte-identical to the
 // uninterrupted run of the same seed, with identical fault counters and
-// metrics.
+// metrics. The DPTI rows run the same driver on the DPTI kernel (its
+// machine/kernel fault subset; it has no domain map to tear).
 func TestCrashRecoverBitIdentical(t *testing.T) {
-	for _, kind := range []chaos.CrashKind{chaos.CrashCore, chaos.CrashKernelPanic, chaos.CrashTornDomainMap} {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		kernel string
+		kind   chaos.CrashKind
+	}{
+		{"vdom", chaos.CrashCore},
+		{"vdom", chaos.CrashKernelPanic},
+		{"vdom", chaos.CrashTornDomainMap},
+		{"dpti", chaos.CrashCore},
+		{"dpti", chaos.CrashKernelPanic},
+	} {
+		kind, name := tc.kind, tc.kind.String()
+		if tc.kernel != "vdom" {
+			name = tc.kernel + "/" + name
+		}
+		cfgFor := func(seed uint64) chaos.SoakConfig {
+			cfg := soakCfg(seed)
+			cfg.Kernel = tc.kernel
+			if tc.kernel == "dpti" {
+				cfg.Chaos.VDSAllocFail, cfg.Chaos.PdomExhaustion = 0, 0
+			}
+			return cfg
+		}
+		t.Run(name, func(t *testing.T) {
 			seed := uint64(0x5eed + kind)
-			refCfg := soakCfg(seed)
+			refCfg := cfgFor(seed)
 			refMetrics := metrics.New()
 			refCfg.Metrics = refMetrics
 			ref := chaos.Soak(refCfg)
@@ -53,7 +75,7 @@ func TestCrashRecoverBitIdentical(t *testing.T) {
 				t.Fatalf("reference run unhealthy: %d unrecovered, %d violations", len(ref.Unrecovered), len(ref.Violations))
 			}
 
-			crashCfg := soakCfg(seed)
+			crashCfg := cfgFor(seed)
 			crashMetrics := metrics.New()
 			crashCfg.Metrics = crashMetrics
 			out, err := chaos.CrashSoak(crashCfg, chaos.CrashConfig{Kind: kind, AtOp: 351, CheckpointEvery: 100})

@@ -422,8 +422,7 @@ func runPatternDPTI(cfg PatternConfig, warmup int) PatternResult {
 	m := dpti.Attach(proc)
 	rec := cfg.Record
 	if rec != nil {
-		rec.AttachKernel(k)
-		rec.AttachDPTI(m)
+		rec.AttachSystem(&replay.System{Kernel: k, Proc: proc, DPTI: m})
 	}
 	task := proc.NewTask(0)
 	if rec != nil {

@@ -47,7 +47,6 @@ import (
 	"vdom/internal/kernel"
 	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
-	"vdom/internal/tlb"
 )
 
 // PageSize is the protection granularity in bytes.
@@ -274,24 +273,11 @@ func (s *System) MetricsSnapshot() *MetricsSnapshot {
 // result means the machine is coherent — even under active fault
 // injection, thanks to the degradation paths.
 func (s *System) Audit() []ChaosViolation {
-	var mgrs []*core.Manager
-	owners := make(map[tlb.ASID]*pagetable.Table)
-	for _, p := range s.procs {
-		if p.mgr != nil {
-			mgrs = append(mgrs, p.mgr)
-			continue
-		}
-		// Non-vdom processes own their ASIDs outside any core.Manager:
-		// task base ASIDs map the shadow table, and DPTI's materialized
-		// domains map their private tables.
-		for _, t := range p.proc.Tasks() {
-			owners[t.BaseASID()] = p.proc.AS().Shadow()
-		}
-		if d := p.inst.DPTI; d != nil {
-			d.OwnedASIDs(func(a tlb.ASID, tb *pagetable.Table) { owners[a] = tb })
-		}
+	insts := make([]*backend.Instance, len(s.procs))
+	for i, p := range s.procs {
+		insts[i] = p.inst
 	}
-	return chaos.AuditOwners(s.machine, s.kernel, owners, mgrs...)
+	return chaos.Audit(insts...)
 }
 
 // Kernel exposes the simulated kernel (advanced use: scheduler bridges,
