@@ -50,8 +50,8 @@ type Config struct {
 	// means DefaultMaxAttempts.
 	MaxAttempts int
 	// BackoffBase and BackoffCap shape the deterministic, jitter-free
-	// exponential reassignment backoff (see Backoff). Zero means the
-	// defaults.
+	// exponential reassignment backoff (see par.Backoff). Zero means
+	// par.DefaultBackoffBase/Cap.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 	// LocalParallel is the in-process pool width for degraded mode and
@@ -69,8 +69,6 @@ type Config struct {
 const (
 	DefaultCellTimeout = 60 * time.Second
 	DefaultMaxAttempts = 4
-	DefaultBackoffBase = 10 * time.Millisecond
-	DefaultBackoffCap  = 2 * time.Second
 )
 
 func (c Config) withDefaults() Config {
@@ -81,10 +79,10 @@ func (c Config) withDefaults() Config {
 		c.MaxAttempts = DefaultMaxAttempts
 	}
 	if c.BackoffBase <= 0 {
-		c.BackoffBase = DefaultBackoffBase
+		c.BackoffBase = par.DefaultBackoffBase
 	}
 	if c.BackoffCap <= 0 {
-		c.BackoffCap = DefaultBackoffCap
+		c.BackoffCap = par.DefaultBackoffCap
 	}
 	if c.LocalParallel <= 0 {
 		c.LocalParallel = 1
@@ -93,27 +91,6 @@ func (c Config) withDefaults() Config {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
-}
-
-// Backoff is the deterministic, jitter-free reassignment delay after a
-// cell's nth failure (1-based): base doubled per prior failure, capped.
-// No jitter means a replayed fault schedule replays the exact recovery
-// timeline too — the same property serve.Supervisor relies on.
-func Backoff(base, cap time.Duration, failures int) time.Duration {
-	if failures <= 0 {
-		return 0
-	}
-	d := base
-	for i := 1; i < failures; i++ {
-		if d >= cap {
-			return cap
-		}
-		d <<= 1
-	}
-	if d > cap {
-		return cap
-	}
-	return d
 }
 
 // cellState tracks one cell through assignment, retries, and merge.
@@ -165,9 +142,9 @@ type coordinator struct {
 	quit   chan struct{}
 	pumps  sync.WaitGroup
 
-	doneCount  int
-	killFired  bool
-	closing bool
+	doneCount int
+	killFired bool
+	closing   bool
 }
 
 // Run distributes specs across a fleet of cfg.Workers subprocesses and
@@ -523,7 +500,7 @@ func (c *coordinator) fail(ci int, cause string) {
 		c.quarantine(ci)
 		return
 	}
-	cell.eligibleAt = time.Now().Add(Backoff(c.cfg.BackoffBase, c.cfg.BackoffCap, cell.attempts))
+	cell.eligibleAt = time.Now().Add(par.Backoff(c.cfg.BackoffBase, c.cfg.BackoffCap, cell.attempts))
 }
 
 // quarantine retires a cell from the fleet and fills its slot with a

@@ -153,8 +153,8 @@ func (r CellResult) digest(id uint64) uint64 {
 func runGuarded(exec Exec, spec CellSpec) (res CellResult) {
 	defer func() {
 		if r := recover(); r != nil {
-			if jp, ok := r.(par.JobPanic); ok {
-				res = CellResult{Err: fmt.Sprintf("cell %s[%d]: panic in job %d: %v", spec.Grid, spec.Index, jp.Index, jp.Value)}
+			if v, job := par.Cause(r); job >= 0 {
+				res = CellResult{Err: fmt.Sprintf("cell %s[%d]: panic in job %d: %v", spec.Grid, spec.Index, job, v)}
 				return
 			}
 			res = CellResult{Err: fmt.Sprintf("cell %s[%d]: panic: %v", spec.Grid, spec.Index, r)}

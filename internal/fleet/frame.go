@@ -2,18 +2,23 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+
+	"vdom/internal/wire"
 )
 
 // The vdom-fleet/v1 wire format. Every frame is:
 //
 //	magic "VDFL" (4 bytes) | type (1 byte) | payload length (uvarint) | payload
 //
-// and every payload field is uvarint- or length-prefixed, exactly like
-// the repository's other binary formats (vdom-trace/v1, vdom-snap/v2).
+// and every payload field is uvarint- or length-prefixed, written and
+// read with internal/wire exactly like the repository's other binary
+// formats (vdom-trace/v1, vdom-snap/v2).
 // The per-frame magic buys cheap desync detection: a transport fault
 // that shears the stream mid-frame makes the next read fail ErrBadMagic
 // immediately instead of misparsing tail bytes as a frame header.
@@ -60,21 +65,21 @@ var (
 
 // Anti-panic caps: a well-formed frame never exceeds these, so anything
 // beyond them is rejected as malformed rather than allocated. The frame
-// cap bounds a forged length prefix; the string cap bounds any single
-// rendered-text or error field; cells and indices are bounded far below
-// any real grid.
+// cap bounds a forged length prefix, and with it the rendered Text
+// field; the string cap bounds every other string field; worker slots
+// and cell indices are bounded far below any real fleet or grid.
 const (
 	maxFramePayload = 64 << 20
 	maxStringLen    = 1 << 20
+	maxWorker       = 1 << 16
 	maxCellIndex    = 1 << 20
 )
 
 // WriteFrame writes one frame: magic, type, length-prefixed payload.
 func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
-	hdr := make([]byte, 0, 16)
-	hdr = append(hdr, frameMagic[:]...)
+	hdr := append(make([]byte, 0, 16), frameMagic[:]...)
 	hdr = append(hdr, byte(t))
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
+	hdr = wire.AppendUvarint(hdr, uint64(len(payload)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -135,30 +140,22 @@ type Hello struct {
 
 // EncodeHello serializes a hello payload.
 func EncodeHello(h Hello) []byte {
-	b := make([]byte, 0, 8)
-	b = binary.AppendUvarint(b, uint64(h.Version))
-	b = binary.AppendUvarint(b, uint64(h.Worker))
-	return b
+	b := wire.AppendUvarint(make([]byte, 0, 8), uint64(h.Version))
+	return wire.AppendUvarint(b, uint64(h.Worker))
 }
 
 // DecodeHello parses a hello payload, rejecting version skew.
 func DecodeHello(data []byte) (Hello, error) {
-	d := &payloadDecoder{buf: data}
-	v, err := d.uvarint()
-	if err != nil {
-		return Hello{}, err
-	}
-	if v != ProtocolVersion {
+	r := wire.NewReader(data)
+	v := r.Uvarint()
+	if r.Err() == nil && v != ProtocolVersion {
 		return Hello{}, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, v, ProtocolVersion)
 	}
-	w, err := d.smallInt("worker")
-	if err != nil {
-		return Hello{}, err
+	h := Hello{Version: int(v), Worker: int(capped(r, "worker", maxWorker))}
+	if err := r.Done(); err != nil {
+		return Hello{}, wire.Retype(err, ErrTruncated, ErrBadRecord)
 	}
-	if err := d.done(); err != nil {
-		return Hello{}, err
-	}
-	return Hello{Version: int(v), Worker: w}, nil
+	return h, nil
 }
 
 // Assign is one cell assignment: the run-unique cell id plus the spec.
@@ -171,59 +168,30 @@ type Assign struct {
 
 // EncodeAssign serializes an assignment payload.
 func EncodeAssign(a Assign) []byte {
-	b := make([]byte, 0, 64)
-	b = binary.AppendUvarint(b, a.ID)
-	b = putString(b, a.Spec.Grid)
-	b = binary.AppendUvarint(b, uint64(a.Spec.Index))
-	b = binary.AppendUvarint(b, a.Spec.Seed)
-	b = putString(b, a.Spec.Kernel)
-	b = putString(b, a.Spec.Arch)
-	b = binary.AppendUvarint(b, uint64(a.Spec.Flags))
-	b = putString(b, a.Spec.Spec)
-	return b
+	b := wire.AppendUvarint(make([]byte, 0, 64), a.ID)
+	b = wire.AppendString(b, a.Spec.Grid)
+	b = wire.AppendUvarint(b, uint64(a.Spec.Index))
+	b = wire.AppendUvarint(b, a.Spec.Seed)
+	b = wire.AppendString(b, a.Spec.Kernel)
+	b = wire.AppendString(b, a.Spec.Arch)
+	b = wire.AppendUvarint(b, uint64(a.Spec.Flags))
+	return wire.AppendString(b, a.Spec.Spec)
 }
 
 // DecodeAssign parses an assignment payload.
 func DecodeAssign(data []byte) (Assign, error) {
-	d := &payloadDecoder{buf: data}
+	r := wire.NewReader(data)
 	var a Assign
-	var err error
-	if a.ID, err = d.uvarint(); err != nil {
-		return a, err
-	}
-	if a.Spec.Grid, err = d.string(); err != nil {
-		return a, err
-	}
-	idx, err := d.uvarint()
-	if err != nil {
-		return a, err
-	}
-	if idx > maxCellIndex {
-		return a, fmt.Errorf("%w: cell index %d exceeds cap %d", ErrBadRecord, idx, maxCellIndex)
-	}
-	a.Spec.Index = int(idx)
-	if a.Spec.Seed, err = d.uvarint(); err != nil {
-		return a, err
-	}
-	if a.Spec.Kernel, err = d.string(); err != nil {
-		return a, err
-	}
-	if a.Spec.Arch, err = d.string(); err != nil {
-		return a, err
-	}
-	flags, err := d.uvarint()
-	if err != nil {
-		return a, err
-	}
-	if flags > 1<<32-1 {
-		return a, fmt.Errorf("%w: spec flags %#x out of range", ErrBadRecord, flags)
-	}
-	a.Spec.Flags = uint32(flags)
-	if a.Spec.Spec, err = d.string(); err != nil {
-		return a, err
-	}
-	if err := d.done(); err != nil {
-		return a, err
+	a.ID = r.Uvarint()
+	a.Spec.Grid = shortString(r)
+	a.Spec.Index = int(capped(r, "cell index", maxCellIndex))
+	a.Spec.Seed = r.Uvarint()
+	a.Spec.Kernel = shortString(r)
+	a.Spec.Arch = shortString(r)
+	a.Spec.Flags = uint32(capped(r, "spec flags", math.MaxUint32))
+	a.Spec.Spec = shortString(r)
+	if err := r.Done(); err != nil {
+		return Assign{}, wire.Retype(err, ErrTruncated, ErrBadRecord)
 	}
 	return a, nil
 }
@@ -239,56 +207,40 @@ type Result struct {
 // digest over the content fields.
 func EncodeResult(r Result) []byte {
 	b := make([]byte, 0, 128+len(r.Cell.Text)+len(r.Cell.Metrics)+len(r.Cell.Trace)+len(r.Cell.Aux))
-	b = binary.AppendUvarint(b, r.ID)
-	b = putString(b, r.Cell.Err)
-	b = putString(b, r.Cell.Text)
-	b = binary.AppendUvarint(b, r.Cell.Total)
-	b = putBytes(b, r.Cell.Metrics)
-	b = putBytes(b, r.Cell.Trace)
-	b = putBytes(b, r.Cell.Aux)
-	b = binary.AppendUvarint(b, r.Cell.digest(r.ID))
-	return b
+	b = wire.AppendUvarint(b, r.ID)
+	b = wire.AppendString(b, r.Cell.Err)
+	b = wire.AppendString(b, r.Cell.Text)
+	b = wire.AppendUvarint(b, r.Cell.Total)
+	for _, p := range [][]byte{r.Cell.Metrics, r.Cell.Trace, r.Cell.Aux} {
+		b = wire.AppendUvarint(b, uint64(len(p)))
+		b = append(b, p...)
+	}
+	return wire.AppendUvarint(b, r.Cell.digest(r.ID))
 }
 
 // DecodeResult parses a result payload and verifies its digest; a
 // payload whose content was corrupted in flight fails with ErrBadDigest
 // even when it decodes structurally.
 func DecodeResult(data []byte) (Result, error) {
-	d := &payloadDecoder{buf: data}
-	var r Result
-	var err error
-	if r.ID, err = d.uvarint(); err != nil {
-		return r, err
+	r := wire.NewReader(data)
+	var res Result
+	res.ID = r.Uvarint()
+	res.Cell.Err = shortString(r)
+	// Text is a rendered shard and may exceed the short-string cap; the
+	// frame cap bounds it.
+	res.Cell.Text = r.String()
+	res.Cell.Total = r.Uvarint()
+	res.Cell.Metrics = byteField(r, "metrics")
+	res.Cell.Trace = byteField(r, "trace")
+	res.Cell.Aux = byteField(r, "aux")
+	sum := r.Uvarint()
+	if err := r.Done(); err != nil {
+		return Result{}, wire.Retype(err, ErrTruncated, ErrBadRecord)
 	}
-	if r.Cell.Err, err = d.string(); err != nil {
-		return r, err
+	if sum != res.Cell.digest(res.ID) {
+		return Result{}, fmt.Errorf("%w: cell %d", ErrBadDigest, res.ID)
 	}
-	if r.Cell.Text, err = d.longString(); err != nil {
-		return r, err
-	}
-	if r.Cell.Total, err = d.uvarint(); err != nil {
-		return r, err
-	}
-	if r.Cell.Metrics, err = d.bytes(); err != nil {
-		return r, err
-	}
-	if r.Cell.Trace, err = d.bytes(); err != nil {
-		return r, err
-	}
-	if r.Cell.Aux, err = d.bytes(); err != nil {
-		return r, err
-	}
-	sum, err := d.uvarint()
-	if err != nil {
-		return r, err
-	}
-	if err := d.done(); err != nil {
-		return r, err
-	}
-	if sum != r.Cell.digest(r.ID) {
-		return r, fmt.Errorf("%w: cell %d", ErrBadDigest, r.ID)
-	}
-	return r, nil
+	return res, nil
 }
 
 // Heartbeat is the worker's liveness beacon while a cell executes.
@@ -303,118 +255,50 @@ type Heartbeat struct {
 
 // EncodeHeartbeat serializes a heartbeat payload.
 func EncodeHeartbeat(h Heartbeat) []byte {
-	b := make([]byte, 0, 16)
-	b = binary.AppendUvarint(b, uint64(h.Worker))
-	b = binary.AppendUvarint(b, h.Cell)
-	b = binary.AppendUvarint(b, h.Beat)
-	return b
+	b := wire.AppendUvarint(make([]byte, 0, 16), uint64(h.Worker))
+	b = wire.AppendUvarint(b, h.Cell)
+	return wire.AppendUvarint(b, h.Beat)
 }
 
 // DecodeHeartbeat parses a heartbeat payload.
 func DecodeHeartbeat(data []byte) (Heartbeat, error) {
-	d := &payloadDecoder{buf: data}
-	w, err := d.smallInt("worker")
-	if err != nil {
-		return Heartbeat{}, err
+	r := wire.NewReader(data)
+	h := Heartbeat{Worker: int(capped(r, "worker", maxWorker))}
+	h.Cell = r.Uvarint()
+	h.Beat = r.Uvarint()
+	if err := r.Done(); err != nil {
+		return Heartbeat{}, wire.Retype(err, ErrTruncated, ErrBadRecord)
 	}
-	cell, err := d.uvarint()
-	if err != nil {
-		return Heartbeat{}, err
-	}
-	beat, err := d.uvarint()
-	if err != nil {
-		return Heartbeat{}, err
-	}
-	if err := d.done(); err != nil {
-		return Heartbeat{}, err
-	}
-	return Heartbeat{Worker: w, Cell: cell, Beat: beat}, nil
+	return h, nil
 }
 
-// payloadDecoder walks a payload with bounds checking; every failure is
-// a typed sentinel, never a panic, whatever the bytes.
-type payloadDecoder struct {
-	buf []byte
-	off int
+// capped reads a uvarint field that must not exceed max.
+func capped(r *wire.Reader, name string, max uint64) uint64 {
+	v := r.Uvarint()
+	if v > max {
+		r.Failf("%s %d exceeds cap %d", name, v, max)
+		return 0
+	}
+	return v
 }
 
-func (d *payloadDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			return 0, ErrTruncated
-		}
-		return 0, fmt.Errorf("%w: varint overflow at offset %d", ErrBadRecord, d.off)
+// shortString reads a string field bounded by the short-string cap.
+func shortString(r *wire.Reader) string {
+	s := r.String()
+	if len(s) > maxStringLen {
+		r.Failf("string length %d exceeds cap %d", len(s), maxStringLen)
+		return ""
 	}
-	d.off += n
-	return v, nil
+	return s
 }
 
-func (d *payloadDecoder) stringCapped(cap uint64) (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > cap || n > uint64(len(d.buf)-d.off) {
-		return "", fmt.Errorf("%w: string length %d at offset %d", ErrBadRecord, n, d.off)
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func (d *payloadDecoder) string() (string, error) { return d.stringCapped(maxStringLen) }
-
-// longString admits rendered-output fields up to the frame cap (a full
-// chaos shard's rendering exceeds the small-string cap).
-func (d *payloadDecoder) longString() (string, error) { return d.stringCapped(maxFramePayload) }
-
-// bytes decodes a length-prefixed byte field, bounded by the remaining
-// input so a forged length cannot drive a huge allocation. Empty
-// decodes as nil, keeping round-trips exact.
-func (d *payloadDecoder) bytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		return nil, fmt.Errorf("%w: byte field length %d exceeds remaining input", ErrBadRecord, n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
-	return out, nil
-}
-
-// smallInt decodes a field that must be small (worker slots).
-func (d *payloadDecoder) smallInt(name string) (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > 1<<16 {
-		return 0, fmt.Errorf("%w: %s %d out of range", ErrBadRecord, name, v)
-	}
-	return int(v), nil
-}
-
-// done rejects trailing bytes, so a frame is exactly its fields.
-func (d *payloadDecoder) done() error {
-	if d.off != len(d.buf) {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrBadRecord, len(d.buf)-d.off)
+// byteField reads a length-prefixed byte field. The length is read as a
+// Count, so one beyond the remaining input is ErrBadRecord and cannot
+// drive a huge allocation; empty decodes as nil, keeping round-trips
+// exact.
+func byteField(r *wire.Reader, name string) []byte {
+	if n := r.Count(name); n > 0 {
+		return bytes.Clone(r.Bytes(n))
 	}
 	return nil
-}
-
-func putString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func putBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
 }

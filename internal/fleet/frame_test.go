@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
-	"time"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -23,21 +25,35 @@ func TestFrameRoundTrip(t *testing.T) {
 		Metrics: []byte(`{"a":1}`), Trace: []byte(`{"traceEvents":[]}`),
 		Aux: []byte{0, 1, 2, 255}, Err: "",
 	}}
+	// A failed cell carries no byte fields; they must come back nil.
+	failed := Result{ID: 43, Cell: CellResult{Err: "cell failed"}}
 	beat := Heartbeat{Worker: 3, Cell: 42, Beat: 9}
 
+	// The golden bytes pin the vdom-fleet/v1 encoding of each frame
+	// type; a codec change that alters them is a protocol break.
 	for _, w := range []struct {
-		t FrameType
-		p []byte
+		t      FrameType
+		p      []byte
+		golden string
 	}{
-		{FrameHello, EncodeHello(hello)},
-		{FrameAssign, EncodeAssign(assign)},
-		{FrameResult, EncodeResult(result)},
-		{FrameHeartbeat, EncodeHeartbeat(beat)},
-		{FrameShutdown, nil},
+		{FrameHello, EncodeHello(hello), "5644464c01020103"},
+		{FrameAssign, EncodeAssign(assign),
+			"5644464c02242a0e666967353a5838363a363535333607cef5b7f70f0464707469055249534356050178"},
+		{FrameResult, EncodeResult(result),
+			"5644464c03342a0004726f770ac0c407077b2261223a317d127b2274726163654576656e7473223a5b5d7d04000102ffb199adfca4e3b2d8cc01"},
+		{FrameResult, EncodeResult(failed),
+			"5644464c031b2b0b63656c6c206661696c65640000000000badbe7c1c5e6f0f839"},
+		{FrameHeartbeat, EncodeHeartbeat(beat), "5644464c0403032a09"},
+		{FrameShutdown, nil, "5644464c0500"},
 	} {
-		if err := WriteFrame(&buf, w.t, w.p); err != nil {
+		var frame bytes.Buffer
+		if err := WriteFrame(&frame, w.t, w.p); err != nil {
 			t.Fatalf("WriteFrame(%d): %v", w.t, err)
 		}
+		if got := hex.EncodeToString(frame.Bytes()); got != w.golden {
+			t.Errorf("frame %d bytes = %s, want golden %s", w.t, got, w.golden)
+		}
+		buf.Write(frame.Bytes())
 	}
 
 	br := bufio.NewReader(&buf)
@@ -59,8 +75,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	if got, err := DecodeAssign(readOne(FrameAssign)); err != nil || !reflect.DeepEqual(got, assign) {
 		t.Fatalf("assign round-trip = %+v, %v; want %+v", got, err, assign)
 	}
-	if got, err := DecodeResult(readOne(FrameResult)); err != nil || !reflect.DeepEqual(got, result) {
-		t.Fatalf("result round-trip = %+v, %v; want %+v", got, err, result)
+	for _, want := range []Result{result, failed} {
+		if got, err := DecodeResult(readOne(FrameResult)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("result round-trip = %+v, %v; want %+v", got, err, want)
+		}
 	}
 	if got, err := DecodeHeartbeat(readOne(FrameHeartbeat)); err != nil || got != beat {
 		t.Fatalf("heartbeat round-trip = %+v, %v; want %+v", got, err, beat)
@@ -106,29 +124,68 @@ func TestReadFrameSentinels(t *testing.T) {
 	}
 }
 
+// TestDecodeSentinels pins the exact sentinel, and with it the fleet
+// report's transport-error bucket, for each class of malformed payload.
 func TestDecodeSentinels(t *testing.T) {
-	if _, err := DecodeHello(EncodeHello(Hello{Version: 99, Worker: 0})); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("version skew = %v, want ErrBadVersion", err)
+	u := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
 	}
-	if _, err := DecodeHello(nil); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("empty hello = %v, want ErrTruncated", err)
+	hello := func(b []byte) error { _, err := DecodeHello(b); return err }
+	assign := func(b []byte) error { _, err := DecodeAssign(b); return err }
+	result := func(b []byte) error { _, err := DecodeResult(b); return err }
+	beat := func(b []byte) error { _, err := DecodeHeartbeat(b); return err }
+	// withGrid is an assign payload whose grid string is g.
+	withGrid := func(g string) []byte { return EncodeAssign(Assign{ID: 1, Spec: CellSpec{Grid: g}}) }
+	grid := withGrid("table4")
+	digestFlip := EncodeResult(Result{ID: 7, Cell: CellResult{Text: "hello fleet", Total: 99}})
+	digestFlip[3] ^= 0x01 // first Text byte: still decodable, digest now wrong
+
+	cases := []struct {
+		name   string
+		decode func([]byte) error
+		data   []byte
+		want   error
+		bucket string
+	}{
+		{"empty hello", hello, nil, ErrTruncated, "truncated"},
+		{"truncated varint", beat, []byte{0x01, 0x80}, ErrTruncated, "truncated"},
+		{"truncated assign", assign, grid[:len(grid)-1], ErrTruncated, "truncated"},
+		{"varint overflow", beat, append(bytes.Repeat([]byte{0xff}, 10), 0x01), ErrBadRecord, "malformed"},
+		{"string length past input", assign, append(u(1, 5), "ab"...), ErrBadRecord, "malformed"},
+		{"forged string length", assign, u(1, 1<<40), ErrBadRecord, "malformed"},
+		{"byte-field length past input", result, append(u(1, 0, 0, 0, 9), 'x'), ErrBadRecord, "malformed"},
+		{"short string over cap", assign, withGrid(strings.Repeat("g", maxStringLen+1)), ErrBadRecord, "malformed"},
+		{"hello worker over cap", hello, u(ProtocolVersion, maxWorker+1), ErrBadRecord, "malformed"},
+		{"heartbeat worker over cap", beat, u(maxWorker+1, 1, 1), ErrBadRecord, "malformed"},
+		{"cell index over cap", assign, EncodeAssign(Assign{Spec: CellSpec{Index: maxCellIndex + 1}}), ErrBadRecord, "malformed"},
+		{"flags over MaxUint32", assign, append(u(1, 0, 0, 0, 0, 0, math.MaxUint32+1), 0), ErrBadRecord, "malformed"},
+		{"trailing byte", hello, append(EncodeHello(Hello{Version: ProtocolVersion, Worker: 1}), 0), ErrBadRecord, "malformed"},
+		{"version skew", hello, EncodeHello(Hello{Version: 99}), ErrBadVersion, "badVersion"},
+		{"digest mismatch", result, digestFlip, ErrBadDigest, "badDigest"},
 	}
-	good := EncodeHello(Hello{Version: ProtocolVersion, Worker: 1})
-	if _, err := DecodeHello(append(good, 0)); !errors.Is(err, ErrBadRecord) {
-		t.Fatalf("trailing bytes = %v, want ErrBadRecord", err)
+	sentinels := []error{ErrBadMagic, ErrBadVersion, ErrTruncated, ErrBadRecord, ErrBadDigest}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.decode(tc.data)
+			for _, s := range sentinels {
+				if errors.Is(err, s) != (s == tc.want) {
+					t.Fatalf("decode = %v, want exactly %v", err, tc.want)
+				}
+			}
+			if got := classify(err); got != tc.bucket {
+				t.Fatalf("classify(%v) = %q, want %q", err, got, tc.bucket)
+			}
+		})
 	}
 
-	a := EncodeAssign(Assign{ID: 1, Spec: CellSpec{Grid: "table4", Index: 2}})
-	if _, err := DecodeAssign(a[:len(a)-1]); err == nil {
-		t.Fatal("truncated assign decoded without error")
-	}
-
-	// A forged string length larger than the remaining input must be
-	// rejected, not allocated.
-	forged := binary.AppendUvarint(nil, 1) // ID
-	forged = binary.AppendUvarint(forged, 1<<40)
-	if _, err := DecodeAssign(forged); !errors.Is(err, ErrBadRecord) {
-		t.Fatalf("forged length = %v, want ErrBadRecord", err)
+	// Only the rendered Text may exceed the short-string cap.
+	long := Result{ID: 1, Cell: CellResult{Text: strings.Repeat("t", maxStringLen+1)}}
+	if got, err := DecodeResult(EncodeResult(long)); err != nil || got.Cell.Text != long.Cell.Text {
+		t.Fatalf("long Text round-trip: err = %v", err)
 	}
 }
 
@@ -144,30 +201,5 @@ func TestResultDigestRejectsCorruption(t *testing.T) {
 	corrupt[3] ^= 0x01
 	if _, err := DecodeResult(corrupt); !errors.Is(err, ErrBadDigest) && !errors.Is(err, ErrBadRecord) && !errors.Is(err, ErrTruncated) {
 		t.Fatalf("corrupt decode = %v, want a typed sentinel", err)
-	}
-}
-
-func TestBackoffDeterministic(t *testing.T) {
-	base, cap := 10*time.Millisecond, 2*time.Second
-	want := []time.Duration{
-		0,
-		10 * time.Millisecond,
-		20 * time.Millisecond,
-		40 * time.Millisecond,
-		80 * time.Millisecond,
-	}
-	for failures, w := range want {
-		if got := Backoff(base, cap, failures); got != w {
-			t.Fatalf("Backoff(%d) = %v, want %v", failures, got, w)
-		}
-	}
-	if got := Backoff(base, cap, 60); got != cap {
-		t.Fatalf("Backoff(60) = %v, want cap %v", got, cap)
-	}
-	// Jitter-free: the schedule is a pure function of the attempt.
-	for i := 0; i < 3; i++ {
-		if Backoff(base, cap, 3) != 40*time.Millisecond {
-			t.Fatal("Backoff is not deterministic")
-		}
 	}
 }

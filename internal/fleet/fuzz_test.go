@@ -5,12 +5,16 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
 // FuzzFleetDecode hammers every vdom-fleet/v1 decoder with arbitrary
 // bytes: whatever a faulted transport delivers, decoding must return a
-// typed sentinel — never panic, never allocate unboundedly.
+// typed sentinel — never panic, never allocate unboundedly. Whatever
+// does decode must survive an encode/decode round trip unchanged, which
+// catches a field the encoder drops or writes differently from how the
+// decoder reads it.
 func FuzzFleetDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeHello(Hello{Version: ProtocolVersion, Worker: 1}))
@@ -36,14 +40,24 @@ func FuzzFleetDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := DecodeHello(data)
-		typed(t, err)
-		_, err = DecodeAssign(data)
-		typed(t, err)
-		_, err = DecodeResult(data)
-		typed(t, err)
-		_, err = DecodeHeartbeat(data)
-		typed(t, err)
+		decode := func(ft FrameType, payload []byte) {
+			t.Helper()
+			var err error
+			switch ft {
+			case FrameHello:
+				err = fixedPoint(t, payload, DecodeHello, EncodeHello)
+			case FrameAssign:
+				err = fixedPoint(t, payload, DecodeAssign, EncodeAssign)
+			case FrameResult:
+				err = fixedPoint(t, payload, DecodeResult, EncodeResult)
+			case FrameHeartbeat:
+				err = fixedPoint(t, payload, DecodeHeartbeat, EncodeHeartbeat)
+			}
+			typed(t, err)
+		}
+		for ft := FrameHello; ft <= FrameHeartbeat; ft++ {
+			decode(ft, data)
+		}
 
 		br := bufio.NewReader(bytes.NewReader(data))
 		for i := 0; i < 64; i++ {
@@ -52,17 +66,21 @@ func FuzzFleetDecode(f *testing.F) {
 				typed(t, err)
 				break
 			}
-			switch ft {
-			case FrameHello:
-				_, err = DecodeHello(payload)
-			case FrameAssign:
-				_, err = DecodeAssign(payload)
-			case FrameResult:
-				_, err = DecodeResult(payload)
-			case FrameHeartbeat:
-				_, err = DecodeHeartbeat(payload)
-			}
-			typed(t, err)
+			decode(ft, payload)
 		}
 	})
+}
+
+// fixedPoint decodes data and, when that succeeds, fails the test
+// unless re-encoding and decoding again yields an equal value.
+func fixedPoint[T any](t *testing.T, data []byte, dec func([]byte) (T, error), enc func(T) []byte) error {
+	t.Helper()
+	v, err := dec(data)
+	if err != nil {
+		return err
+	}
+	if again, err := dec(enc(v)); err != nil || !reflect.DeepEqual(v, again) {
+		t.Fatalf("round trip is not a fixed point: %+v -> %+v, %v", v, again, err)
+	}
+	return nil
 }

@@ -10,6 +10,10 @@
 // results in index order. Worker count therefore affects wall-clock time
 // only, never output — the property the bench layer's byte-identical
 // output guarantee rests on.
+//
+// It also holds the two pieces of failure handling the fleet coordinator
+// and the serve shard supervisor share: JobPanic attribution (Cause) and
+// the jitter-free retry schedule (Backoff).
 package par
 
 import (
@@ -17,6 +21,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // JobPanic is the panic value Do re-raises when a job panics: the
@@ -36,6 +41,15 @@ type JobPanic struct {
 // values flow into error-shaped supervision paths unchanged.
 func (p JobPanic) Error() string {
 	return fmt.Sprintf("par: job %d panicked: %v", p.Index, p.Value)
+}
+
+// Cause unwraps a recovered panic value: a JobPanic yields its original
+// value and failing job index, any other value itself and index -1.
+func Cause(r any) (value any, index int) {
+	if jp, ok := r.(JobPanic); ok {
+		return jp.Value, jp.Index
+	}
+	return r, -1
 }
 
 // wrap boxes a recovered panic value with its job index, passing
@@ -144,4 +158,24 @@ func Map[T any](workers int, jobs []func() T) []T {
 	out := make([]T, len(jobs))
 	Do(workers, len(jobs), func(i int) { out[i] = jobs[i]() })
 	return out
+}
+
+// Default retry schedule for the supervisors' Backoff.
+const (
+	DefaultBackoffBase = 10 * time.Millisecond
+	DefaultBackoffCap  = 2 * time.Second
+)
+
+// Backoff is the deterministic, jitter-free delay before retry n
+// (1-based): min(base<<(n-1), cap), and 0 for n <= 0. No jitter means a
+// replayed fault schedule replays the exact recovery timeline too.
+func Backoff(base, cap time.Duration, n int) time.Duration {
+	if n <= 0 {
+		return 0
+	}
+	d := base
+	for i := 1; i < n && d < cap; i++ {
+		d <<= 1
+	}
+	return min(d, cap)
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -145,4 +146,49 @@ func TestJobPanicNoDoubleWrap(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestBackoff pins the supervisors' shared jitter-free retry schedule:
+// nothing before the first failure, doubling from the base, and the cap
+// reached and held however many failures follow.
+func TestBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	cases := []struct {
+		base, cap time.Duration
+		n         int
+		want      time.Duration
+	}{
+		{10 * ms, 2 * time.Second, -1, 0},
+		{10 * ms, 2 * time.Second, 0, 0},
+		{10 * ms, 2 * time.Second, 1, 10 * ms},
+		{10 * ms, 2 * time.Second, 2, 20 * ms},
+		{10 * ms, 2 * time.Second, 3, 40 * ms},
+		{10 * ms, 2 * time.Second, 4, 80 * ms},
+		{10 * ms, 2 * time.Second, 60, 2 * time.Second},
+		{10 * ms, 60 * ms, 1, 10 * ms},
+		{10 * ms, 60 * ms, 2, 20 * ms},
+		{10 * ms, 60 * ms, 3, 40 * ms},
+		{10 * ms, 60 * ms, 4, 60 * ms},
+		{10 * ms, 60 * ms, 5, 60 * ms},
+		{10 * ms, 60 * ms, 60, 60 * ms},
+		{DefaultBackoffBase, DefaultBackoffCap, 1, 10 * ms},
+		{DefaultBackoffBase, DefaultBackoffCap, 60, 2 * time.Second},
+	}
+	for _, tc := range cases {
+		if got := Backoff(tc.base, tc.cap, tc.n); got != tc.want {
+			t.Errorf("Backoff(%v, %v, %d) = %v, want %v", tc.base, tc.cap, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestCause pins how supervisors attribute a recovered panic: a
+// JobPanic yields its original value and index, anything else itself
+// and -1.
+func TestCause(t *testing.T) {
+	if v, i := Cause(JobPanic{Index: 5, Value: "boom"}); v != "boom" || i != 5 {
+		t.Errorf("Cause(JobPanic{5, boom}) = %v, %d", v, i)
+	}
+	if v, i := Cause("plain"); v != "plain" || i != -1 {
+		t.Errorf("Cause(plain) = %v, %d", v, i)
+	}
 }

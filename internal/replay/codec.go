@@ -1,8 +1,6 @@
 package replay
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -106,7 +104,8 @@ func Decode(data []byte) (*Trace, error) {
 	if len(data) < len(traceMagic) || string(data[:4]) != string(traceMagic[:]) {
 		return nil, ErrBadMagic
 	}
-	if v, n := binary.Uvarint(data[4:]); n > 0 && v != FormatVersion {
+	peek := wire.NewReader(data[4:])
+	if v := peek.Uvarint(); peek.Err() == nil && v != FormatVersion {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, v, FormatVersion)
 	}
 	r := wire.NewReader(data)
@@ -134,7 +133,7 @@ func Decode(data []byte) (*Trace, error) {
 		e.Cost = r.Uvarint()
 		e.Err = ErrCode(byteField(r, "err"))
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, codecErr(err))
+			return nil, fmt.Errorf("event %d: %w", i, wire.Retype(err, ErrTruncated, ErrBadRecord))
 		}
 		t.Events = append(t.Events, e)
 	}
@@ -147,17 +146,9 @@ func Decode(data []byte) (*Trace, error) {
 		r.Failf("bad end-state marker %d", marker)
 	}
 	if err := r.Done(); err != nil {
-		return nil, codecErr(err)
+		return nil, wire.Retype(err, ErrTruncated, ErrBadRecord)
 	}
 	return t, nil
-}
-
-// codecErr re-types a wire failure with the trace format's sentinels.
-func codecErr(err error) error {
-	if errors.Is(err, wire.ErrTruncated) {
-		return fmt.Errorf("%w: %w", ErrTruncated, err)
-	}
-	return fmt.Errorf("%w: %w", ErrBadRecord, err)
 }
 
 // smallInt reads a field that fits in an int and must be small (header

@@ -104,7 +104,8 @@ type Config struct {
 
 	// BackoffBase and BackoffCap shape the deterministic, jitter-free
 	// exponential retry schedule: attempt n sleeps
-	// min(BackoffBase<<(n-1), BackoffCap). Defaults 10ms / 2s.
+	// par.Backoff(BackoffBase, BackoffCap, n). Defaults
+	// par.DefaultBackoffBase/Cap (10ms / 2s).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 
@@ -153,10 +154,10 @@ func (c Config) normalized() Config {
 		c.CrashKinds = []chaos.CrashKind{chaos.CrashCore, chaos.CrashKernelPanic, chaos.CrashTornDomainMap}
 	}
 	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
+		c.BackoffBase = par.DefaultBackoffBase
 	}
 	if c.BackoffCap <= 0 {
-		c.BackoffCap = 2 * time.Second
+		c.BackoffCap = par.DefaultBackoffCap
 	}
 	return c
 }

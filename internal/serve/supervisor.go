@@ -304,7 +304,7 @@ func (s *Supervisor) recover(ctx context.Context) {
 		}
 		s.serveReg.Add("serve/retries", 1)
 		s.note(func(h *ShardHealth) { h.Retries++ })
-		time.Sleep(s.backoff(attempt))
+		time.Sleep(par.Backoff(s.cfg.BackoffBase, s.cfg.BackoffCap, attempt))
 	}
 }
 
@@ -385,19 +385,6 @@ func firstDelta(got, want []string) string {
 	return "none"
 }
 
-// backoff is the deterministic, jitter-free retry schedule:
-// min(BackoffBase << (attempt-1), BackoffCap).
-func (s *Supervisor) backoff(attempt int) time.Duration {
-	d := s.cfg.BackoffBase
-	for i := 1; i < attempt && d < s.cfg.BackoffCap; i++ {
-		d <<= 1
-	}
-	if d > s.cfg.BackoffCap {
-		d = s.cfg.BackoffCap
-	}
-	return d
-}
-
 // checkpoint takes the cadence checkpoint through the pressure model:
 // a pressure-failed write keeps the ring's older entries; a pressure-
 // corrupted write lands on disk to be caught by CRC at recovery time.
@@ -463,11 +450,8 @@ func (s *Supervisor) quarantine(err error) {
 func (s *Supervisor) guard(op int, phase string, f func()) (fail *ShardFailure) {
 	defer func() {
 		if r := recover(); r != nil {
-			fail = &ShardFailure{Shard: s.shard, Op: op, Phase: phase, Cause: r, JobIndex: -1}
-			if jp, ok := r.(par.JobPanic); ok {
-				fail.Cause = jp.Value
-				fail.JobIndex = jp.Index
-			}
+			cause, job := par.Cause(r)
+			fail = &ShardFailure{Shard: s.shard, Op: op, Phase: phase, Cause: cause, JobIndex: job}
 		}
 	}()
 	f()

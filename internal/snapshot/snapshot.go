@@ -335,10 +335,7 @@ func Decode(b []byte) (*State, error) {
 		}
 	}
 	if err := r.Done(); err != nil {
-		if errors.Is(err, wire.ErrTruncated) {
-			return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
-		}
-		return nil, fmt.Errorf("%w: %w", ErrBadRecord, err)
+		return nil, wire.Retype(err, ErrTruncated, ErrBadRecord)
 	}
 	if !sawMeta {
 		return nil, fmt.Errorf("%w: missing meta section", ErrBadRecord)

@@ -183,6 +183,20 @@ func (r *Reader) Failf(format string, args ...any) {
 	r.off = len(r.buf)
 }
 
+// Retype re-types a Reader failure with a format's own sentinels: an
+// ErrTruncated failure wraps truncated, any other wraps badRecord, and
+// both keep the wire error in the chain. It returns nil for nil.
+func Retype(err, truncated, badRecord error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, ErrTruncated):
+		return fmt.Errorf("%w: %w", truncated, err)
+	default:
+		return fmt.Errorf("%w: %w", badRecord, err)
+	}
+}
+
 // truncated records an ErrTruncated failure and stops the Reader.
 //
 //go:noinline

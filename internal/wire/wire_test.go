@@ -121,3 +121,20 @@ func TestMalformedFields(t *testing.T) {
 		t.Errorf("short float: got %v, want ErrTruncated", r.Err())
 	}
 }
+
+func TestRetype(t *testing.T) {
+	truncated, bad := errors.New("fmt: truncated"), errors.New("fmt: bad record")
+	if err := Retype(nil, truncated, bad); err != nil {
+		t.Fatalf("Retype(nil) = %v", err)
+	}
+	r := NewReader([]byte{0x80})
+	r.Uvarint()
+	if err := Retype(r.Err(), truncated, bad); !errors.Is(err, truncated) || errors.Is(err, bad) || !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated varint re-typed as %v", err)
+	}
+	r = NewReader(nil)
+	r.Failf("out of range")
+	if err := Retype(r.Err(), truncated, bad); !errors.Is(err, bad) || errors.Is(err, truncated) || !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("bad record re-typed as %v", err)
+	}
+}
