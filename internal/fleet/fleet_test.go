@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vdom/internal/par"
 )
 
 // testExec is the deterministic cell computation the harness tests
@@ -360,5 +362,33 @@ func TestWorkerRejectsGarbage(t *testing.T) {
 	err := Worker(in, io.Discard, WorkerConfig{ID: 0}, newHarness().exec)
 	if !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("garbage input = %v, want ErrBadMagic", err)
+	}
+}
+
+// TestBackoffDeterministic pins the coordinator's reassignment delay
+// under the default Config: nothing before the first failure, doubling
+// from 10ms, the 2s cap reached and held, and no jitter.
+func TestBackoffDeterministic(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	want := []time.Duration{
+		0,
+		10 * time.Millisecond,
+		20 * time.Millisecond,
+		40 * time.Millisecond,
+		80 * time.Millisecond,
+	}
+	for failures, w := range want {
+		if got := par.Backoff(cfg.BackoffBase, cfg.BackoffCap, failures); got != w {
+			t.Fatalf("Backoff(%d) = %v, want %v", failures, got, w)
+		}
+	}
+	if got := par.Backoff(cfg.BackoffBase, cfg.BackoffCap, 60); got != 2*time.Second {
+		t.Fatalf("Backoff(60) = %v, want cap 2s", got)
+	}
+	// Jitter-free: the schedule is a pure function of the attempt.
+	for i := 0; i < 3; i++ {
+		if par.Backoff(cfg.BackoffBase, cfg.BackoffCap, 3) != 40*time.Millisecond {
+			t.Fatal("Backoff is not deterministic")
+		}
 	}
 }
