@@ -28,7 +28,7 @@ func (epkBackend) Attach(inst *Instance, spec Spec) error {
 }
 
 func (epkBackend) AttachTap(inst *Instance, t tap.Tap)            { inst.EPK.SetTap(t) }
-func (epkBackend) SetMetrics(inst *Instance, r *metrics.Registry) {}
+func (epkBackend) SetMetrics(inst *Instance, r *metrics.Registry) { inst.EPK.SetMetrics(r) }
 
 func (epkBackend) EmitEnd(inst *Instance, emit func(string, uint64)) {
 	inst.EPK.Stats.Emit(emit)

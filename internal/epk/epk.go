@@ -18,6 +18,7 @@ package epk
 
 import (
 	"vdom/internal/cycles"
+	"vdom/internal/metrics"
 	"vdom/internal/tap"
 )
 
@@ -97,6 +98,7 @@ type System struct {
 	current    map[int]int // threadID → EPT group
 	tax        VMTax
 	tap        tap.Tap
+	metrics    *metrics.Registry
 
 	// Stats is exported for the experiment harness.
 	Stats Stats
@@ -105,6 +107,10 @@ type System struct {
 // SetTap attaches a trace recorder; completed domain switches arrive as
 // unified tap.Events (OpEpkSwitch). Pass nil (the default) to detach.
 func (s *System) SetTap(t tap.Tap) { s.tap = t }
+
+// SetMetrics installs (or, with nil, removes) the registry that receives
+// the cycles of every domain switch as ("epk", "switch").
+func (s *System) SetMetrics(r *metrics.Registry) { s.metrics = r }
 
 // NumDomains returns the domain capacity the system was created with.
 func (s *System) NumDomains() int { return s.numDomains }
@@ -137,6 +143,7 @@ func groupOf(domain int) int { return domain / KeysPerEPT }
 // the thread's current EPT group, a VMFUNC switch otherwise.
 func (s *System) Switch(threadID, domain int) (cost cycles.Cost) {
 	defer func() {
+		s.metrics.Attribute("epk", "switch", uint64(cost))
 		if s.tap != nil {
 			s.tap(tap.Event{Op: tap.OpEpkSwitch, TID: threadID, Dom: uint64(domain), Cost: cost})
 		}

@@ -2,11 +2,8 @@ package replay
 
 import (
 	"vdom/internal/backend"
-	"vdom/internal/core"
 	"vdom/internal/cycles"
-	"vdom/internal/epk"
 	"vdom/internal/kernel"
-	"vdom/internal/libmpk"
 	"vdom/internal/pagetable"
 	"vdom/internal/tap"
 )
@@ -14,9 +11,8 @@ import (
 // Recorder captures a domain-op trace by tapping the instrumented
 // layers. Every layer — the kernel's syscall boundary and every
 // registered backend's domain API — feeds the single unified TapEvent
-// sink; attach whichever layers the workload uses (AttachSystem wires a
-// whole booted Instance in one call), then drive the workload and call
-// Finish.
+// sink; attach the workload's layers with AttachSystem (or the kernel
+// alone with AttachKernel), then drive the workload and call Finish.
 //
 // The simulation is cooperatively scheduled — exactly one simulated
 // process runs at a time — so taps fire strictly sequentially and the
@@ -135,24 +131,6 @@ func (r *Recorder) AttachSystem(sys *System) {
 func (r *Recorder) AttachKernel(k *kernel.Kernel) {
 	r.sys.Kernel = k
 	k.SetTap(r.TapEvent)
-}
-
-// AttachManager taps the VDom core's public API.
-func (r *Recorder) AttachManager(m *core.Manager) {
-	r.sys.Manager = m
-	m.SetTap(r.TapEvent)
-}
-
-// AttachLibmpk taps the libmpk baseline's public API.
-func (r *Recorder) AttachLibmpk(m *libmpk.Manager) {
-	r.sys.Libmpk = m
-	m.SetTap(r.TapEvent)
-}
-
-// AttachEPK taps the EPK system's domain switches.
-func (r *Recorder) AttachEPK(s *epk.System) {
-	r.sys.EPK = s
-	s.SetTap(r.TapEvent)
 }
 
 // Spawn records a task creation. Workloads call it right after NewTask;

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vdom/internal/backend"
+	"vdom/internal/metrics"
 	"vdom/internal/replay"
 )
 
@@ -133,5 +134,36 @@ func TestReplayTraceRejectsForeign(t *testing.T) {
 	tr := &replay.Trace{Header: replay.Header{Workload: "httpd-vdom-x86"}}
 	if _, err := ReplayTrace(tr, replay.Options{}); err == nil {
 		t.Fatal("ReplayTrace accepted a non-scenario trace")
+	}
+}
+
+// TestRunCellAttributionExact is the scenario side of the metrics
+// invariant: for every cell of every bundled scenario on every kernel,
+// the registry's per-(layer, op) cycle attribution sums to exactly the
+// cell's independently summed Cycles — every kernel's domain layer
+// charges its own operations, so nothing is dropped.
+func TestRunCellAttributionExact(t *testing.T) {
+	for _, s := range Library() {
+		for _, kern := range backend.Names() {
+			plan, err := Compile(s, kern)
+			if err != nil {
+				t.Fatalf("compile %s × %s: %v", s.Name, kern, err)
+			}
+			plan.Quick()
+			for _, c := range plan.Cells {
+				reg := metrics.New()
+				res, err := RunCell(c, CellOptions{Metrics: reg})
+				if err != nil {
+					t.Fatalf("%s × %s cell %s/%d: %v", s.Name, kern, c.Phase, c.Step, err)
+				}
+				if reg.TotalCycles() != res.Cycles {
+					t.Errorf("%s × %s cell %s/%d: registry attributes %d cycles, cell measured %d",
+						s.Name, kern, c.Phase, c.Step, reg.TotalCycles(), res.Cycles)
+				}
+				if err := reg.Snapshot().CheckConsistency(); err != nil {
+					t.Errorf("%s × %s cell %s/%d: %v", s.Name, kern, c.Phase, c.Step, err)
+				}
+			}
+		}
 	}
 }

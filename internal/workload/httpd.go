@@ -162,16 +162,7 @@ func RunHttpd(cfg HttpdConfig) HttpdResult {
 		edoms = newEPKDomains(esys)
 	}
 	if rec := cfg.Record; rec != nil {
-		rec.AttachKernel(pl.kernel)
-		if mgr != nil {
-			rec.AttachManager(mgr)
-		}
-		if lbm != nil {
-			rec.AttachLibmpk(lbm)
-		}
-		if esys != nil {
-			rec.AttachEPK(esys)
-		}
+		rec.AttachSystem(&replay.System{Kernel: pl.kernel, Proc: pl.proc, Manager: mgr, Libmpk: lbm, EPK: esys})
 	}
 
 	// Spawn workers, round-robin over cores.

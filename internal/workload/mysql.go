@@ -141,16 +141,7 @@ func RunMySQL(cfg MySQLConfig) MySQLResult {
 		engineEPK = 0
 	}
 	if rec := cfg.Record; rec != nil {
-		rec.AttachKernel(pl.kernel)
-		if mgr != nil {
-			rec.AttachManager(mgr)
-		}
-		if lbm != nil {
-			rec.AttachLibmpk(lbm)
-		}
-		if esys != nil {
-			rec.AttachEPK(esys)
-		}
+		rec.AttachSystem(&replay.System{Kernel: pl.kernel, Proc: pl.proc, Manager: mgr, Libmpk: lbm, EPK: esys})
 	}
 
 	setupTask := pl.proc.NewTask(0)

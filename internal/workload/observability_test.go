@@ -16,7 +16,7 @@ import (
 func TestMetricsAttributionExact(t *testing.T) {
 	for _, sys := range []PatternSystem{
 		PatternVDomSecure, PatternVDomFast, PatternVDomEvict,
-		PatternLibmpk, PatternEPK,
+		PatternLibmpk, PatternEPK, PatternDPTI,
 	} {
 		for _, pat := range []Pattern{Sequential, SwitchTriggering} {
 			reg := metrics.New()

@@ -3,13 +3,10 @@ package workload
 import (
 	"fmt"
 
+	"vdom/internal/backend"
 	"vdom/internal/core"
 	"vdom/internal/cycles"
-	"vdom/internal/dpti"
-	"vdom/internal/epk"
-	"vdom/internal/hw"
 	"vdom/internal/kernel"
-	"vdom/internal/libmpk"
 	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
 	"vdom/internal/replay"
@@ -89,7 +86,7 @@ type PatternConfig struct {
 	// Rounds of measurement after warm-up (default 12 + 3 warm-up).
 	Rounds int
 
-	// Ablation knobs (VDom rows only).
+	// Ablation knobs (VDom rows; NoASID also applies to DPTI rows).
 
 	// NoASID disables ASID tagging: every pgd switch flushes the TLB.
 	NoASID bool
@@ -103,11 +100,9 @@ type PatternConfig struct {
 	// Observability (both optional; nil costs nothing).
 
 	// Metrics, when non-nil, is attached to every instrumented layer of
-	// the cell's system. The runner additionally attributes
-	// harness-level costs the layers do not cover (EPK switches) so the
-	// registry's cycle attribution sums to exactly the cell's
-	// TotalCycles, and harvests each layer's event counters when the
-	// cell finishes.
+	// the cell's system, so the registry's cycle attribution sums to
+	// exactly the cell's TotalCycles; the runner harvests each layer's
+	// event counters when the cell finishes.
 	Metrics *metrics.Registry
 	// Trace, when non-nil, receives one Chrome-trace decision span per
 	// domain-activation outcome (map/evict/switch/migrate for VDom
@@ -138,9 +133,6 @@ type PatternResult struct {
 	TotalCycles uint64
 }
 
-// pmPages is the page count of each 2 MiB benchmark vdom.
-const pmPages = pagetable.PMDSize / pagetable.PageSize
-
 // order returns the access order for one round.
 func order(p Pattern, n int) []int {
 	idx := make([]int, 0, n)
@@ -166,166 +158,181 @@ func order(p Pattern, n int) []int {
 	return idx
 }
 
-// RunPattern executes one Table 4 cell.
-func RunPattern(cfg PatternConfig) PatternResult {
+// defaults fills the unset knobs; RunPattern and patternHeader both
+// apply it, so a cell and its trace header agree.
+func (cfg *PatternConfig) defaults() {
 	if cfg.Rounds == 0 {
 		cfg.Rounds = 12
 	}
-	const warmup = 3
-	switch cfg.System {
-	case PatternEPK:
-		return runPatternEPK(cfg, warmup)
-	case PatternLibmpk:
-		return runPatternLibmpk(cfg, warmup)
-	case PatternDPTI:
-		return runPatternDPTI(cfg, warmup)
-	default:
-		return runPatternVDom(cfg, warmup)
-	}
 }
 
-func runPatternVDom(cfg PatternConfig, warmup int) PatternResult {
-	pol := core.DefaultPolicy()
-	// The paper's X86f and X86e rows use the fast API; X86s the secure
-	// call gate.
-	pol.SecureGate = cfg.System == PatternVDomSecure
-	pol.StrictLRU = cfg.StrictLRU
-	pol.NoPMDOpt = cfg.NoPMDOpt
-	if cfg.FlushThresholdPages != 0 {
-		pol.RangeFlushThresholdPages = cfg.FlushThresholdPages
+// patternWarmup is the number of unmeasured rounds before the Rounds
+// measured ones.
+const patternWarmup = 3
+
+// RunPattern executes one Table 4 cell: it boots the cell's platform
+// from its trace header and drives it through the backend's kernel-
+// neutral DomainOps adapter. Each domain is a fully populated 2 MiB
+// region; every round activates each domain in the pattern's order,
+// touches it (VDom and DPTI rows), and deactivates it again.
+func RunPattern(cfg PatternConfig) PatternResult {
+	cfg.defaults()
+	sys, err := replay.Boot(patternHeader(cfg, ""))
+	if err != nil {
+		panic(err)
 	}
-	mach := hw.NewMachine(hw.Config{Arch: cfg.Arch, NumCores: 2, TLBCapacity: 0, NoASID: cfg.NoASID})
-	k := kernel.New(kernel.Config{Machine: mach, VDomEnabled: true})
-	proc := k.NewProcess()
-	mgr := core.Attach(proc, pol)
+	b := backend.Of(sys)
+	ops := b.Ops(sys)
 	rec := cfg.Record
 	if rec != nil {
-		rec.AttachKernel(k)
-		rec.AttachManager(mgr)
+		rec.AttachSystem(sys)
 	}
-	task := proc.NewTask(0)
-	if rec != nil {
-		rec.Spawn(task)
+	// EPK cells are a standalone cost model: no process, no task, and no
+	// page-level setup.
+	var task *kernel.Task
+	if sys.Proc != nil {
+		task = sys.Proc.NewTask(0)
+		if rec != nil {
+			rec.Spawn(task)
+		}
+		sys.Kernel.SetMetrics(cfg.Metrics)
 	}
-	k.SetMetrics(cfg.Metrics)
-	mgr.SetMetrics(cfg.Metrics)
+	b.SetMetrics(sys, cfg.Metrics)
 
 	// grand is the cell's cumulative cycle clock; every observed cost is
 	// funnelled through add so PatternResult.TotalCycles and the trace
 	// timestamps agree.
 	var grand uint64
-	add := func(c cycles.Cost) cycles.Cost { grand += uint64(c); return c }
-	if cfg.Trace != nil {
-		mgr.SetTracer(func(e core.Event) {
-			cfg.Trace.Decision(e.Kind.String(), e.TID, grand, uint64(e.Cost), map[string]uint64{
-				"vdom": uint64(e.Vdom), "vds": uint64(e.VDS), "pdom": uint64(e.Pdom),
+	add := func(c cycles.Cost, err error) cycles.Cost {
+		if err != nil {
+			panic(err)
+		}
+		grand += uint64(c)
+		return c
+	}
+	// span emits a baseline's activation decision; VDom rows trace
+	// through the manager's own decision events instead.
+	span := func(id uint64, c cycles.Cost) {}
+	if tr := cfg.Trace; tr != nil {
+		name, tid, arg := "", 0, "domain"
+		switch cfg.System {
+		case PatternLibmpk:
+			name, arg = "pkey-set", "vkey"
+		case PatternEPK:
+			name = "ept-switch"
+		case PatternDPTI:
+			name, tid = "dpti-enter", task.TID()
+		default:
+			sys.Manager.SetTracer(func(e core.Event) {
+				tr.Decision(e.Kind.String(), e.TID, grand, uint64(e.Cost), map[string]uint64{
+					"vdom": uint64(e.Vdom), "vds": uint64(e.VDS), "pdom": uint64(e.Pdom),
+				})
 			})
-		})
+		}
+		if name != "" {
+			span = func(id uint64, c cycles.Cost) {
+				tr.Decision(name, tid, grand, uint64(c), map[string]uint64{arg: id})
+			}
+		}
 	}
 
-	nas := 0
-	if cfg.System == PatternVDomEvict {
-		nas = 1
-	} else {
+	// The VDom thread gets one address space per UsablePdomsPerVDS
+	// domains plus a spare (the evicting rows get exactly one); the
+	// baselines ignore n.
+	nas := 1
+	if cfg.System != PatternVDomEvict {
 		nas = (cfg.NumVdoms+core.UsablePdomsPerVDS-1)/core.UsablePdomsPerVDS + 1
 	}
-	if c, err := mgr.VdrAlloc(task, nas); err != nil {
-		panic(err)
-	} else {
-		add(c)
-	}
+	add(ops.PrepareThread(task, nas))
 
 	// populate pre-faults a domain's pages; it returns a page count, not
 	// a cycle cost, so nothing is charged.
 	populate := func(t *pagetable.Table, base pagetable.VAddr) {
-		if _, err := proc.AS().Populate(t, base, pagetable.PMDSize); err != nil {
+		if _, err := sys.Proc.AS().Populate(t, base, pagetable.PMDSize); err != nil {
 			panic(err)
 		}
 		if rec != nil {
-			rec.Populate(task, base, pagetable.PMDSize, t != proc.AS().Shadow())
+			rec.Populate(task, base, pagetable.PMDSize, t != sys.Proc.AS().Shadow())
 		}
 	}
 
-	doms := make([]core.VdomID, cfg.NumVdoms)
+	ids := make([]uint64, cfg.NumVdoms)
 	bases := make([]pagetable.VAddr, cfg.NumVdoms)
 	next := pagetable.VAddr(0x30_0000_0000)
-	for i := range doms {
+	for i := range ids {
 		base := next
 		next += pagetable.PMDSize * 4
-		if c, err := task.Mmap(base, pagetable.PMDSize, true); err != nil {
-			panic(err)
-		} else {
-			add(c)
-		}
-		var c cycles.Cost
-		doms[i], c = mgr.AllocVdom(false)
-		add(c)
 		bases[i] = base
-		if c, err := mgr.Mprotect(task, base, pagetable.PMDSize, doms[i]); err != nil {
-			panic(err)
-		} else {
-			add(c)
+		if task != nil {
+			add(task.Mmap(base, pagetable.PMDSize, true))
 		}
+		id, c, err := ops.Alloc(task)
+		add(c, err)
+		ids[i] = id
+		if task == nil {
+			continue
+		}
+		add(ops.Protect(task, base, pagetable.PMDSize, id))
 		// Populate the pages in the shadow so evictions work on fully
-		// present 512-page domains, as the paper's benchmark does.
-		populate(proc.AS().Shadow(), base)
-		// Activate once and populate the domain's home VDS so later
-		// evictions disable all 512 pages.
-		if c, err := mgr.WrVdr(task, doms[i], core.VPermReadWrite); err != nil {
-			panic(err)
-		} else {
-			add(c)
-		}
-		populate(mgr.VDROf(task).Current().Table(), base)
-		if c, err := task.Access(base, true); err != nil {
-			panic(err)
-		} else {
-			add(c)
-		}
-		if c, err := mgr.WrVdr(task, doms[i], core.VPermNone); err != nil {
-			panic(err)
-		} else {
-			add(c)
+		// present 512-page domains, as the paper's benchmark does. Each
+		// DPTI domain's own table still demand-fills on first touch after
+		// an Enter — the page-walk pressure that defines that baseline.
+		populate(sys.Proc.AS().Shadow(), base)
+		if sys.Manager != nil {
+			// Activate once and populate the domain's home VDS so later
+			// evictions disable all 512 pages.
+			add(ops.Activate(task, id))
+			populate(sys.Manager.VDROf(task).Current().Table(), base)
+			add(task.Access(base, true))
+			add(ops.Deactivate(task, id))
 		}
 	}
 
+	// Each VDom and DPTI activation is followed by accesses spread across
+	// the domain, as the paper's benchmark "accesses" its 2 MiB vdoms;
+	// for DPTI they pay the pgd reload and the cold-TLB refill of the
+	// fresh address space. libmpk and EPK rows measure the switch alone
+	// (libmpk's eviction costs depend on the TLB state accesses leave).
+	touches := 4
+	if cfg.System == PatternLibmpk || cfg.System == PatternEPK {
+		touches = 0
+	}
 	idx := order(cfg.Pattern, cfg.NumVdoms)
 	var total, touchTotal cycles.Cost
 	activations := 0
-	// Each activation is followed by accesses spread across the domain,
-	// as the paper's benchmark "accesses" its 2 MiB vdoms.
-	const touches = 4
-	for r := 0; r < warmup+cfg.Rounds; r++ {
+	for r := 0; r < patternWarmup+cfg.Rounds; r++ {
 		for _, i := range idx {
-			c, err := mgr.WrVdr(task, doms[i], core.VPermReadWrite)
-			if err != nil {
-				panic(err)
-			}
-			add(c)
+			c, err := ops.Activate(task, ids[i])
+			span(ids[i], c)
+			add(c, err)
 			var tc cycles.Cost
 			for k := 0; k < touches; k++ {
-				step := pagetable.VAddr(k) * (pagetable.PMDSize / touches)
-				a, err := task.Access(bases[i]+step, true)
-				if err != nil {
-					panic(err)
-				}
-				add(a)
-				tc += a
+				step := pagetable.VAddr(k) * (pagetable.PMDSize / pagetable.VAddr(touches))
+				tc += add(task.Access(bases[i]+step, true))
 			}
-			if r >= warmup {
+			if r >= patternWarmup {
 				total += c
 				touchTotal += tc
 				activations++
 			}
-			if c, err := mgr.WrVdr(task, doms[i], core.VPermNone); err != nil {
-				panic(err)
-			} else {
-				add(c)
-			}
+			add(ops.Deactivate(task, ids[i]))
 		}
 	}
 	if cfg.Metrics != nil {
-		cfg.Metrics.Accumulate(mach, proc.AS(), k)
+		if sys.Proc != nil {
+			cfg.Metrics.Accumulate(sys.Machine, sys.Proc.AS(), sys.Kernel)
+		}
+		// The baselines also publish their own counters. VDom rows emit
+		// no core/ counters: the Table 4 metrics snapshots are pinned
+		// without them.
+		switch {
+		case sys.Libmpk != nil:
+			sys.Libmpk.Stats.Emit(cfg.Metrics.Add)
+		case sys.DPTI != nil:
+			sys.DPTI.Stats.Emit(cfg.Metrics.Add)
+		case sys.EPK != nil:
+			sys.EPK.Stats.Emit(cfg.Metrics.Add)
+		}
 	}
 	return PatternResult{
 		Config:         cfg,
@@ -334,213 +341,4 @@ func runPatternVDom(cfg PatternConfig, warmup int) PatternResult {
 		Activations:    activations,
 		TotalCycles:    grand,
 	}
-}
-
-func runPatternLibmpk(cfg PatternConfig, warmup int) PatternResult {
-	mach := hw.NewMachine(hw.Config{Arch: cfg.Arch, NumCores: 2, TLBCapacity: 0})
-	k := kernel.New(kernel.Config{Machine: mach, VDomEnabled: false})
-	proc := k.NewProcess()
-	m := libmpk.Attach(proc, nil)
-	rec := cfg.Record
-	if rec != nil {
-		rec.AttachKernel(k)
-		rec.AttachLibmpk(m)
-	}
-	task := proc.NewTask(0)
-	if rec != nil {
-		rec.Spawn(task)
-	}
-	k.SetMetrics(cfg.Metrics)
-	m.SetMetrics(cfg.Metrics)
-
-	var grand uint64
-	add := func(c cycles.Cost) cycles.Cost { grand += uint64(c); return c }
-
-	keys := make([]libmpk.Vkey, cfg.NumVdoms)
-	next := pagetable.VAddr(0x30_0000_0000)
-	for i := range keys {
-		base := next
-		next += pagetable.PMDSize * 4
-		if c, err := task.Mmap(base, pagetable.PMDSize, true); err != nil {
-			panic(err)
-		} else {
-			add(c)
-		}
-		var c cycles.Cost
-		keys[i], c = m.PkeyAlloc()
-		add(c)
-		if c, err := m.PkeyMprotect(nil, task, base, pagetable.PMDSize, keys[i]); err != nil {
-			panic(err)
-		} else {
-			add(c)
-		}
-		if _, err := proc.AS().Populate(proc.AS().Shadow(), base, pagetable.PMDSize); err != nil {
-			panic(err)
-		}
-		if rec != nil {
-			rec.Populate(task, base, pagetable.PMDSize, false)
-		}
-	}
-
-	// libmpk's eviction-based design performs identically under both
-	// patterns (§7.5), so the order is irrelevant; we honour it anyway.
-	idx := order(cfg.Pattern, cfg.NumVdoms)
-	var total cycles.Cost
-	activations := 0
-	for r := 0; r < warmup+cfg.Rounds; r++ {
-		for _, i := range idx {
-			c, err := m.PkeySet(nil, task, keys[i], hw.PermReadWrite)
-			if err != nil {
-				panic(err)
-			}
-			if cfg.Trace != nil {
-				cfg.Trace.Decision("pkey-set", 0, grand, uint64(c), map[string]uint64{"vkey": uint64(keys[i])})
-			}
-			add(c)
-			if r >= warmup {
-				total += c
-				activations++
-			}
-			if c, err := m.PkeySet(nil, task, keys[i], hw.PermNone); err != nil {
-				panic(err)
-			} else {
-				add(c)
-			}
-		}
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Accumulate(mach, proc.AS(), k)
-		m.Stats.Emit(cfg.Metrics.Add)
-	}
-	return PatternResult{Config: cfg, AvgCycles: float64(total) / float64(activations), Activations: activations, TotalCycles: grand}
-}
-
-func runPatternDPTI(cfg PatternConfig, warmup int) PatternResult {
-	mach := hw.NewMachine(hw.Config{Arch: cfg.Arch, NumCores: 2, TLBCapacity: 0, NoASID: cfg.NoASID})
-	k := kernel.New(kernel.Config{Machine: mach, VDomEnabled: false})
-	proc := k.NewProcess()
-	m := dpti.Attach(proc)
-	rec := cfg.Record
-	if rec != nil {
-		rec.AttachSystem(&replay.System{Kernel: k, Proc: proc, DPTI: m})
-	}
-	task := proc.NewTask(0)
-	if rec != nil {
-		rec.Spawn(task)
-	}
-	k.SetMetrics(cfg.Metrics)
-	m.SetMetrics(cfg.Metrics)
-
-	var grand uint64
-	add := func(c cycles.Cost) cycles.Cost { grand += uint64(c); return c }
-
-	doms := make([]dpti.DomainID, cfg.NumVdoms)
-	bases := make([]pagetable.VAddr, cfg.NumVdoms)
-	next := pagetable.VAddr(0x30_0000_0000)
-	for i := range doms {
-		base := next
-		next += pagetable.PMDSize * 4
-		if c, err := task.Mmap(base, pagetable.PMDSize, true); err != nil {
-			panic(err)
-		} else {
-			add(c)
-		}
-		var c cycles.Cost
-		doms[i], c = m.AllocDomain()
-		add(c)
-		bases[i] = base
-		if c, err := m.Protect(task, base, pagetable.PMDSize, doms[i]); err != nil {
-			panic(err)
-		} else {
-			add(c)
-		}
-		// Pre-fault in the shadow so every domain is fully present there;
-		// each domain's own table still demand-fills on first touch after
-		// an Enter — the page-walk pressure that defines this baseline.
-		if _, err := proc.AS().Populate(proc.AS().Shadow(), base, pagetable.PMDSize); err != nil {
-			panic(err)
-		}
-		if rec != nil {
-			rec.Populate(task, base, pagetable.PMDSize, false)
-		}
-	}
-
-	idx := order(cfg.Pattern, cfg.NumVdoms)
-	var total, touchTotal cycles.Cost
-	activations := 0
-	const touches = 4
-	for r := 0; r < warmup+cfg.Rounds; r++ {
-		for _, i := range idx {
-			c, err := m.Enter(task, doms[i])
-			if err != nil {
-				panic(err)
-			}
-			if cfg.Trace != nil {
-				cfg.Trace.Decision("dpti-enter", task.TID(), grand, uint64(c), map[string]uint64{"domain": uint64(doms[i])})
-			}
-			add(c)
-			// The accesses after the switch pay the pgd reload and the
-			// cold-TLB refill of the fresh address space.
-			var tc cycles.Cost
-			for j := 0; j < touches; j++ {
-				step := pagetable.VAddr(j) * (pagetable.PMDSize / touches)
-				a, err := task.Access(bases[i]+step, true)
-				if err != nil {
-					panic(err)
-				}
-				add(a)
-				tc += a
-			}
-			if r >= warmup {
-				total += c
-				touchTotal += tc
-				activations++
-			}
-			if c, err := m.Exit(task); err != nil {
-				panic(err)
-			} else {
-				add(c)
-			}
-		}
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Accumulate(mach, proc.AS(), k)
-		m.Stats.Emit(cfg.Metrics.Add)
-	}
-	return PatternResult{
-		Config:         cfg,
-		AvgCycles:      float64(total) / float64(activations),
-		AvgTouchCycles: float64(touchTotal) / float64(activations),
-		Activations:    activations,
-		TotalCycles:    grand,
-	}
-}
-
-func runPatternEPK(cfg PatternConfig, warmup int) PatternResult {
-	sys := epk.New(cfg.NumVdoms, epk.DefaultVMTax())
-	if cfg.Record != nil {
-		cfg.Record.AttachEPK(sys)
-	}
-	idx := order(cfg.Pattern, cfg.NumVdoms)
-	var grand uint64
-	var total cycles.Cost
-	activations := 0
-	for r := 0; r < warmup+cfg.Rounds; r++ {
-		for _, i := range idx {
-			c := sys.Switch(0, i)
-			if cfg.Trace != nil {
-				cfg.Trace.Decision("ept-switch", 0, grand, uint64(c), map[string]uint64{"domain": uint64(i)})
-			}
-			cfg.Metrics.Attribute("epk", "switch", uint64(c))
-			grand += uint64(c)
-			if r >= warmup {
-				total += c
-				activations++
-			}
-		}
-	}
-	if cfg.Metrics != nil {
-		sys.Stats.Emit(cfg.Metrics.Add)
-	}
-	return PatternResult{Config: cfg, AvgCycles: float64(total) / float64(activations), Activations: activations, TotalCycles: grand}
 }

@@ -117,16 +117,7 @@ func RunPMO(cfg PMOConfig) PMOResult {
 		esys = epk.New(cfg.NumPMOs, epk.DefaultVMTax())
 	}
 	if rec := cfg.Record; rec != nil {
-		rec.AttachKernel(pl.kernel)
-		if mgr != nil {
-			rec.AttachManager(mgr)
-		}
-		if lbm != nil {
-			rec.AttachLibmpk(lbm)
-		}
-		if esys != nil {
-			rec.AttachEPK(esys)
-		}
+		rec.AttachSystem(&replay.System{Kernel: pl.kernel, Proc: pl.proc, Manager: mgr, Libmpk: lbm, EPK: esys})
 	}
 
 	// Map and protect the PMOs.

@@ -16,14 +16,14 @@ import (
 // the golden-trace corpus the regression tests and `vdom-bench record`
 // re-record.
 
-// patternHeader describes a Table 4 cell's platform. Pattern cells are
-// single-threaded and seedless; VDom and libmpk cells run on the
-// fixed 2-core measurement machine, EPK cells are a standalone cost
-// model (Cores == 0 tells replay.boot to skip the machine).
+// patternHeader describes a Table 4 cell's platform, and is the only
+// description of it: RunPattern boots every cell from this header.
+// Pattern cells are single-threaded and seedless; VDom, libmpk and DPTI
+// cells run on the fixed 2-core measurement machine, EPK cells are a
+// standalone cost model (Cores == 0 tells replay.Boot to skip the
+// machine). libmpk ignores NoASID.
 func patternHeader(cfg PatternConfig, name string) replay.Header {
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 12
-	}
+	cfg.defaults()
 	h := replay.Header{
 		Arch:     replay.ArchName(cfg.Arch),
 		Workload: name,
