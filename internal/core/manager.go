@@ -233,6 +233,10 @@ type Manager struct {
 	// attributes only the uncovered remainder, so the registry's total
 	// always equals the sum of the costs returned to callers.
 	charged uint64
+
+	// retagASIDs is flushRetagged's scratch list. Only its capacity
+	// outlives a call, so a warm flush does not allocate.
+	retagASIDs []tlb.ASID
 }
 
 // SetChaos attaches a fault-injection layer. Pass nil to detach.
@@ -446,8 +450,8 @@ func (m *Manager) Mprotect(task *kernel.Task, addr pagetable.VAddr, length uint6
 	start := addr.PageAlign()
 	end := (addr + pagetable.VAddr(length) + pagetable.PageSize - 1).PageAlign()
 	var conflict error
-	m.proc.AS().VMAs(func(v *mm.VMA) bool {
-		if v.Start >= end || v.End() <= start || v.Tag == 0 || VdomID(v.Tag) == d {
+	m.proc.AS().VMAsIn(start, end, func(v *mm.VMA) bool {
+		if v.Tag == 0 || VdomID(v.Tag) == d {
 			return true
 		}
 		// Areas owned by a LIVE vdom (or permanently sealed memory)
@@ -487,24 +491,18 @@ func (m *Manager) Mprotect(task *kernel.Task, addr pagetable.VAddr, length uint6
 func (m *Manager) flushRetagged(task *kernel.Task, start pagetable.VAddr, length uint64) cycles.Cost {
 	machine := m.proc.Kernel().Machine()
 	pages := length / pagetable.PageSize
-	seen := make(map[tlb.ASID]bool)
-	var asids []tlb.ASID
-	add := func(a tlb.ASID) {
-		if !seen[a] {
-			seen[a] = true
-			asids = append(asids, a)
-		}
-	}
+	asids := m.retagASIDs[:0]
 	set := hw.CPUSet(0).Add(task.CoreID())
 	for _, t := range m.proc.Tasks() {
-		add(t.BaseASID())
-		add(t.ASID())
+		asids = appendASID(asids, t.BaseASID())
+		asids = appendASID(asids, t.ASID())
 		set = set.Add(t.CoreID())
 	}
 	for _, vds := range m.vdses {
-		add(vds.asid)
+		asids = appendASID(asids, vds.asid)
 		set = set.Union(vds.cachedCores)
 	}
+	m.retagASIDs = asids
 	local := m.params.TLBFlushLocalPage * cycles.Cost(minU64(pages, 8))
 	rep := machine.ShootdownReliable(task.CoreID(), set, func(tb tlb.Cache) {
 		for _, a := range asids {
@@ -517,6 +515,18 @@ func (m *Manager) flushRetagged(task *kernel.Task, start pagetable.VAddr, length
 	m.attr("tlb", "flush", local)
 	m.attr("hw", "ipi", rep.InitiatorCycles-local)
 	return rep.InitiatorCycles
+}
+
+// appendASID appends a to asids unless it is already there, keeping
+// first-seen order. A process holds a handful of ASIDs, so a linear scan
+// beats hashing.
+func appendASID(asids []tlb.ASID, a tlb.ASID) []tlb.ASID {
+	for _, x := range asids {
+		if x == a {
+			return asids
+		}
+	}
+	return append(asids, a)
 }
 
 // VdrAlloc gives the thread a permission register and limits the number of

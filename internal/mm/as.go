@@ -133,8 +133,13 @@ func (as *AddressSpace) forget(v *VMA) {
 	}
 }
 
-// VMAs calls fn for every area in ascending order.
-func (as *AddressSpace) VMAs(fn func(*VMA) bool) { as.vmas.All(fn) }
+// VMAsIn calls fn, in ascending order, for every area intersecting
+// [start, end); returning false stops the walk. The cost is O(log n + k)
+// for k visited areas, so per-operation paths use it instead of a full
+// walk.
+func (as *AddressSpace) VMAsIn(start, end pagetable.VAddr, fn func(*VMA) bool) {
+	as.vmas.Range(start, end, fn)
+}
 
 // NumVMAs returns the number of areas.
 func (as *AddressSpace) NumVMAs() int { return as.vmas.Len() }

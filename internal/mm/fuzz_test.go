@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"slices"
 	"testing"
 
 	"vdom/internal/cycles"
@@ -36,7 +37,7 @@ func FuzzAddressSpaceOps(f *testing.F) {
 			// Invariant: areas never overlap and iterate in order.
 			var prevEnd pagetable.VAddr
 			ok := true
-			as.VMAs(func(v *VMA) bool {
+			as.vmas.All(func(v *VMA) bool {
 				if v.Start < prevEnd {
 					ok = false
 					return false
@@ -51,6 +52,14 @@ func FuzzAddressSpaceOps(f *testing.F) {
 			if !ok {
 				t.Fatal("VMA tree invariant violated")
 			}
+			// A window from the tape (possibly empty, inverted or not
+			// page-aligned): VMAsIn yields exactly the intersecting
+			// areas of the full walk, in order, as the same pointers.
+			wStart := pagetable.VAddr(uint64(tape[i+2])%144*pg + uint64(tape[i]>>2)%2*(pg/2))
+			wEnd := pagetable.VAddr(uint64(tape[i+1]^tape[i])%144*pg + uint64(tape[i]>>3)%2*(pg/2))
+			if got, want := rangeVMAs(as, wStart, wEnd), filterVMAs(as, wStart, wEnd); !slices.Equal(got, want) {
+				t.Fatalf("VMAsIn(%#x, %#x) = %v, want %v", uint64(wStart), uint64(wEnd), got, want)
+			}
 		}
 		// Every present shadow page must fall inside some VMA.
 		bad := false
@@ -63,4 +72,27 @@ func FuzzAddressSpaceOps(f *testing.F) {
 			t.Fatal("present page outside any VMA")
 		}
 	})
+}
+
+// rangeVMAs collects the areas VMAsIn visits for [start, end).
+func rangeVMAs(as *AddressSpace, start, end pagetable.VAddr) []*VMA {
+	var out []*VMA
+	as.VMAsIn(start, end, func(v *VMA) bool {
+		out = append(out, v)
+		return true
+	})
+	return out
+}
+
+// filterVMAs is the reference for rangeVMAs: the full walk filtered by
+// intersection with [start, end), which is empty when start >= end.
+func filterVMAs(as *AddressSpace, start, end pagetable.VAddr) []*VMA {
+	var out []*VMA
+	as.vmas.All(func(v *VMA) bool {
+		if start < end && v.Start < end && v.End() > start {
+			out = append(out, v)
+		}
+		return true
+	})
+	return out
 }

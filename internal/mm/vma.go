@@ -271,7 +271,8 @@ func (t *Tree) rangeFrom(n *rbNode, start, end pagetable.VAddr, fn func(*VMA) bo
 }
 
 // All calls fn for every VMA in ascending order. fn must not mutate the
-// tree.
+// tree. It is O(n) in the number of areas, so it suits whole-space passes
+// such as the snapshot codec, not per-operation paths; those use Range.
 func (t *Tree) All(fn func(*VMA) bool) {
 	t.allNode(t.root, fn)
 }

@@ -86,9 +86,11 @@ func TestTreeDuplicateInsertPanics(t *testing.T) {
 
 func TestTreeRange(t *testing.T) {
 	var tr Tree
-	// Areas: [10,14), [20,22), [30,31) in pages.
+	// Areas: [10,14), [20,22), [22,24), [30,31) in pages; the middle two
+	// touch.
 	tr.Insert(v(10, 4))
 	tr.Insert(v(20, 2))
+	tr.Insert(v(22, 2))
 	tr.Insert(v(30, 1))
 	collect := func(s, e int) []int {
 		var got []int
@@ -103,12 +105,18 @@ func TestTreeRange(t *testing.T) {
 		want []int
 	}{
 		{0, 5, nil},
-		{0, 100, []int{10, 20, 30}},
+		{0, 100, []int{10, 20, 22, 30}},
 		{12, 21, []int{10, 20}}, // starts inside first, ends inside second
-		{14, 20, nil},           // exactly the gap
+		{14, 20, nil},           // exactly the gap, adjacent on both sides
 		{13, 14, []int{10}},
 		{30, 31, []int{30}},
 		{31, 40, nil},
+		{12, 12, nil}, // empty
+		{21, 11, nil}, // inverted
+		{21, 22, []int{20}},
+		{22, 24, []int{22}}, // starts where a touching area ends
+		{21, 23, []int{20, 22}},
+		{24, 30, nil}, // adjacent on both sides
 	}
 	for _, c := range cases {
 		got := collect(c.s, c.e)
