@@ -416,15 +416,6 @@ func (as *AddressSpace) Populate(t *pagetable.Table, start pagetable.VAddr, leng
 	}
 	fresh := 0
 	end := start + pagetable.VAddr(length)
-	// Pre-size the leaf-node arrays for the 2 MiB chunks the run touches;
-	// a capacity hint only, invisible to counters and snapshots.
-	if end > start {
-		chunks := int((uint64((end-1).PMDAlign())-uint64(start.PMDAlign()))/pagetable.PMDSize) + 1
-		as.shadow.Reserve(chunks)
-		if t != as.shadow {
-			t.Reserve(chunks)
-		}
-	}
 	alloc := as.machine.AllocFrames
 	for addr := start; addr < end; {
 		v := as.FindVMA(addr)

@@ -1,6 +1,9 @@
 package pagetable
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 func BenchmarkWalkPresent(b *testing.B) {
 	pt := New()
@@ -41,5 +44,22 @@ func BenchmarkRetagRange64Pages(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pt.RetagRange(base, 64*PageSize, Pdom(2+i%2))
+	}
+}
+
+// BenchmarkMaterializeLeaves builds a fresh table with n leaves spread
+// over two puds and two pmds under each, one page mapped per leaf.
+func BenchmarkMaterializeLeaves(b *testing.B) {
+	for _, n := range []int{1, 16, 256} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pt := New()
+				for j := 0; j < n; j++ {
+					pt.Map(slabLeafAddr(j), Frame(j), true, 1)
+				}
+				tableSink = pt
+			}
+		})
 	}
 }

@@ -10,13 +10,24 @@
 // # Representation
 //
 // The radix levels are stored as index-addressed node arrays rather than
-// pointer-linked tables: every directory entry is an int32 index+1 into a
-// per-level node slice (0 means absent). The layout is pointer-free, so
-// the garbage collector never scans a table, installing an entry needs no
-// write barrier, and a walk is three array indexations. Nodes are never
-// freed — matching real hardware, where an unmapped-but-materialized page
-// table still adds a walk level — so indices stay stable for a table's
-// lifetime.
+// pointer-linked tables: every directory entry is a nonzero int32 that
+// locates its child in the next level's node store (0 means absent). The
+// nodes hold no pointers, so the garbage collector never scans them,
+// installing an entry needs no write barrier, and a walk is a handful of
+// array indexations. Nodes are never freed — matching real hardware,
+// where an unmapped-but-materialized page table still adds a walk level —
+// so entries stay valid for a table's lifetime.
+//
+// The pud and pmd levels are contiguous slices indexed by entry-1: a
+// table has few of them and they rarely grow. The leaf level, which grows
+// with every 2 MiB a table touches, lives in slabs that are never copied:
+// slab s holds 1<<s leaves up to a cap of 16 (64 KiB), and a pmd entry
+// holds the leaf's (slab<<4 | offset)+1. Materializing a leaf allocates
+// only when it opens a new slab, nothing is ever copied or zeroed twice,
+// and a leaf pointer stays valid for the table's lifetime. The doubling
+// keeps one-leaf tables at one 4 KiB allocation; the cap bounds the
+// unused tail of the last slab at 15 leaves. A leaf is exactly 4 KiB, a
+// Go size class, so small slabs waste nothing to rounding.
 //
 // Range operations (RetagRange, EvictRange, RemapRange, UnmapRange,
 // SetWritableRange) descend the radix once per leaf table instead of once
@@ -80,17 +91,6 @@ type PTE struct {
 	Pdom     Pdom
 }
 
-// indices splits a virtual address into its four radix indices
-// (pgd, pud, pmd, pt).
-func indices(a VAddr) (i3, i2, i1, i0 int) {
-	v := uint64(a)
-	i3 = int(v >> 39 & 0x1ff)
-	i2 = int(v >> 30 & 0x1ff)
-	i1 = int(v >> 21 & 0x1ff)
-	i0 = int(v >> 12 & 0x1ff)
-	return
-}
-
 // pudNode is one page-upper-directory: 512 pmd references.
 type pudNode struct {
 	pmds [EntriesPerTable]int32 // index+1 into Table.pmds; 0 = absent
@@ -99,7 +99,7 @@ type pudNode struct {
 // pmdNode is one page-middle-directory: 512 leaf-table references plus
 // the per-entry disabled bitmap of VDom's §5.5 eviction fast path.
 type pmdNode struct {
-	pts [EntriesPerTable]int32 // index+1 into Table.pts; 0 = absent
+	pts [EntriesPerTable]int32 // leaf handle (see Table.leaf); 0 = absent
 	// disabled marks PMD entries VDom has made access-never without
 	// touching the 512 PTEs underneath (§5.5 page-table optimization).
 	disabled [EntriesPerTable / 64]uint64
@@ -118,12 +118,11 @@ func (p *pmdNode) setDisabled(i1 int, v bool) {
 }
 
 // ptNode is one leaf page table. Entries are stored packed (one machine
-// word each, see packedPTE) so a leaf costs 4 KiB instead of 8: half the
-// zeroing when nodes materialize and half the bytes the allocator and
-// copier move as tables grow.
+// word each, see packedPTE) so a leaf costs exactly 4 KiB instead of 8:
+// half the zeroing when nodes materialize, and a size the allocator
+// serves without rounding.
 type ptNode struct {
-	ptes    [EntriesPerTable]packedPTE
-	present int32
+	ptes [EntriesPerTable]packedPTE
 }
 
 // packedPTE is the in-node encoding of a PTE: bit 0 present, bit 1
@@ -169,14 +168,20 @@ func (p packedPTE) unpack() PTE {
 }
 
 // Table is one address space's page table, rooted at a pgd. The radix is
-// index-addressed: pgd/pud/pmd entries hold int32 indices (offset by one,
-// zero meaning absent) into the node slices, so the whole structure is
+// index-addressed: pgd/pud/pmd entries hold int32 locations (offset by
+// one, zero meaning absent) in the node stores, so the nodes are
 // pointer-free and walks touch only dense arrays.
 type Table struct {
 	pgd  [EntriesPerTable]int32 // index+1 into puds; 0 = absent
 	puds []pudNode
 	pmds []pmdNode
-	pts  []ptNode
+	// leaves holds the leaf slabs. Slab s holds min(1<<s, leafSlabMax)
+	// leaves; its backing array is allocated whole when its first leaf
+	// materializes and its length counts the leaves in use. The slab
+	// directory starts on leafDir, so a table of up to len(leafDir)
+	// slabs allocates no directory.
+	leaves  [][]ptNode
+	leafDir [4][]ptNode
 
 	present int
 
@@ -201,7 +206,7 @@ type Table struct {
 	// the radix descent. curPT == 0 means no memo. Links from pmd to pt
 	// are never severed (Unmap keeps the skeleton), and every caller
 	// rechecks the disabled bit through the returned pmd, so the memo
-	// needs no invalidation; LoadState's full reset clears it.
+	// needs no invalidation; ReadState's full reset clears it.
 	curCoord uint64
 	curPT    int32
 	curPMD   int32
@@ -270,7 +275,7 @@ func (t *Table) Walk(a VAddr) WalkResult {
 	if ti == 0 {
 		return WalkResult{LevelsVisited: 3}
 	}
-	pte := t.pts[ti-1].ptes[v>>12&0x1ff]
+	pte := t.leaf(ti).ptes[v>>12&0x1ff]
 	return WalkResult{PTE: pte.unpack(), Present: pte&pteP != 0, LevelsVisited: 4}
 }
 
@@ -298,18 +303,51 @@ func (t *Table) ptOf(a VAddr) *ptNode {
 	if ti == 0 {
 		return nil
 	}
-	return &t.pts[ti-1]
+	return t.leaf(ti)
+}
+
+// leafSlabShift caps leaf slabs at leafSlabMax leaves (64 KiB). Slabs
+// double up to the cap, so a one-leaf table zeroes one leaf, and stay at
+// the cap after it, so no table zeroes more than leafSlabMax-1 leaves it
+// does not use (an uncapped doubling would zero 511 for 256).
+const (
+	leafSlabShift = 4
+	leafSlabMax   = 1 << leafSlabShift
+)
+
+// leaf resolves a leaf handle, (slab<<leafSlabShift | offset) + 1, to
+// its node.
+func (t *Table) leaf(h int32) *ptNode {
+	i := uint32(h) - 1
+	return &t.leaves[i>>leafSlabShift][i&(leafSlabMax-1)]
+}
+
+// newLeaf materializes one zero leaf and returns its handle. Only the
+// first leaf of a slab allocates; the rest of the slab is still the zero
+// memory the allocator handed out, so no leaf is ever copied or cleared
+// twice.
+func (t *Table) newLeaf() int32 {
+	s := len(t.leaves) - 1
+	if s < 0 || len(t.leaves[s]) == cap(t.leaves[s]) {
+		if t.leaves == nil {
+			t.leaves = t.leafDir[:0]
+		}
+		s++
+		t.leaves = append(t.leaves, make([]ptNode, 0, min(1<<s, leafSlabMax)))
+	}
+	off := len(t.leaves[s])
+	t.leaves[s] = t.leaves[s][:off+1]
+	return int32(s<<leafSlabShift|off) + 1
 }
 
 // appendNode appends one zero node to a directory-node array, growing the
-// backing array fourfold when full. Nodes are ~4 KiB each, so the default
-// doubling-one-at-a-time policy spends a surprising share of
-// table-construction time in growslice copies; a steeper curve trades a
-// little slack for far fewer moves. Within capacity it extends the length
-// without writing: nodes are only ever appended, never removed (LoadState
-// replaces the arrays wholesale), so the slack beyond len is still the
-// pristine zero memory the allocator handed out. Callers must not hold
-// node pointers across a call — indices stay stable, pointers do not.
+// backing array fourfold when full. Only the pud and pmd levels use it:
+// a table has few such nodes, so their occasional copy is cheap and keeps
+// the walk's first levels a single indexation each. Within capacity it
+// extends the length without writing: nodes are only ever appended, never
+// removed (ReadState replaces the arrays wholesale), so the slack beyond
+// len is still the pristine zero memory the allocator handed out. Pud and
+// pmd pointers do not survive a call; indices do.
 func appendNode[N any](nodes []N) []N {
 	if len(nodes) == cap(nodes) {
 		c := cap(nodes) * 4
@@ -323,64 +361,51 @@ func appendNode[N any](nodes []N) []N {
 	return nodes[: len(nodes)+1 : cap(nodes)]
 }
 
-// Reserve grows the leaf page-table node array's capacity so that the
-// next n installs allocate nothing. It is a host-side hint with no
-// architectural effect: no entry is written, no counter moves, and a
-// snapshot of the table is unchanged. Bulk-populate paths that know how
-// many 2 MiB chunks they are about to touch use it to replace the growth
-// curve's repeated allocate-and-copy with one exact allocation.
-func (t *Table) Reserve(n int) {
-	if cap(t.pts)-len(t.pts) >= n {
-		return
+// materializePMD ensures the pud/pmd path for a pmd-entry coordinate
+// (virtual address >> PMDShift) exists and returns the pmd's index+1
+// together with the number of directory entries it installed.
+func (t *Table) materializePMD(coord uint64) (mi int32, installs uint64) {
+	i3 := int(coord >> 18 & 0x1ff)
+	i2 := int(coord >> 9 & 0x1ff)
+	pi := t.pgd[i3]
+	if pi == 0 {
+		t.puds = appendNode(t.puds)
+		pi = int32(len(t.puds))
+		t.pgd[i3] = pi
+		installs++
 	}
-	c := len(t.pts) + n
-	if q := cap(t.pts) * 4; q > c {
-		// Keep the geometric curve: repeated small reservations on a
-		// growing table must not degrade to one copy per call.
-		c = q
+	mi = t.puds[pi-1].pmds[i2]
+	if mi == 0 {
+		t.pmds = appendNode(t.pmds)
+		mi = int32(len(t.pmds))
+		t.puds[pi-1].pmds[i2] = mi
+		installs++
 	}
-	grown := make([]ptNode, len(t.pts), c)
-	copy(grown, t.pts)
-	t.pts = grown
+	return mi, installs
 }
 
 // ensurePT materializes the path to the page table covering a and returns
 // it together with the owning pmd node and the pmd index. Each directory
 // install counts one PTE write, as before the flattening.
 func (t *Table) ensurePT(a VAddr) (*ptNode, *pmdNode, int) {
-	i3, i2, i1, _ := indices(a)
-	if coord := uint64(a) >> PMDShift; t.curPT != 0 && t.curCoord == coord {
-		return &t.pts[t.curPT-1], &t.pmds[t.curPMD-1], i1
+	coord := uint64(a) >> PMDShift
+	i1 := int(coord & 0x1ff)
+	if t.curPT != 0 && t.curCoord == coord {
+		return t.leaf(t.curPT), &t.pmds[t.curPMD-1], i1
 	}
-	pi := t.pgd[i3]
-	if pi == 0 {
-		t.puds = appendNode(t.puds)
-		pi = int32(len(t.puds))
-		t.pgd[i3] = pi
-		t.PTEWrites++ // directory entry install
-	}
-	mi := t.puds[pi-1].pmds[i2]
-	if mi == 0 {
-		t.pmds = appendNode(t.pmds)
-		mi = int32(len(t.pmds))
-		t.puds[pi-1].pmds[i2] = mi
-		t.PTEWrites++
-	}
+	mi, installs := t.materializePMD(coord)
+	t.PTEWrites += installs
 	pmd := &t.pmds[mi-1]
 	ti := pmd.pts[i1]
 	if ti == 0 {
-		t.pts = appendNode(t.pts)
-		ti = int32(len(t.pts))
-		// Appending to t.pts may move the backing array; re-resolve the
-		// pmd through its index, which is stable.
-		pmd = &t.pmds[mi-1]
+		ti = t.newLeaf()
 		pmd.pts[i1] = ti
 		t.PTEWrites++
 	}
-	t.curCoord = uint64(a) >> PMDShift
+	t.curCoord = coord
 	t.curPT = ti
 	t.curPMD = mi
-	return &t.pts[ti-1], pmd, i1
+	return t.leaf(ti), pmd, i1
 }
 
 // Map installs a translation for the page containing a. Mapping a page
@@ -395,7 +420,6 @@ func (t *Table) Map(a VAddr, f Frame, writable bool, d Pdom) {
 	}
 	i0 := int(uint64(a) >> 12 & 0x1ff)
 	if pt.ptes[i0]&pteP == 0 {
-		pt.present++
 		t.present++
 	}
 	pt.ptes[i0] = packPTE(PTE{Frame: f, Present: true, Writable: writable, Pdom: d})
@@ -416,7 +440,6 @@ func (t *Table) Unmap(a VAddr) bool {
 		return false
 	}
 	pt.ptes[i0] = 0
-	pt.present--
 	t.present--
 	t.PTEWrites++
 	return true
@@ -436,7 +459,7 @@ func (t *Table) SetPdom(a VAddr, d Pdom) bool {
 	if ti == 0 {
 		return false
 	}
-	pt := &t.pts[ti-1]
+	pt := t.leaf(ti)
 	i0 := int(uint64(a) >> 12 & 0x1ff)
 	if pt.ptes[i0]&pteP == 0 {
 		return false
@@ -536,7 +559,7 @@ func (t *Table) RetagRange(start VAddr, length uint64, d Pdom) int {
 			a = chunk
 			continue
 		}
-		pt := &t.pts[ti-1]
+		pt := t.leaf(ti)
 		i0 := int(uint64(a) >> 12 & 0x1ff)
 		disabled := pmd.isDisabled(i1) // loop-invariant until first present page
 		pp := pt.ptes[i0 : i0+int(pages)]
@@ -588,7 +611,7 @@ func (t *Table) PopulateChunk(a VAddr, pages int, writable bool, d Pdom, alloc f
 	if pmd != nil {
 		disabled = pmd.isDisabled(i1)
 		if ti := pmd.pts[i1]; ti != 0 {
-			pt = &t.pts[ti-1]
+			pt = t.leaf(ti)
 		}
 	}
 	// Count the pages that will fault fresh frames, then allocate them in
@@ -652,7 +675,6 @@ func (t *Table) PopulateChunk(a VAddr, pages int, writable bool, d Pdom, alloc f
 		t.retiredPTE += retP
 		t.retiredPMD += retM
 		t.gen += uint64(pages)
-		pt.present += int32(pages)
 		t.present += pages
 		return fresh
 	}
@@ -709,10 +731,7 @@ func (t *Table) PopulateChunk(a VAddr, pages int, writable bool, d Pdom, alloc f
 	t.retiredPTE += retP
 	t.retiredPMD += retM
 	t.gen += gen
-	if newPresent != 0 {
-		pt.present += int32(newPresent)
-		t.present += newPresent
-	}
+	t.present += newPresent
 	return fresh
 }
 
@@ -771,7 +790,6 @@ func (t *Table) MapChunk(a VAddr, frames []Frame, writable bool, d Pdom) {
 	t.retiredPTE += retP
 	t.retiredPMD += retM
 	t.gen += uint64(n)
-	pt.present += int32(newPresent)
 	t.present += newPresent
 }
 
@@ -810,7 +828,6 @@ func (t *Table) UnmapRange(start VAddr, length uint64) int {
 				continue
 			}
 			pt.ptes[i0] = 0
-			pt.present--
 			t.present--
 			t.PTEWrites++
 			n++
@@ -858,7 +875,7 @@ func (t *Table) SetWritableRange(start VAddr, length uint64, w bool) int {
 			a = chunk
 			continue
 		}
-		pt := &t.pts[ti-1]
+		pt := t.leaf(ti)
 		i0 := int(uint64(a) >> 12 & 0x1ff)
 		for ; a < chunk; a, i0 = a+PageSize, i0+1 {
 			if pt.ptes[i0]&pteP == 0 {
@@ -883,11 +900,10 @@ func (t *Table) EvictRange(start VAddr, length uint64, accessNever Pdom) (pmds, 
 	a := start
 	for a < end {
 		if a == a.PMDAlign() && uint64(end-a) >= PMDSize {
+			// A PMD entry with no leaf under it, or one already
+			// disabled, has nothing to evict.
 			if t.DisablePMD(a) {
 				pmds++
-			} else {
-				// No live PT under this PMD (or already
-				// disabled): nothing to evict here.
 			}
 			a += PMDSize
 			continue
@@ -945,10 +961,10 @@ func (t *Table) Pages(fn func(a VAddr, pte PTE)) {
 			}
 			pmd := &t.pmds[mi-1]
 			for i1, ti := range pmd.pts {
-				if ti == 0 || t.pts[ti-1].present == 0 {
+				if ti == 0 {
 					continue
 				}
-				pt := &t.pts[ti-1]
+				pt := t.leaf(ti)
 				for i0 := range pt.ptes {
 					if pt.ptes[i0]&pteP == 0 {
 						continue

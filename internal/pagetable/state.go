@@ -58,7 +58,7 @@ func (t *Table) AppendState(b []byte) []byte {
 				b = wire.AppendUvarint(b, coord-next)
 				next = coord + 1
 				if ti != 0 {
-					b = t.pts[ti-1].appendPresent(b)
+					b = t.leaf(ti).appendPresent(b)
 				}
 			}
 		}
@@ -108,15 +108,16 @@ func (t *Table) ReadState(r *wire.Reader) {
 			return
 		}
 		next = coord + 1
-		pmd := t.materializePMD(coord)
+		mi, _ := t.materializePMD(coord)
+		pmd := &t.pmds[mi-1]
 		i1 := int(coord & 0x1ff)
 		if tag&coordDisabled != 0 {
 			pmd.setDisabled(i1, true)
 		}
 		if tag&coordPT != 0 {
-			t.pts = append(t.pts, ptNode{})
-			pmd.pts[i1] = int32(len(t.pts))
-			t.readPresent(r, &t.pts[len(t.pts)-1])
+			ti := t.newLeaf()
+			pmd.pts[i1] = ti
+			t.readPresent(r, t.leaf(ti))
 		}
 	}
 	t.PTEWrites = r.Uvarint()
@@ -143,7 +144,6 @@ func (t *Table) readPresent(r *wire.Reader, pt *ptNode) {
 		}
 		next = i0 + 1
 		pt.ptes[i0] = p
-		pt.present++
 		t.present++
 	}
 }
@@ -158,24 +158,4 @@ func ReadTableID(r *wire.Reader, numTables int) int {
 		return -1
 	}
 	return int(id)
-}
-
-// materializePMD ensures the pud/pmd path for a pt coordinate exists and
-// returns the pmd node, without touching any counter.
-func (t *Table) materializePMD(coord uint64) *pmdNode {
-	i3 := int(coord >> 18 & 0x1ff)
-	i2 := int(coord >> 9 & 0x1ff)
-	pi := t.pgd[i3]
-	if pi == 0 {
-		t.puds = append(t.puds, pudNode{})
-		pi = int32(len(t.puds))
-		t.pgd[i3] = pi
-	}
-	mi := t.puds[pi-1].pmds[i2]
-	if mi == 0 {
-		t.pmds = append(t.pmds, pmdNode{})
-		mi = int32(len(t.pmds))
-		t.puds[pi-1].pmds[i2] = mi
-	}
-	return &t.pmds[mi-1]
 }
