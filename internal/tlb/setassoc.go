@@ -6,11 +6,15 @@ package tlb
 // evict hot translations even when capacity remains — which is the
 // behaviour real second-level TLBs show under the PMO benchmark's random
 // 2 MiB-strided accesses. It implements the same operations as TLB.
+//
+// An entry can only live in its VPN's set, so lookups, inserts and page
+// flushes compare that set's ways, as the hardware does, and need no
+// index.
 type SetAssoc struct {
 	sets  [][]slot
 	ways  int
 	hands []int
-	index map[key]int // (asid,vpn) → set*ways+way
+	n     int // valid slots
 	stats Stats
 }
 
@@ -24,7 +28,6 @@ func NewSetAssoc(sets, ways int) *SetAssoc {
 		ways:  ways,
 		sets:  make([][]slot, sets),
 		hands: make([]int, sets),
-		index: make(map[key]int),
 	}
 	for i := range t.sets {
 		t.sets[i] = make([]slot, ways)
@@ -36,7 +39,7 @@ func NewSetAssoc(sets, ways int) *SetAssoc {
 func (t *SetAssoc) Capacity() int { return len(t.sets) * t.ways }
 
 // Len returns the number of valid entries.
-func (t *SetAssoc) Len() int { return len(t.index) }
+func (t *SetAssoc) Len() int { return t.n }
 
 // Stats returns a copy of the event counters.
 func (t *SetAssoc) Stats() Stats { return t.stats }
@@ -46,13 +49,23 @@ func (t *SetAssoc) ResetStats() { t.stats = Stats{} }
 
 func (t *SetAssoc) setOf(vpn uint64) int { return int(vpn) & (len(t.sets) - 1) }
 
+// wayOf returns the way of set holding (asid, vpn), or -1.
+func wayOf(set []slot, asid ASID, vpn uint64) int {
+	for w := range set {
+		if s := &set[w]; s.valid && s.entry.VPN == vpn && s.entry.ASID == asid {
+			return w
+		}
+	}
+	return -1
+}
+
 // Lookup searches for (asid, vpn).
 func (t *SetAssoc) Lookup(asid ASID, vpn uint64) (Entry, bool) {
-	if i, ok := t.index[key{asid, vpn}]; ok {
-		s, w := i/t.ways, i%t.ways
-		t.sets[s][w].referenced = true
+	set := t.sets[t.setOf(vpn)]
+	if w := wayOf(set, asid, vpn); w >= 0 {
+		set[w].referenced = true
 		t.stats.Hits++
-		return t.sets[s][w].entry, true
+		return set[w].entry, true
 	}
 	t.stats.Misses++
 	return Entry{}, false
@@ -61,21 +74,18 @@ func (t *SetAssoc) Lookup(asid ASID, vpn uint64) (Entry, bool) {
 // Insert caches a translation, evicting within the VPN's set if needed.
 func (t *SetAssoc) Insert(e Entry) {
 	t.stats.Inserts++
-	k := key{e.ASID, e.VPN}
-	if i, ok := t.index[k]; ok {
-		s, w := i/t.ways, i%t.ways
-		t.sets[s][w].entry = e
-		t.sets[s][w].referenced = true
+	s := t.setOf(e.VPN)
+	set := t.sets[s]
+	if w := wayOf(set, e.ASID, e.VPN); w >= 0 {
+		set[w].entry = e
+		set[w].referenced = true
 		return
 	}
-	s := t.setOf(e.VPN)
 	w := t.victimIn(s)
-	if t.sets[s][w].valid {
-		old := t.sets[s][w].entry
-		delete(t.index, key{old.ASID, old.VPN})
+	if !set[w].valid {
+		t.n++
 	}
-	t.sets[s][w] = slot{entry: e, valid: true, referenced: true}
-	t.index[k] = s*t.ways + w
+	set[w] = slot{entry: e, valid: true, referenced: true}
 }
 
 func (t *SetAssoc) victimIn(s int) int {
@@ -93,13 +103,14 @@ func (t *SetAssoc) victimIn(s int) int {
 // FlushPage invalidates one page of one address space.
 func (t *SetAssoc) FlushPage(asid ASID, vpn uint64) {
 	t.stats.PageFlushes++
-	t.drop(key{asid, vpn})
+	t.drop(asid, vpn)
 }
 
-func (t *SetAssoc) drop(k key) {
-	if i, ok := t.index[k]; ok {
-		t.sets[i/t.ways][i%t.ways] = slot{}
-		delete(t.index, k)
+func (t *SetAssoc) drop(asid ASID, vpn uint64) {
+	set := t.sets[t.setOf(vpn)]
+	if w := wayOf(set, asid, vpn); w >= 0 {
+		set[w] = slot{}
+		t.n--
 		t.stats.Invalidated++
 	}
 }
@@ -108,16 +119,20 @@ func (t *SetAssoc) drop(k key) {
 func (t *SetAssoc) FlushRange(asid ASID, startVPN, pages uint64) {
 	t.stats.RangeFlushes++
 	for vpn := startVPN; vpn < startVPN+pages; vpn++ {
-		t.drop(key{asid, vpn})
+		t.drop(asid, vpn)
 	}
 }
 
 // FlushASID invalidates every entry of one address space.
 func (t *SetAssoc) FlushASID(asid ASID) {
 	t.stats.ASIDFlushes++
-	for k := range t.index {
-		if k.asid == asid {
-			t.drop(k)
+	for _, set := range t.sets {
+		for w := range set {
+			if set[w].valid && set[w].entry.ASID == asid {
+				set[w] = slot{}
+				t.n--
+				t.stats.Invalidated++
+			}
 		}
 	}
 }
@@ -125,14 +140,12 @@ func (t *SetAssoc) FlushASID(asid ASID) {
 // FlushAll invalidates the whole TLB.
 func (t *SetAssoc) FlushAll() {
 	t.stats.FullFlushes++
-	t.stats.Invalidated += uint64(len(t.index))
+	t.stats.Invalidated += uint64(t.n)
 	for s := range t.sets {
-		for w := range t.sets[s] {
-			t.sets[s][w] = slot{}
-		}
+		clear(t.sets[s])
 		t.hands[s] = 0
 	}
-	t.index = make(map[key]int)
+	t.n = 0
 }
 
 // Each calls fn for every valid entry, in set-then-way order
@@ -150,10 +163,10 @@ func (t *SetAssoc) Each(fn func(Entry)) {
 // CountASID returns resident entries tagged asid (introspection).
 func (t *SetAssoc) CountASID(asid ASID) int {
 	n := 0
-	for k := range t.index {
-		if k.asid == asid {
+	t.Each(func(e Entry) {
+		if e.ASID == asid {
 			n++
 		}
-	}
+	})
 	return n
 }

@@ -112,11 +112,12 @@ func (t *TLB) AppendState(b []byte) []byte {
 	return appendStats(b, t.stats)
 }
 
-// ReadState overwrites the TLB in place with an image AppendState wrote.
-// A capacity or hand that does not fit this TLB fails the reader. The
-// lookup memo restores to the unset state, which is behaviorally
-// transparent (its hit path has the exact side effects of an indexed
-// hit).
+// ReadState overwrites the TLB in place with an image AppendState wrote,
+// then rebuilds the index and the per-ASID lists from the decoded slots.
+// A capacity or hand that does not fit this TLB, or two valid slots
+// holding the same (ASID, VPN), fails the reader. The lookup memo
+// restores to the unset state, which is behaviorally transparent (its hit
+// path has the exact side effects of an indexed hit).
 func (t *TLB) ReadState(r *wire.Reader) {
 	if c := r.Uvarint(); c != uint64(t.capacity) {
 		r.Failf("tlb capacity %d, booted %d", c, t.capacity)
@@ -133,28 +134,28 @@ func (t *TLB) ReadState(r *wire.Reader) {
 	} else {
 		t.slots = make([]slot, n)
 	}
-	valid := 0
 	for i := range t.slots {
 		t.slots[i] = readSlot(r)
-		if t.slots[i].valid {
-			valid++
-		}
-	}
-	if t.index == nil {
-		t.index = make(map[key]int, valid)
-	} else {
-		clear(t.index)
-	}
-	clear(t.counts)
-	for i, s := range t.slots {
-		if s.valid {
-			t.index[key{s.entry.ASID, s.entry.VPN}] = i
-			t.bump(s.entry.ASID, 1)
-		}
 	}
 	t.hand = int(hand)
 	t.stats = readStats(r)
 	t.lastIdx = -1
+
+	clear(t.index)
+	clear(t.heads)
+	clear(t.counts)
+	t.n = 0
+	for i := range t.slots {
+		if !t.slots[i].valid {
+			continue
+		}
+		e := t.slots[i].entry
+		if t.find(e.ASID, e.VPN) >= 0 {
+			r.Failf("tlb slot %d duplicates asid %d vpn %#x", i, e.ASID, e.VPN)
+			return
+		}
+		t.add(i)
+	}
 }
 
 // AppendState appends the set-associative TLB's image: geometry, the
@@ -175,7 +176,8 @@ func (t *SetAssoc) AppendState(b []byte) []byte {
 
 // ReadState overwrites the set-associative TLB in place with an image
 // AppendState wrote. A geometry (sets × ways) or hand that does not fit
-// this TLB fails the reader.
+// this TLB fails the reader, and so does a valid slot outside its VPN's
+// set or two valid slots holding the same (ASID, VPN).
 func (t *SetAssoc) ReadState(r *wire.Reader) {
 	sets, ways := r.Uvarint(), r.Uvarint()
 	if sets != uint64(len(t.sets)) || ways != uint64(t.ways) {
@@ -190,14 +192,24 @@ func (t *SetAssoc) ReadState(r *wire.Reader) {
 		}
 		t.hands[s] = int(h)
 	}
-	clear(t.index)
+	t.n = 0
 	for s := range t.sets {
-		for w := range t.sets[s] {
-			sl := readSlot(r)
-			t.sets[s][w] = sl
-			if sl.valid {
-				t.index[key{sl.entry.ASID, sl.entry.VPN}] = s*t.ways + w
+		set := t.sets[s]
+		for w := range set {
+			set[w] = readSlot(r)
+			if !set[w].valid {
+				continue
 			}
+			e := set[w].entry
+			if t.setOf(e.VPN) != s {
+				r.Failf("tlb set %d holds vpn %#x of set %d", s, e.VPN, t.setOf(e.VPN))
+				return
+			}
+			if wayOf(set[:w], e.ASID, e.VPN) >= 0 {
+				r.Failf("tlb set %d way %d duplicates asid %d vpn %#x", s, w, e.ASID, e.VPN)
+				return
+			}
+			t.n++
 		}
 	}
 	t.stats = readStats(r)

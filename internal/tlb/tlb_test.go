@@ -233,14 +233,14 @@ func TestFlushASIDProperty(t *testing.T) {
 		}
 		before := map[ASID]int{}
 		for x := ASID(0); x < 4; x++ {
-			before[x] = c.CountASID(x)
+			before[x] = countEach(c, x)
 		}
 		c.FlushASID(a)
-		if c.CountASID(a) != 0 {
+		if countEach(c, a) != 0 || c.CountASID(a) != 0 {
 			return false
 		}
 		for x := ASID(0); x < 4; x++ {
-			if x != a && c.CountASID(x) != before[x] {
+			if x != a && (countEach(c, x) != before[x] || c.CountASID(x) != before[x]) {
 				return false
 			}
 		}
@@ -306,5 +306,34 @@ func TestLookupMemoSideEffects(t *testing.T) {
 	tl.Insert(Entry{ASID: 1, VPN: 3})
 	if _, ok := tl.Lookup(1, 2); !ok {
 		t.Error("VPN 2 evicted; memo hit failed to set reference bit ordering")
+	}
+}
+
+// TestWarmOpsAllocFree pins the hot operations of a warm, full TLB to
+// zero allocations: the index and the per-ASID lists live in
+// preallocated arrays.
+func TestWarmOpsAllocFree(t *testing.T) {
+	for _, c := range []Cache{New(DefaultCapacity), NewSetAssoc(128, 8)} {
+		for vpn := uint64(0); vpn < 2*DefaultCapacity; vpn++ {
+			c.Insert(mk(ASID(1+vpn%3), vpn))
+		}
+		for _, op := range []struct {
+			name string
+			fn   func()
+		}{
+			{"Lookup", func() { c.Lookup(1, 2*DefaultCapacity-3); c.Lookup(2, 2*DefaultCapacity-2) }},
+			{"Insert over an existing key", func() { c.Insert(mk(1, 2*DefaultCapacity-3)) }},
+			{"FlushPage", func() { c.Insert(mk(4, 7)); c.FlushPage(4, 7) }},
+			{"FlushASID", func() {
+				for vpn := uint64(0); vpn < 8; vpn++ {
+					c.Insert(mk(5, vpn))
+				}
+				c.FlushASID(5)
+			}},
+		} {
+			if n := testing.AllocsPerRun(100, op.fn); n != 0 {
+				t.Errorf("%T %s: %.1f allocations per run, want 0", c, op.name, n)
+			}
+		}
 	}
 }
