@@ -65,7 +65,8 @@
 // JSON soak report and failing shards' replayable trace dumps; `snapshot`
 // additionally dumps reproducer checkpoints, and `recover` re-runs a
 // recovery standalone from a -snap checkpoint plus -tail trace (see
-// RECOVERY.md). -timeout bounds chaos, snapshot, and serve by wall
+// RECOVERY.md). -kernel selects the chaos and snapshot soak driver:
+// vdom (the default) or dpti. -timeout bounds chaos, snapshot, and serve by wall
 // clock: chaos and snapshot exit non-zero if the budget expires mid-run,
 // while serve treats expiry like SIGTERM and drains gracefully.
 //
@@ -138,7 +139,7 @@ func main() {
 	traceDir := flag.String("trace-dir", "", "trace corpus directory for record/replay (default testdata/traces)")
 	divergenceOut := flag.String("divergence-out", "", "replay: write a JSON divergence report to this file")
 	soakReport := flag.String("soak-report", "", "chaos/snapshot: write a machine-readable JSON soak report to this file")
-	kernelName := flag.String("kernel", "", "kernel backend: narrows the scenario sweep to one registered kernel; selects the chaos soak driver (vdom or dpti, default vdom)")
+	kernelName := flag.String("kernel", "", "kernel backend: narrows the scenario sweep to one registered kernel; selects the chaos and crash (snapshot) soak driver (vdom or dpti, default vdom)")
 	scenarioPath := flag.String("scenario", "", "scenario/serve: the vdom-scenario/v1 spec file to run (see SCENARIOS.md)")
 	traceDump := flag.String("trace-dump", "", "chaos/snapshot: dump failing shards' replayable traces (and reproducer checkpoints) into this directory")
 	snapPath := flag.String("snap", "", "recover: the vdom-snap/v2 checkpoint to restore")

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"sort"
 
 	"vdom/internal/chaos"
+	"vdom/internal/replay"
 )
 
 // chaosSoakOps returns the soak length for the chaos report.
@@ -25,6 +27,54 @@ func (o Options) chaosSoakOps() int {
 // alone, so the aggregated report is byte-identical for every -parallel
 // value.
 const chaosShards = 8
+
+// soakKernel resolves -kernel for the soak experiments (chaos and the
+// crash soak): vdom, the default, or dpti — the kernels with a soak op
+// mix.
+func soakKernel(kern string) (string, error) {
+	switch kern {
+	case "", replay.KernelVDom:
+		return replay.KernelVDom, nil
+	case replay.KernelDPTI:
+		return kern, nil
+	}
+	return "", fmt.Errorf("chaos: no soak driver for kernel %q (have vdom, dpti)", kern)
+}
+
+// soakFaults is the fault mix of every soak experiment (chaos, crash
+// soak, serve): every fault class enabled, minus on DPTI the VDom
+// manager's classes, which it has no hooks for and which would never
+// draw — so the injected counters stay honest.
+func soakFaults(kern string, seed uint64) chaos.Config {
+	cfg := chaos.Config{
+		Seed:           seed,
+		DropIPI:        0.05,
+		DelayIPI:       0.05,
+		StaleTLB:       0.03,
+		ASIDExhaustion: 0.02,
+		ASIDLimit:      24,
+		VDSAllocFail:   0.10,
+		PdomExhaustion: 0.05,
+		SpuriousFault:  0.02,
+	}
+	if kern == replay.KernelDPTI {
+		cfg.VDSAllocFail, cfg.PdomExhaustion = 0, 0
+	}
+	return cfg
+}
+
+// stepSoak steps s to the end of its run, polling ctx every 256 ops: a
+// -timeout cancels the soak between ops instead of hanging the job.
+func stepSoak(ctx context.Context, s *chaos.SoakRun) error {
+	for {
+		if s.NextOp()%256 == 0 && ctx.Err() != nil {
+			return fmt.Errorf("cancelled at op %d: %w", s.NextOp(), ctx.Err())
+		}
+		if !s.Step() {
+			return nil
+		}
+	}
+}
 
 // Chaos runs the deterministic fault-injection soak and reports the
 // injected faults, the recovery paths that absorbed them, and the
@@ -44,12 +94,9 @@ func Chaos(w io.Writer, o Options) error {
 // is written too. The returned error covers artifact writing only — the
 // soak verdict is in the rendered output (and the report).
 func ChaosSeed(w io.Writer, o Options, seed uint64) error {
-	kern := o.Kernel
-	if kern == "" {
-		kern = "vdom"
-	}
-	if kern != "vdom" && kern != "dpti" {
-		return fmt.Errorf("chaos: no soak driver for kernel %q (have vdom, dpti)", kern)
+	kern, err := soakKernel(o.Kernel)
+	if err != nil {
+		return err
 	}
 	cells := o.mapGrid("chaos:"+kern, seed)
 	wires := make([]chaosWire, len(cells))

@@ -90,10 +90,11 @@ func gridFor(name string, seed uint64, o Options) (gridJobs, error) {
 	case "unixbench":
 		return unixBenchGrid(o), nil
 	case "chaos":
-		if params != "vdom" && params != "dpti" {
-			return gridJobs{}, fmt.Errorf("bench: no chaos soak driver for kernel %q", params)
+		kern, err := soakKernel(params)
+		if err != nil {
+			return gridJobs{}, err
 		}
-		return chaosGrid(o, params, seed), nil
+		return chaosGrid(o, kern, seed), nil
 	default:
 		return gridJobs{}, fmt.Errorf("bench: unknown grid %q", name)
 	}
@@ -645,40 +646,16 @@ func chaosGrid(o Options, kern string, seed uint64) gridJobs {
 				ops++
 			}
 			reg, tr := o.newCellSinks()
-			fault := chaos.Config{
-				Seed:           seed + uint64(i),
-				DropIPI:        0.05,
-				DelayIPI:       0.05,
-				StaleTLB:       0.03,
-				ASIDExhaustion: 0.02,
-				ASIDLimit:      24,
-				VDSAllocFail:   0.10,
-				PdomExhaustion: 0.05,
-				SpuriousFault:  0.02,
-			}
-			if kern == "dpti" {
-				// DPTI has no manager-level hooks; zero the faults that
-				// would never draw so the injected counters stay honest.
-				fault.VDSAllocFail = 0
-				fault.PdomExhaustion = 0
-			}
 			s := chaos.StartSoak(chaos.SoakConfig{
-				Chaos:   fault,
+				Chaos:   soakFaults(kern, seed+uint64(i)),
 				Ops:     ops,
 				Kernel:  kern,
 				Metrics: reg,
 				Trace:   tr,
 				Record:  o.TraceDump != "",
 			})
-			// Step with a periodic wall-clock escape hatch: a -timeout
-			// cancels the soak between ops instead of hanging the job.
-			for {
-				if s.NextOp()%256 == 0 && ctx.Err() != nil {
-					return cell{fail: fmt.Sprintf("chaos shard %d cancelled at op %d: %v", i, s.NextOp(), ctx.Err())}
-				}
-				if !s.Step() {
-					break
-				}
+			if err := stepSoak(ctx, s); err != nil {
+				return cell{fail: fmt.Sprintf("chaos shard %d %v", i, err)}
 			}
 			res := s.Finish()
 			w := chaosWire{

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"vdom/internal/chaos"
 	"vdom/internal/metrics"
@@ -95,11 +94,11 @@ type divergenceReport struct {
 // Replay re-executes every *.trace under Options.TraceDir against a
 // freshly booted system and verifies each run is bit-identical to its
 // recording: same per-event costs, ids, and error outcomes, same final
-// cycle clock and end state. Chaos-soak traces get their fault injector
-// rebuilt from the trace header. Cells fan out across the worker pool
-// with private metrics/trace sinks merged in file order, so output is
-// byte-identical for every -parallel value. It returns the number of
-// traces that diverged or failed.
+// cycle clock and end state. Every trace goes through chaos.ReplayTrace,
+// which rebuilds any fault injector from the trace header. Cells fan out
+// across the worker pool with private metrics/trace sinks merged in file
+// order, so output is byte-identical for every -parallel value. It
+// returns the number of traces that diverged or failed.
 func Replay(w io.Writer, o Options) (int, error) {
 	dir := o.traceDir()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.trace"))
@@ -137,14 +136,7 @@ func Replay(w io.Writer, o Options) (int, error) {
 			c.hdr = t.Header
 			c.reg, c.tr = o.newCellSinks()
 			opt := replay.Options{Metrics: c.reg, Trace: c.tr}
-			switch {
-			case t.Header.Workload == chaos.SoakWorkload:
-				c.res, c.err = chaos.ReplayTrace(t, opt)
-			case strings.HasPrefix(t.Header.Workload, scenario.WorkloadPrefix):
-				c.res, c.err = scenario.ReplayTrace(t, opt)
-			default:
-				c.res, c.err = replay.Run(t, opt)
-			}
+			c.res, c.err = chaos.ReplayTrace(t, opt)
 			return c
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vdom/internal/chaos"
+	"vdom/internal/replay"
 	"vdom/internal/scenario"
 	"vdom/internal/serve"
 )
@@ -73,7 +74,7 @@ func scenarioServeConfig(w io.Writer, spec *scenario.Spec, kinds []chaos.CrashKi
 	if spec.Seed != 0 {
 		seed = spec.Seed
 	}
-	mix := snapshotChaosConfig(0)
+	mix := soakFaults(replay.KernelVDom, 0)
 	faultPhase := ""
 	for i := range spec.Phases {
 		if f := spec.Phases[i].Faults; f.Any() {
@@ -144,7 +145,7 @@ func Serve(w io.Writer, o Options, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	soak := chaos.SoakConfig{Chaos: snapshotChaosConfig(0)}
+	soak := chaos.SoakConfig{Chaos: soakFaults(replay.KernelVDom, 0)}
 	if o.Scenario != "" {
 		spec, err := loadScenario(o.Scenario)
 		if err != nil {

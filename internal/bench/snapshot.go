@@ -10,7 +10,6 @@ import (
 	"vdom/internal/chaos"
 	"vdom/internal/par"
 	"vdom/internal/replay"
-	"vdom/internal/tlb"
 )
 
 // snapshotSoakOps returns the per-shard op count for the crash soak.
@@ -27,31 +26,20 @@ func (o Options) snapshotSoakOps() int {
 // kind cycles through the three CrashKinds across shards.
 const snapshotShards = 8
 
-// snapshotChaosConfig is the crash soak's fault mix (the full chaos
-// soak mix) under a shard-derived seed.
-func snapshotChaosConfig(seed uint64) chaos.Config {
-	return chaos.Config{
-		Seed:           seed,
-		DropIPI:        0.05,
-		DelayIPI:       0.05,
-		StaleTLB:       0.03,
-		ASIDExhaustion: 0.02,
-		ASIDLimit:      tlb.ASID(24),
-		VDSAllocFail:   0.10,
-		PdomExhaustion: 0.05,
-		SpuriousFault:  0.02,
-	}
-}
-
-// SnapshotSoak runs the crash-fault soak: each shard soaks a machine
-// under the full fault mix, strikes one crash fault (core crash, kernel
-// panic, torn domain map — cycling across shards) mid-run, recovers via
-// checkpoint restore + trace-tail replay, and verifies the recovered
-// run's trace is byte-identical to an uninterrupted run of the same
-// seed. Failing shards dump their checkpoint and reference trace into
+// SnapshotSoak runs the crash-fault soak on the Options.Kernel soak
+// driver (vdom or dpti): each shard soaks a machine under the soak fault
+// mix, strikes one crash fault (core crash, kernel panic, torn domain
+// map — cycling across shards) mid-run, recovers via checkpoint restore
+// + trace-tail replay, and verifies the recovered run's trace is
+// byte-identical to an uninterrupted run of the same seed. Failing
+// shards dump their checkpoint and reference trace into
 // Options.TraceDump as a standalone reproducer for `vdom-bench recover`;
 // Options.SoakReport captures the per-shard JSON report.
 func SnapshotSoak(w io.Writer, o Options, seed uint64) error {
+	kern, err := soakKernel(o.Kernel)
+	if err != nil {
+		return err
+	}
 	ops := o.snapshotSoakOps()
 	type shard struct {
 		out       *chaos.CrashOutcome
@@ -62,19 +50,14 @@ func SnapshotSoak(w io.Writer, o Options, seed uint64) error {
 	ctx := o.ctx()
 	crashCfg := chaos.CrashConfig{AtOp: 5*ops/8 + 1, CheckpointEvery: ops / 4, Ctx: ctx}
 	runShard := func(i int) shard {
-		cfg := chaos.SoakConfig{Chaos: snapshotChaosConfig(seed + uint64(i)), Ops: ops, Record: true}
+		cfg := chaos.SoakConfig{Chaos: soakFaults(kern, seed+uint64(i)), Ops: ops, Kernel: kern, Record: true}
 		cc := crashCfg
 		cc.Kind = chaos.CrashKind(i % 3)
 		// The reference run honors the same -timeout cancellation as the
 		// crash run it is compared against.
 		r := chaos.StartSoak(cfg)
-		for {
-			if r.NextOp()%256 == 0 && ctx.Err() != nil {
-				return shard{err: fmt.Errorf("reference soak cancelled at op %d: %w", r.NextOp(), ctx.Err())}
-			}
-			if !r.Step() {
-				break
-			}
+		if err := stepSoak(ctx, r); err != nil {
+			return shard{err: fmt.Errorf("reference soak %w", err)}
 		}
 		ref := r.Finish()
 		out, err := chaos.CrashSoak(cfg, cc)
@@ -122,9 +105,13 @@ func SnapshotSoak(w io.Writer, o Options, seed uint64) error {
 		}
 	}
 
+	title := "Crash soak"
+	if kern != replay.KernelVDom {
+		title += " (" + kern + " kernel)"
+	}
 	t := &Table{
-		Title: fmt.Sprintf("Crash soak: %d shards x %d ops, seed %d (replayable): checkpoint -> crash -> restore + tail replay",
-			snapshotShards, ops, seed),
+		Title: fmt.Sprintf("%s: %d shards x %d ops, seed %d (replayable): checkpoint -> crash -> restore + tail replay",
+			title, snapshotShards, ops, seed),
 		Columns: []string{"shard", "crash", "detected by", "ckpt op", "tail events", "recovered", "bit-identical"},
 	}
 	failures := 0

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"vdom/internal/core"
@@ -278,5 +279,29 @@ func TestAuditCatchesIncoherence(t *testing.T) {
 	machine.Core(1).TLB().Insert(tlb.Entry{ASID: 0x7777, VPN: 1, Frame: 1})
 	if after := Audit(sys); len(after) != 2 {
 		t.Fatalf("zombie ASID entry changed the verdict: %v", after)
+	}
+}
+
+// TestSameAuditMultiset pins the recovery check: audits compare as
+// multisets (order is free, multiplicity is not), and the error names
+// the first difference: an unexpected finding, else a missing one.
+func TestSameAuditMultiset(t *testing.T) {
+	a, b := Violation{Core: 0, Desc: "a"}, Violation{Core: -1, Desc: "b"}
+	base := []Violation{a, b, b}
+	if err := SameAudit(base, []Violation{b, a, b}); err != nil {
+		t.Fatalf("reordered audit rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		got  []Violation
+		want string
+	}{
+		{[]Violation{a, b}, "missing: b"},
+		{[]Violation{a, b, b, {Core: 1, Desc: "c"}}, "unexpected: core 1: c"},
+		{nil, "missing: core 0: a"},
+	} {
+		err := SameAudit(base, tc.got)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("SameAudit(%v) = %v, want an error naming %q", tc.got, err, tc.want)
+		}
 	}
 }

@@ -196,25 +196,33 @@ func (s *SoakRun) Checkpoint() ([]byte, error) {
 // CrashKernelPanic) or silently corrupt (CrashTornDomainMap); only
 // Recover brings it back.
 func (s *SoakRun) Crash(kind CrashKind) string {
+	detail, _ := s.crash(kind)
+	return detail
+}
+
+// crash strikes the fault and reports the damage it actually did: torn
+// is true only when a domain map really tore. A tear with nothing to
+// tear (no mapped vdom, or a kernel with no VDom manager) falls back to
+// a residency wipe, which wedges the machine like a kernel panic.
+func (s *SoakRun) crash(kind CrashKind) (detail string, torn bool) {
 	switch kind {
 	case CrashCore:
 		id := s.nextOp % s.cfg.Cores
 		s.sys.Machine.Core(id).CrashVolatile()
-		return fmt.Sprintf("core %d volatile state wiped", id)
+		return fmt.Sprintf("core %d volatile state wiped", id), false
 	case CrashKernelPanic:
 		s.sys.Kernel.ClearResidency()
-		return "kernel panic: per-core residency lost"
+		return "kernel panic: per-core residency lost", false
 	case CrashTornDomainMap:
 		if m := s.sys.Manager; m != nil {
 			if detail, ok := m.TearDomainMap(); ok {
-				return "torn domain map: " + detail
+				return "torn domain map: " + detail, true
 			}
 		}
-		// No mapped vdom to tear (or no VDom manager at all); fall back
-		// to a residency wipe so the fault still strikes
+		// Fall back to a residency wipe so the fault still strikes
 		// deterministically.
 		s.sys.Kernel.ClearResidency()
-		return "no mapped vdom to tear; kernel residency wiped instead"
+		return "no mapped vdom to tear; kernel residency wiped instead", false
 	default:
 		panic(fmt.Sprintf("chaos: unknown crash kind %d", int(kind)))
 	}
@@ -227,13 +235,93 @@ func (s *SoakRun) AuditNow() []Violation {
 	return Audit(s.sys)
 }
 
+// Strike is one crash struck against a live soak and detected.
+type Strike struct {
+	// Kind is the crash fault struck.
+	Kind CrashKind
+	// Detail describes the damage actually done.
+	Detail string
+	// DetectedBy is "audit" for a real domain-map tear and "watchdog"
+	// for a wedge (core crash, kernel panic, or a tear that fell back to
+	// a residency wipe).
+	DetectedBy string
+	// Baseline is the live audit taken just before the crash: the audit
+	// a faithful recovery must reproduce (see SameAudit).
+	Baseline []Violation
+}
+
+// Strike takes the live audit as the baseline, strikes the crash, and
+// detects it by the damage actually done. A real tear is detected when
+// the auditor reports at least one finding the baseline lacks; a wedge
+// is detected by feeding wd the frozen clock until it fires. A crash
+// nothing detected is an error; the Strike is still returned so the
+// caller can report the damage.
+func (s *SoakRun) Strike(kind CrashKind, wd *sim.Watchdog) (*Strike, error) {
+	st := &Strike{Kind: kind, Baseline: s.AuditNow()}
+	detail, torn := s.crash(kind)
+	st.Detail = detail
+	if torn {
+		st.DetectedBy = "audit"
+		if _, added := diffAudits(s.AuditNow(), st.Baseline); !added {
+			return st, fmt.Errorf("chaos: %s escaped the auditor: %s", kind, detail)
+		}
+		return st, nil
+	}
+	// The wedged system makes no progress: feed the watchdog the frozen
+	// clock until it fires.
+	st.DetectedBy = "watchdog"
+	frozen := s.ClockCycles()
+	for !wd.Fired() {
+		wd.Observe(frozen)
+	}
+	return st, nil
+}
+
+// SameAudit is the recovery check. A faithful restore reproduces the
+// pre-crash state exactly — including transient staleness legitimately
+// in flight at the crash boundary (a dropped shootdown IPI's leftovers
+// heal lazily) — so the recovered audit must equal the pre-crash
+// baseline as a multiset. Any difference in either direction is
+// recovery damage; the error names the first one.
+func SameAudit(baseline, got []Violation) error {
+	if first, _ := diffAudits(got, baseline); first != "" {
+		return fmt.Errorf("chaos: recovered audit diverged from pre-crash baseline: %d violation(s) vs %d expected (first: %s)",
+			len(got), len(baseline), first)
+	}
+	return nil
+}
+
+// diffAudits compares two audits as multisets. It returns the first
+// difference — "unexpected: …" for a finding only got has (in got's
+// order), else "missing: …" for one only want has (in want's order), ""
+// when they are equal — and whether got has any finding want lacks.
+func diffAudits(got, want []Violation) (first string, added bool) {
+	left := make(map[string]int, len(want))
+	for _, v := range want {
+		left[v.String()]++
+	}
+	for _, v := range got {
+		if k := v.String(); left[k] > 0 {
+			left[k]--
+		} else if !added {
+			first, added = "unexpected: "+k, true
+		}
+	}
+	for _, v := range want {
+		if k := v.String(); first == "" && left[k] > 0 {
+			first = "missing: " + k
+		}
+	}
+	return first, added
+}
+
 // Recovery describes one completed checkpoint-restore-tail-replay pass.
 type Recovery struct {
 	// TailEvents is the number of trace events replayed to roll the
 	// restored checkpoint forward to the crash point.
 	TailEvents int
 	// Violations is the auditor's findings on the recovered system; a
-	// sound recovery has none.
+	// sound recovery reproduces the pre-crash audit (SameAudit).
 	Violations []Violation
 }
 
@@ -343,14 +431,12 @@ type CrashOutcome struct {
 	CrashOp int
 	// Detail describes the damage.
 	Detail string
-	// WatchdogFired reports the watchdog detecting the wedge (wedging
-	// kinds only; torn-map crashes are caught by the auditor instead).
-	WatchdogFired bool
-	// DetectedBy is "watchdog" or "audit".
+	// DetectedBy is "watchdog" or "audit" (see Strike).
 	DetectedBy string
 	// TailEvents is the number of trace events replayed during recovery.
 	TailEvents int
-	// PostViolations is the auditor's findings on the recovered system.
+	// PostViolations is the auditor's findings on the recovered system;
+	// they equal the pre-crash audit.
 	PostViolations []Violation
 	// Snapshot is the encoded checkpoint recovery restored from — the
 	// standalone reproducer artifact.
@@ -360,11 +446,10 @@ type CrashOutcome struct {
 }
 
 // CrashSoak runs a soak with a crash fault struck at the configured op:
-// periodic checkpoints, the crash, detection (watchdog or auditor),
-// restore + tail replay, and the remainder of the workload on the
-// recovered system. The returned result's trace and end state are
-// bit-identical to an uninterrupted Soak of the same SoakConfig (with
-// Record set).
+// periodic checkpoints, the Strike, restore + tail replay, the SameAudit
+// recovery check, and the remainder of the workload on the recovered
+// system. The returned result's trace and end state are bit-identical to
+// an uninterrupted Soak of the same SoakConfig (with Record set).
 func CrashSoak(cfg SoakConfig, crash CrashConfig) (*CrashOutcome, error) {
 	cfg.Record = true
 	cfg = cfg.withDefaults()
@@ -392,32 +477,19 @@ func CrashSoak(cfg SoakConfig, crash CrashConfig) (*CrashOutcome, error) {
 			return nil, fmt.Errorf("chaos: crash soak cancelled at op %d: %w", op, crash.Ctx.Err())
 		}
 		if op == crash.AtOp {
-			out.Detail = s.Crash(crash.Kind)
-			if crash.Kind == CrashTornDomainMap {
-				out.DetectedBy = "audit"
-				if v := s.AuditNow(); len(v) == 0 {
-					return nil, fmt.Errorf("chaos: torn domain map escaped the auditor")
-				}
-			} else {
-				// The wedged system makes no progress: feed the watchdog
-				// the frozen clock until it fires.
-				out.DetectedBy = "watchdog"
-				wd := sim.NewWatchdog(crash.WatchdogThreshold, func(uint64) { out.WatchdogFired = true })
-				frozen := s.ClockCycles()
-				for !wd.Fired() {
-					wd.Observe(frozen)
-				}
+			st, err := s.Strike(crash.Kind, sim.NewWatchdog(crash.WatchdogThreshold, nil))
+			out.Detail, out.DetectedBy = st.Detail, st.DetectedBy
+			var rec *Recovery
+			if err == nil {
+				rec, err = s.Recover(latest)
 			}
-			rec, err := s.Recover(latest)
+			if err == nil {
+				out.TailEvents, out.PostViolations = rec.TailEvents, rec.Violations
+				err = SameAudit(st.Baseline, rec.Violations)
+			}
 			if err != nil {
 				out.Snapshot = latest
 				return out, err
-			}
-			out.TailEvents = rec.TailEvents
-			out.PostViolations = rec.Violations
-			if len(rec.Violations) > 0 {
-				out.Snapshot = latest
-				return out, fmt.Errorf("chaos: recovered system failed audit with %d violation(s)", len(rec.Violations))
 			}
 		}
 		s.Step()

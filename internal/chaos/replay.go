@@ -9,7 +9,7 @@ import (
 )
 
 // SoakWorkload is the Header.Workload name of chaos-soak recordings;
-// replay tooling keys on it to re-attach the injector before replaying.
+// ReplayTrace requires such a recording to carry its injector config.
 const SoakWorkload = "chaos-soak"
 
 // Extra keys carrying the injector configuration in a soak trace header.
@@ -81,18 +81,20 @@ func (in *Injector) AttachSystem(sys *replay.System) {
 	}
 }
 
-// ReplayTrace replays a chaos-soak recording: it rebuilds the injector
-// from the trace header and attaches it to the freshly booted system
-// before the first event runs, so the replay experiences the identical
-// fault stream the recording did. Any Options.Setup the caller supplied
-// runs after the injector is attached.
+// ReplayTrace replays any recording. When the header's Extra carries an
+// injector configuration — every chaos-soak recording and every faulted
+// scenario cell does — it attaches a fresh injector built from it to the
+// booted system before the first event runs, so the replay experiences
+// the identical fault stream the recording did; any Options.Setup the
+// caller supplied runs after that. A chaos-soak trace without the
+// configuration is malformed and rejected with replay.ErrBadRecord.
 func ReplayTrace(t *replay.Trace, opt replay.Options) (*replay.Result, error) {
-	if t.Header.Workload != SoakWorkload {
-		return nil, fmt.Errorf("%w: workload %q is not a chaos-soak trace", replay.ErrBadRecord, t.Header.Workload)
-	}
 	cfg, ok := ConfigFromExtra(t.Header.Extra)
 	if !ok {
-		return nil, fmt.Errorf("%w: chaos-soak trace carries no injector config", replay.ErrBadRecord)
+		if t.Header.Workload == SoakWorkload {
+			return nil, fmt.Errorf("%w: chaos-soak trace carries no injector config", replay.ErrBadRecord)
+		}
+		return replay.Run(t, opt)
 	}
 	inner := opt.Setup
 	opt.Setup = func(sys *replay.System) {

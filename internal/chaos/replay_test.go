@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"vdom/internal/replay"
@@ -104,11 +106,30 @@ func TestFailTrace(t *testing.T) {
 	}
 }
 
-// TestConfigFromHeaderRejectsForeign ensures non-soak traces are refused
-// rather than replayed with a zero-value injector.
-func TestConfigFromHeaderRejectsForeign(t *testing.T) {
-	tr := &replay.Trace{Header: replay.Header{Kernel: replay.KernelVDom, Arch: "x86", Cores: 2, Workload: "httpd"}}
-	if _, err := ReplayTrace(tr, replay.Options{}); err == nil {
-		t.Fatal("ReplayTrace accepted a non-soak trace")
+// TestReplayTraceRoutesByConfig pins ReplayTrace's one routing rule: a
+// recording whose header carries no injector config replays exactly as
+// replay.Run does, except a chaos-soak recording, which must carry one
+// and is refused rather than replayed with no injector.
+func TestReplayTraceRoutesByConfig(t *testing.T) {
+	res := Soak(SoakConfig{Chaos: Config{Seed: 99}, Ops: 300, Record: true})
+	plain := *res.Trace
+	plain.Header.Extra = nil
+	plain.Header.Workload = "plain"
+	got, err := ReplayTrace(&plain, replay.Options{})
+	if err != nil {
+		t.Fatalf("ReplayTrace(plain): %v", err)
+	}
+	want, err := replay.Run(&plain, replay.Options{})
+	if err != nil {
+		t.Fatalf("replay.Run(plain): %v", err)
+	}
+	if got.Divergence != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("plain trace: ReplayTrace = %+v, replay.Run = %+v", got, want)
+	}
+
+	bare := plain
+	bare.Header.Workload = SoakWorkload
+	if _, err := ReplayTrace(&bare, replay.Options{}); !errors.Is(err, replay.ErrBadRecord) {
+		t.Fatalf("chaos-soak trace with no injector config: err = %v, want ErrBadRecord", err)
 	}
 }

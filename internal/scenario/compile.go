@@ -10,8 +10,7 @@ import (
 	"vdom/internal/replay"
 )
 
-// WorkloadPrefix marks scenario cells in a trace's Header.Workload;
-// replay tooling keys on it to route the trace through ReplayTrace.
+// WorkloadPrefix marks scenario cells in a trace's Header.Workload.
 const WorkloadPrefix = "scenario/"
 
 // defaultMix is the op mix of a phase that does not declare one.
@@ -165,7 +164,7 @@ func distCode(dist string) uint64 {
 // Header forges the vdom-trace/v1 header describing the cell's
 // platform: replay.Boot inverts it to the identical System, and the
 // Extra map carries the cell geometry plus (for faulted cells) the
-// chaos injector configuration ReplayTrace re-arms.
+// chaos injector configuration chaos.ReplayTrace re-arms.
 func (c *Cell) Header() replay.Header {
 	h := replay.Header{
 		Version:  replay.FormatVersion,

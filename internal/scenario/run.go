@@ -70,7 +70,7 @@ type CellResult struct {
 // from the cell's private xoshiro stream, and injected faults come from
 // the chaos injector's own stream seeded from the cell seed — so the
 // same cell produces identical results at any parallel width, and a
-// recorded cell replays bit-identically through ReplayTrace.
+// recorded cell replays bit-identically through chaos.ReplayTrace.
 func RunCell(c Cell, opt CellOptions) (*CellResult, error) {
 	h := c.Header()
 	sys, err := replay.Boot(h)
@@ -300,24 +300,4 @@ func digestEnd(end map[string]uint64) uint64 {
 		fmt.Fprintf(&sb, "%s=%d\n", k, end[k])
 	}
 	return replay.DigestString(sb.String())
-}
-
-// ReplayTrace replays a scenario-cell recording: for faulted cells it
-// rebuilds the chaos injector from the header's Extra keys and attaches
-// it before the first event, so the replay experiences the identical
-// fault stream; fault-free cells replay through the plain engine.
-func ReplayTrace(t *replay.Trace, opt replay.Options) (*replay.Result, error) {
-	if !strings.HasPrefix(t.Header.Workload, WorkloadPrefix) {
-		return nil, fmt.Errorf("%w: workload %q is not a scenario trace", replay.ErrBadRecord, t.Header.Workload)
-	}
-	if cfg, ok := chaos.ConfigFromExtra(t.Header.Extra); ok {
-		inner := opt.Setup
-		opt.Setup = func(sys *replay.System) {
-			chaos.New(cfg).AttachSystem(sys)
-			if inner != nil {
-				inner(sys)
-			}
-		}
-	}
-	return replay.Run(t, opt)
 }

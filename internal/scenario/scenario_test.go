@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vdom/internal/backend"
+	"vdom/internal/chaos"
 	"vdom/internal/metrics"
 	"vdom/internal/replay"
 )
@@ -107,7 +108,7 @@ func TestCellRecordReplay(t *testing.T) {
 			if res.Trace == nil || len(res.Trace.Events) == 0 {
 				t.Fatal("recording captured no events")
 			}
-			rr, err := ReplayTrace(res.Trace, replay.Options{})
+			rr, err := chaos.ReplayTrace(res.Trace, replay.Options{})
 			if err != nil {
 				t.Fatalf("replay: %v", err)
 			}
@@ -125,15 +126,6 @@ func TestCellRecordReplay(t *testing.T) {
 				t.Fatal("recording the same cell twice produced different trace bytes")
 			}
 		})
-	}
-}
-
-// TestReplayTraceRejectsForeign checks ReplayTrace refuses traces that
-// are not scenario recordings.
-func TestReplayTraceRejectsForeign(t *testing.T) {
-	tr := &replay.Trace{Header: replay.Header{Workload: "httpd-vdom-x86"}}
-	if _, err := ReplayTrace(tr, replay.Options{}); err == nil {
-		t.Fatal("ReplayTrace accepted a non-scenario trace")
 	}
 }
 

@@ -70,7 +70,7 @@ func BenchmarkSupervisedRecovery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.soak.Crash(chaos.CrashKernelPanic)
-		s.recover(ctx)
+		s.recover(ctx, s.soak.AuditNow())
 	}
 	b.StopTimer()
 	if s.state() != Running || s.h.RecoveryFailures != 0 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -59,18 +58,6 @@ type Supervisor struct {
 
 	nextCrash int
 	result    *chaos.SoakResult
-
-	// baseline is the audit of the last known-good state before the
-	// current recovery began (see setBaseline). The soak legitimately
-	// carries transient staleness between op boundaries — a dropped
-	// shootdown IPI leaves TLB entries behind until the next access or
-	// flush heals them — and a faithful restore reproduces that in-flight
-	// staleness bit-for-bit. The post-recovery audit therefore has to
-	// MATCH the pre-crash audit, not be empty: an empty-audit requirement
-	// would quarantine a healthy shard whose crash happened to land on a
-	// dirty boundary.
-	baseline      []string
-	baselineValid bool
 
 	mu sync.Mutex
 	h  ShardHealth
@@ -187,7 +174,7 @@ func (s *Supervisor) step(ctx context.Context) bool {
 			// Organic stall — no crash was injected, yet the clock froze.
 			// Same detector, same recovery path as an injected wedge.
 			s.note(func(h *ShardHealth) { h.DetectedByWatchdog++ })
-			s.recover(ctx)
+			s.recover(ctx, s.soak.AuditNow())
 		}
 		if op%s.cfg.CheckpointEvery == 0 {
 			s.checkpoint(op)
@@ -196,7 +183,7 @@ func (s *Supervisor) step(ctx context.Context) bool {
 	if fail != nil {
 		s.serveReg.Add("serve/panic-failures", 1)
 		s.note(func(h *ShardHealth) { h.PanicFailures++; h.LastError = fail.Error() })
-		s.recover(ctx)
+		s.recover(ctx, s.soak.AuditNow())
 		// Restore + tail replay rewound the shard to the last recorded
 		// boundary; a panic at the op boundary (before the op advanced)
 		// simply re-runs the op.
@@ -206,74 +193,45 @@ func (s *Supervisor) step(ctx context.Context) bool {
 	return more && s.state() != Quarantined
 }
 
-// strike injects the scheduled crash fault, runs detection (watchdog
-// for wedging kinds, auditor for silent corruption), and recovers.
+// strike injects the scheduled crash fault through the chaos engine's
+// Strike (baseline audit, crash, detection by the damage done) and
+// recovers. A crash nothing detected quarantines the shard.
 func (s *Supervisor) strike(ctx context.Context) {
 	kind := s.cfg.CrashKinds[s.crashRng.Intn(len(s.cfg.CrashKinds))]
-	// The pre-crash audit is the recovery's yardstick: it must be taken
-	// while the system is still healthy, before the fault wrecks it.
-	s.setBaseline(s.soak.AuditNow())
-	detail := s.soak.Crash(kind)
+	st, err := s.soak.Strike(kind, s.wd)
 	s.serveReg.Add("serve/crashes", 1)
 	s.serveReg.Add("serve/crash-"+kind.String(), 1)
-	if kind == chaos.CrashTornDomainMap {
-		// Silent corruption: the cross-layer auditor is the detector.
-		// Its findings describe state recovery discards, so they are
-		// not folded into the soak result.
-		s.soak.AuditNow()
-		s.note(func(h *ShardHealth) { h.DetectedByAudit++ })
-	} else {
-		// The wedged system makes no progress: feed the watchdog the
-		// frozen clock until it fires.
-		frozen := s.soak.ClockCycles()
-		for !s.wd.Fired() {
-			s.wd.Observe(frozen)
+	s.note(func(h *ShardHealth) { h.Crashes++; h.LastCrash = kind.String() + ": " + st.Detail })
+	if err != nil {
+		s.quarantine(fmt.Errorf("%w: shard %d: %v", ErrQuarantined, s.shard, err))
+		return
+	}
+	s.note(func(h *ShardHealth) {
+		if st.DetectedBy == "audit" {
+			h.DetectedByAudit++
+		} else {
+			h.DetectedByWatchdog++
 		}
-		s.note(func(h *ShardHealth) { h.DetectedByWatchdog++ })
-	}
-	s.note(func(h *ShardHealth) { h.Crashes++; h.LastCrash = kind.String() + ": " + detail })
-	s.recover(ctx)
-}
-
-// setBaseline records the audit of the last known-good state; the
-// post-recovery audit must reproduce it exactly (see tryRestore).
-func (s *Supervisor) setBaseline(vs []chaos.Violation) {
-	s.baseline = auditSet(vs)
-	s.baselineValid = true
-}
-
-// auditSet renders an audit into a sorted multiset for comparison.
-func auditSet(vs []chaos.Violation) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.String()
-	}
-	sort.Strings(out)
-	return out
+	})
+	s.recover(ctx, st.Baseline)
 }
 
 // recover restores the shard from its checkpoint ring, retrying on the
 // deterministic backoff schedule and quarantining after MaxRetries
-// consecutive failures.
-func (s *Supervisor) recover(ctx context.Context) {
+// consecutive failures. Every attempt's recovered audit must equal
+// baseline: a strike's pre-crash audit, or for a panic or organic stall
+// (no injected wreckage; the live system still stands) the live audit —
+// exactly the state recovery rebuilds for a boundary fault, and best
+// effort for a mid-op panic, like the recovery boundary itself.
+func (s *Supervisor) recover(ctx context.Context, baseline []chaos.Violation) {
 	s.setState(Recovering)
-	if !s.baselineValid {
-		// Panic and organic-stall recoveries reach here without a strike
-		// having captured the pre-fault audit. The live system is still
-		// standing (the fault was a panic or a wedge, not injected
-		// wreckage), so audit it now: for boundary faults this is exactly
-		// the state recovery rebuilds; for a mid-op panic it is best
-		// effort, like the recovery boundary itself.
-		s.setBaseline(s.soak.AuditNow())
-	}
-	defer func() { s.baselineValid = false }()
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
 		if ctx.Err() != nil {
 			s.quarantine(fmt.Errorf("%w: shard %d: cancelled mid-recovery: %v", ErrQuarantined, s.shard, ctx.Err()))
 			return
 		}
-		err := s.tryRestore()
+		err := s.tryRestore(baseline)
 		if err == nil {
 			ns := uint64(time.Since(start))
 			s.wd.Reset()
@@ -310,10 +268,11 @@ func (s *Supervisor) recover(ctx context.Context) {
 
 // tryRestore performs one recovery attempt: newest decodable ring entry
 // (corrupt entries are skipped — the ring fallback), restore + tail
-// replay via SoakRun.Recover, then the post-recovery audit. A panic
+// replay via SoakRun.Recover, then the recovery check against baseline
+// (chaos.SameAudit). A panic
 // inside the attempt is converted to an error so the retry/quarantine
 // ladder handles it.
-func (s *Supervisor) tryRestore() (err error) {
+func (s *Supervisor) tryRestore(baseline []chaos.Violation) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: recovery panicked: %v", r)
@@ -331,58 +290,14 @@ func (s *Supervisor) tryRestore() (err error) {
 	if err != nil {
 		return fmt.Errorf("restore from %s: %w", filepath.Base(entry.Path), err)
 	}
-	// A faithful restore reproduces the pre-crash state exactly —
-	// including any transient staleness that was legitimately in flight
-	// at the crash boundary (a dropped shootdown IPI's leftovers heal
-	// lazily). So the recovered audit must MATCH the pre-crash baseline;
-	// any delta in either direction is structural recovery damage.
-	got := auditSet(rec.Violations)
-	if !slicesEqual(got, s.baseline) {
-		return fmt.Errorf("recovered audit diverged from pre-crash baseline: %d violation(s) vs %d expected (first: %s)",
-			len(got), len(s.baseline), firstDelta(got, s.baseline))
+	if err := chaos.SameAudit(baseline, rec.Violations); err != nil {
+		return err
 	}
-	if len(got) > 0 {
+	if len(rec.Violations) > 0 {
 		s.serveReg.Add("serve/staleness-carried", 1)
 	}
 	s.note(func(h *ShardHealth) { h.TailEvents += rec.TailEvents; h.RestoredFromOp = entry.Op })
 	return nil
-}
-
-// slicesEqual compares two sorted string multisets.
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// firstDelta names the first element present in exactly one of the two
-// sorted multisets, for the failure message.
-func firstDelta(got, want []string) string {
-	i, j := 0, 0
-	for i < len(got) && j < len(want) {
-		switch {
-		case got[i] == want[j]:
-			i++
-			j++
-		case got[i] < want[j]:
-			return "unexpected: " + got[i]
-		default:
-			return "missing: " + want[j]
-		}
-	}
-	if i < len(got) {
-		return "unexpected: " + got[i]
-	}
-	if j < len(want) {
-		return "missing: " + want[j]
-	}
-	return "none"
 }
 
 // checkpoint takes the cadence checkpoint through the pressure model:

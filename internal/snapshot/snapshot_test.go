@@ -41,17 +41,21 @@ func soakCfg(seed uint64) chaos.SoakConfig {
 // clock, and domain-map digest included) is byte-identical to the
 // uninterrupted run of the same seed, with identical fault counters and
 // metrics. The DPTI rows run the same driver on the DPTI kernel (its
-// machine/kernel fault subset; it has no domain map to tear).
+// machine/kernel fault subset). DPTI has no domain map to tear, so its
+// torn-domain-map strike falls back to a residency wipe and the
+// watchdog, not the auditor, must detect it.
 func TestCrashRecoverBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
-		kernel string
-		kind   chaos.CrashKind
+		kernel     string
+		kind       chaos.CrashKind
+		detectedBy string
 	}{
-		{"vdom", chaos.CrashCore},
-		{"vdom", chaos.CrashKernelPanic},
-		{"vdom", chaos.CrashTornDomainMap},
-		{"dpti", chaos.CrashCore},
-		{"dpti", chaos.CrashKernelPanic},
+		{"vdom", chaos.CrashCore, "watchdog"},
+		{"vdom", chaos.CrashKernelPanic, "watchdog"},
+		{"vdom", chaos.CrashTornDomainMap, "audit"},
+		{"dpti", chaos.CrashCore, "watchdog"},
+		{"dpti", chaos.CrashKernelPanic, "watchdog"},
+		{"dpti", chaos.CrashTornDomainMap, "watchdog"},
 	} {
 		kind, name := tc.kind, tc.kind.String()
 		if tc.kernel != "vdom" {
@@ -82,8 +86,8 @@ func TestCrashRecoverBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("CrashSoak: %v", err)
 			}
-			if kind != chaos.CrashTornDomainMap && !out.WatchdogFired {
-				t.Errorf("watchdog did not fire for %s", kind)
+			if out.DetectedBy != tc.detectedBy {
+				t.Errorf("%s detected by %q, want %q", kind, out.DetectedBy, tc.detectedBy)
 			}
 			if out.TailEvents == 0 {
 				t.Errorf("recovery replayed no tail events")
@@ -123,6 +127,43 @@ func TestCrashRecoverBitIdentical(t *testing.T) {
 			}
 			if !bytes.Equal(refJSON.Bytes(), gotJSON.Bytes()) {
 				t.Errorf("metrics snapshots differ across recovery")
+			}
+		})
+	}
+}
+
+// TestCrashRecoverDirtyBoundary strikes every crash kind at an op
+// boundary where dropped-shootdown staleness is legitimately in flight:
+// the live audit just before the crash is non-empty. A faithful restore
+// reproduces that staleness, so recovery must succeed with a
+// post-recovery audit equal to the pre-crash one, and the run must stay
+// byte-identical to the uninterrupted soak.
+func TestCrashRecoverDirtyBoundary(t *testing.T) {
+	const atOp = 1337
+	cfg := soakCfg(42)
+	cfg.Ops = 3000
+	ref := chaos.Soak(cfg)
+
+	pre := chaos.StartSoak(cfg)
+	for pre.NextOp() < atOp {
+		pre.Step()
+	}
+	before := pre.AuditNow()
+	if len(before) == 0 {
+		t.Fatalf("pre-crash audit at op %d is clean; the dirty boundary is not exercised", atOp)
+	}
+
+	for _, kind := range []chaos.CrashKind{chaos.CrashCore, chaos.CrashKernelPanic, chaos.CrashTornDomainMap} {
+		t.Run(kind.String(), func(t *testing.T) {
+			out, err := chaos.CrashSoak(cfg, chaos.CrashConfig{Kind: kind, AtOp: atOp})
+			if err != nil {
+				t.Fatalf("CrashSoak: %v", err)
+			}
+			if fmt.Sprint(out.PostViolations) != fmt.Sprint(before) {
+				t.Errorf("post-recovery audit differs from the pre-crash audit:\ngot  %v\nwant %v", out.PostViolations, before)
+			}
+			if !bytes.Equal(replay.Encode(out.Result.Trace), replay.Encode(ref.Trace)) {
+				t.Errorf("recovered trace differs from the uninterrupted soak")
 			}
 		})
 	}

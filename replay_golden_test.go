@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"vdom/internal/chaos"
 	"vdom/internal/replay"
 	"vdom/internal/scenario"
 	"vdom/internal/workload"
@@ -25,17 +25,6 @@ const traceDir = "testdata/traces"
 // the scenario subsystem's recorded cell.
 func goldenCorpus() []workload.TraceSpec {
 	return append(workload.TraceCorpus(), scenario.TraceCorpus()...)
-}
-
-// replayGolden re-executes a golden trace through the engine that
-// recorded it: scenario traces go through scenario.ReplayTrace (which
-// rebuilds any fault injector from the header), everything else through
-// the plain replay engine.
-func replayGolden(tr *replay.Trace) (*replay.Result, error) {
-	if strings.HasPrefix(tr.Header.Workload, scenario.WorkloadPrefix) {
-		return scenario.ReplayTrace(tr, replay.Options{})
-	}
-	return replay.Run(tr, replay.Options{})
 }
 
 // TestReplayGolden is the golden-trace regression: every corpus workload
@@ -81,7 +70,7 @@ func TestReplayGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode golden: %v", err)
 			}
-			res, err := replayGolden(tr)
+			res, err := chaos.ReplayTrace(tr, replay.Options{})
 			if err != nil {
 				t.Fatalf("replay: %v", err)
 			}
@@ -130,7 +119,7 @@ func TestReplayRoundTrip(t *testing.T) {
 			}
 			assertTraceEqual(t, "jsonl", tr, jdec)
 
-			res, err := replayGolden(dec)
+			res, err := chaos.ReplayTrace(dec, replay.Options{})
 			if err != nil {
 				t.Fatalf("replay: %v", err)
 			}
