@@ -1,18 +1,19 @@
-// Package backend is the kernel-backend registry: the one place where a
-// domain-virtualization kernel (the VDom core, the libmpk baseline, the
-// EPK VM model, the DPTI per-domain-page-table baseline) plugs into
-// every comparison surface of the repository. A backend registers once,
-// under its trace kernel-kind name, and through the Backend interface
-// reaches booting (replay.Boot), trace recording (the unified tap),
-// end-state verification, checkpoint capture/restore (its vdom-snap/v2
-// section), metrics attribution, and the generic workload adapter
-// (DomainOps) that the conformance suite, the kernel×arch matrix
-// experiment, and the public vdom.WithKernel routing drive.
+// Package backend is the kernel-backend registry and the one place a
+// simulated system is booted. Boot builds the machine/kernel substrate
+// (BootSubstrate, the only constructor of an hw.Config and a kernel in
+// the repository outside tests) and attaches a registered
+// domain-virtualization kernel to it: the VDom core, the libmpk
+// baseline, the EPK VM model, or the DPTI per-domain-page-table
+// baseline. Every surface boots through it — trace replay (replay.Boot),
+// the paper workloads and fixtures, the conformance suite, and the
+// public vdom.NewSystem/WithKernel API — so the compared systems of the
+// paper's §7 are always built the same way.
 //
-// Before the registry, five dispatch sites (replay boot, recorder
-// attach, end-state, snapshot capture, snapshot restore) each hand-wired
-// the three kernels; adding a fourth meant touching all five. Now a
-// kernel is one Register call.
+// A backend registers once, under its trace kernel-kind name, and
+// through the Backend interface reaches booting, trace recording (the
+// unified tap), end-state verification, checkpoint capture/restore (its
+// vdom-snap/v2 section), metrics attribution, and the generic workload
+// adapter (DomainOps). Adding a kernel is one Register call.
 package backend
 
 import (
@@ -37,8 +38,9 @@ import (
 var ErrDomainCapacity = errors.New("backend: domain capacity exhausted")
 
 // Spec is the configuration a backend boots from — the replay.Header's
-// knobs, decoupled from the trace format so non-replay callers (the
-// public API, the conformance suite) can boot without forging headers.
+// knobs (replay.SpecFromHeader), decoupled from the trace format so
+// non-replay callers (the public API, the fixtures, the conformance
+// suite) can boot without forging headers.
 type Spec struct {
 	// Arch selects the cost table.
 	Arch cycles.Arch
@@ -49,15 +51,13 @@ type Spec struct {
 	TLBCap int
 	// NoASID disables ASID tagging (hw.Config.NoASID).
 	NoASID bool
+	// SetAssociative models 8-way set-associative TLBs
+	// (hw.Config.SetAssociative).
+	SetAssociative bool
 	// VDomKernel enables the VDom kernel patch (kernel.Config).
 	VDomKernel bool
-	// SecureGate, NoPMDOpt, StrictLRU, FlushThreshold, and Nas are
-	// core.Policy knobs; other backends ignore them.
-	SecureGate     bool
-	NoPMDOpt       bool
-	StrictLRU      bool
-	FlushThreshold uint64
-	Nas            int
+	// Policy configures the VDom core; other backends ignore it.
+	Policy core.Policy
 	// Domains is EPK's fixed domain capacity.
 	Domains int
 	// Huge2M selects libmpk's 2 MiB page mode.
@@ -185,17 +185,42 @@ func Of(inst *Instance) Backend {
 	return nil
 }
 
-// BootSubstrate boots the shared machine/kernel/process substrate the
-// non-standalone backends attach to.
-func BootSubstrate(inst *Instance, spec Spec) {
-	inst.Machine = hw.NewMachine(hw.Config{
-		Arch:        spec.Arch,
-		NumCores:    spec.Cores,
-		TLBCapacity: spec.TLBCap,
-		NoASID:      spec.NoASID,
+// Boot builds the system spec describes under the named backend: the
+// machine and kernel substrate, one process, and the backend's domain
+// layer, unwired (no metrics, taps, or chaos attached). A standalone
+// spec (EPK's pure cost model) gets the domain layer alone.
+func Boot(name string, spec Spec) (*Instance, error) {
+	b, ok := Get(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown kernel kind %q", name)
+	}
+	inst := &Instance{}
+	if !b.Standalone(spec) {
+		if spec.Cores <= 0 {
+			return nil, fmt.Errorf("kernel kind %q needs cores > 0", name)
+		}
+		inst = BootSubstrate(spec)
+		inst.Proc = inst.Kernel.NewProcess()
+	}
+	if err := b.Attach(inst, spec); err != nil {
+		return nil, err
+	}
+	return inst, nil
+}
+
+// BootSubstrate builds the machine and kernel alone — no process and no
+// domain layer — for callers that create processes themselves (the
+// public API, the kernel benchmarks, the unprotected baseline). It is
+// the only place a machine or a kernel is constructed.
+func BootSubstrate(spec Spec) *Instance {
+	m := hw.NewMachine(hw.Config{
+		Arch:           spec.Arch,
+		NumCores:       spec.Cores,
+		TLBCapacity:    spec.TLBCap,
+		NoASID:         spec.NoASID,
+		SetAssociative: spec.SetAssociative,
 	})
-	inst.Kernel = kernel.New(kernel.Config{Machine: inst.Machine, VDomEnabled: spec.VDomKernel})
-	inst.Proc = inst.Kernel.NewProcess()
+	return &Instance{Machine: m, Kernel: kernel.New(kernel.Config{Machine: m, VDomEnabled: spec.VDomKernel})}
 }
 
 func init() {

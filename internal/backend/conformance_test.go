@@ -47,11 +47,11 @@ func confRegion(d int) pagetable.VAddr {
 // with. EPK runs in its standalone cost-model form (Cores 0), the form
 // its recorded corpus uses; everything else rides a 2-core substrate.
 func confSpec(name string, arch cycles.Arch) backend.Spec {
-	spec := backend.Spec{Arch: arch, Cores: 2, FlushThreshold: 64, Nas: 4}
+	spec := backend.Spec{Arch: arch, Cores: 2, Policy: core.Policy{RangeFlushThresholdPages: 64, DefaultNas: 4}}
 	switch name {
 	case "vdom":
 		spec.VDomKernel = true
-		spec.SecureGate = true
+		spec.Policy.SecureGate = true
 	case "epk":
 		spec.Cores = 0
 		spec.Domains = 32
@@ -63,25 +63,21 @@ func confSpec(name string, arch cycles.Arch) backend.Spec {
 // same translation replay.SpecFromHeader inverts.
 func confHeader(name string, spec backend.Spec) replay.Header {
 	h := replay.Header{
-		Version:        replay.FormatVersion,
-		Kernel:         name,
-		Arch:           replay.ArchName(spec.Arch),
-		Cores:          spec.Cores,
-		TLBCap:         spec.TLBCap,
-		Workload:       "backend-conformance",
-		FlushThreshold: spec.FlushThreshold,
-		Nas:            spec.Nas,
-		Domains:        spec.Domains,
+		Version:  replay.FormatVersion,
+		Kernel:   name,
+		Arch:     replay.ArchName(spec.Arch),
+		Cores:    spec.Cores,
+		TLBCap:   spec.TLBCap,
+		Workload: "backend-conformance",
+		Domains:  spec.Domains,
 	}
 	if spec.VDomKernel {
 		h.Flags |= replay.HdrVDomKernel
 	}
-	if spec.SecureGate {
-		h.Flags |= replay.HdrSecureGate
-	}
 	if spec.NoASID {
 		h.Flags |= replay.HdrNoASID
 	}
+	h.SetPolicy(spec.Policy)
 	return h
 }
 

@@ -23,13 +23,7 @@ func (vdomBackend) Present(i *Instance) bool { return i.Manager != nil }
 func (vdomBackend) Section() string          { return "core/manager" }
 
 func (vdomBackend) Attach(inst *Instance, spec Spec) error {
-	inst.Manager = core.Attach(inst.Proc, core.Policy{
-		SecureGate:               spec.SecureGate,
-		NoPMDOpt:                 spec.NoPMDOpt,
-		StrictLRU:                spec.StrictLRU,
-		RangeFlushThresholdPages: spec.FlushThreshold,
-		DefaultNas:               spec.Nas,
-	})
+	inst.Manager = core.Attach(inst.Proc, spec.Policy)
 	return nil
 }
 

@@ -51,14 +51,9 @@ type vdomMix struct{}
 // header boots the VDom kernel under core.DefaultPolicy (recovery and
 // replay rebuild the manager from these fields).
 func (vdomMix) header(h *replay.Header, cfg SoakConfig) {
-	pol := core.DefaultPolicy()
 	h.Kernel = replay.KernelVDom
 	h.Flags = replay.HdrVDomKernel
-	if pol.SecureGate {
-		h.Flags |= replay.HdrSecureGate
-	}
-	h.FlushThreshold = pol.RangeFlushThresholdPages
-	h.Nas = pol.DefaultNas
+	h.SetPolicy(core.DefaultPolicy())
 	h.ConfigDigest = replay.DigestString(fmt.Sprintf(
 		"chaos-soak|arch=%s|cores=%d|threads=%d|vdoms=%d|ops=%d|chaos=%+v",
 		replay.ArchName(cfg.Arch), cfg.Cores, cfg.Threads, cfg.Vdoms, cfg.Ops, cfg.Chaos))
@@ -67,11 +62,7 @@ func (vdomMix) header(h *replay.Header, cfg SoakConfig) {
 // attach installs the Chrome-trace decision tap.
 func (vdomMix) attach(s *SoakRun) {
 	if tr := s.cfg.Trace; tr != nil {
-		s.sys.Manager.SetTracer(func(e core.Event) {
-			tr.Decision(e.Kind.String(), e.TID, uint64(s.total), uint64(e.Cost), map[string]uint64{
-				"vdom": uint64(e.Vdom), "vds": uint64(e.VDS), "pdom": uint64(e.Pdom),
-			})
-		})
+		s.sys.Manager.SetTracer(core.DecisionTracer(tr, func() uint64 { return uint64(s.total) }))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vdom/internal/cycles"
+	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
 )
 
@@ -72,6 +73,17 @@ func (e Event) String() string {
 // Tracer receives domain-virtualization events. It must not call back into
 // the Manager.
 type Tracer func(Event)
+
+// DecisionTracer returns a Tracer that records each event as a
+// Chrome-trace decision span on tr, timestamped by clock (the caller's
+// cycle clock when the event fires) and carrying its vdom, VDS and pdom.
+func DecisionTracer(tr *metrics.Trace, clock func() uint64) Tracer {
+	return func(e Event) {
+		tr.Decision(e.Kind.String(), e.TID, clock(), uint64(e.Cost), map[string]uint64{
+			"vdom": uint64(e.Vdom), "vds": uint64(e.VDS), "pdom": uint64(e.Pdom),
+		})
+	}
+}
 
 // SetTracer installs (or, with nil, removes) the event tracer. Tracing is
 // free when disabled.

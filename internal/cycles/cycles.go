@@ -384,67 +384,3 @@ func ParamsFor(arch Arch) *Params {
 		panic(fmt.Sprintf("cycles: unknown architecture %d", int(arch)))
 	}
 }
-
-// Counter accumulates cycles, attributed to named accounts so that
-// experiments (e.g. the Figure 1 overhead breakdown) can report where time
-// went.
-type Counter struct {
-	total    Cost
-	accounts map[string]Cost
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter {
-	return &Counter{accounts: make(map[string]Cost)}
-}
-
-// Charge adds c cycles to the given account.
-func (k *Counter) Charge(account string, c Cost) {
-	k.total += c
-	k.accounts[account] += c
-}
-
-// Total returns all cycles charged so far.
-func (k *Counter) Total() Cost { return k.total }
-
-// Account returns the cycles charged to one account.
-func (k *Counter) Account(name string) Cost { return k.accounts[name] }
-
-// Accounts returns a copy of the per-account totals.
-func (k *Counter) Accounts() map[string]Cost {
-	out := make(map[string]Cost, len(k.accounts))
-	for n, c := range k.accounts {
-		out[n] = c
-	}
-	return out
-}
-
-// Reset zeroes the counter.
-func (k *Counter) Reset() {
-	k.total = 0
-	k.accounts = make(map[string]Cost)
-}
-
-// Emit publishes the counter's per-account totals as named metrics
-// counters under the cycles/ prefix (see OBSERVABILITY.md for the
-// catalogue).
-func (k *Counter) Emit(emit func(name string, v uint64)) {
-	emit("cycles/total", uint64(k.total))
-	for name, c := range k.accounts {
-		emit("cycles/"+name, uint64(c))
-	}
-}
-
-// Well-known accounting buckets used across the repository. Keeping them
-// here avoids typo-fragmented accounts in experiment breakdowns.
-const (
-	AccountBusyWait   = "busy-wait"
-	AccountShootdown  = "tlb-shootdown"
-	AccountManagement = "memory-metadata-management"
-	AccountDomain     = "domain-switch"
-	AccountWork       = "application-work"
-	AccountFault      = "fault-handling"
-	AccountSync       = "vds-sync"
-	AccountContext    = "context-switch"
-	AccountVM         = "vm-tax"
-)

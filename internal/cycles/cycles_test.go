@@ -101,40 +101,6 @@ func TestBothArchesHave16Pdoms(t *testing.T) {
 	}
 }
 
-func TestCounterChargeAndAccounts(t *testing.T) {
-	c := NewCounter()
-	c.Charge(AccountBusyWait, 100)
-	c.Charge(AccountShootdown, 50)
-	c.Charge(AccountBusyWait, 25)
-	if c.Total() != 175 {
-		t.Errorf("Total = %d, want 175", c.Total())
-	}
-	if c.Account(AccountBusyWait) != 125 {
-		t.Errorf("busy-wait = %d, want 125", c.Account(AccountBusyWait))
-	}
-	if c.Account("nonexistent") != 0 {
-		t.Error("missing account should read 0")
-	}
-	acc := c.Accounts()
-	if len(acc) != 2 || acc[AccountShootdown] != 50 {
-		t.Errorf("Accounts() = %v", acc)
-	}
-	// Mutating the copy must not affect the counter.
-	acc[AccountShootdown] = 999
-	if c.Account(AccountShootdown) != 50 {
-		t.Error("Accounts() returned a live reference")
-	}
-}
-
-func TestCounterReset(t *testing.T) {
-	c := NewCounter()
-	c.Charge(AccountWork, 10)
-	c.Reset()
-	if c.Total() != 0 || c.Account(AccountWork) != 0 {
-		t.Error("Reset did not clear counter")
-	}
-}
-
 func TestPowerParams(t *testing.T) {
 	p := PowerParams()
 	if p.Arch != Power {

@@ -321,9 +321,6 @@ type Task struct {
 	// vds reports whether table belongs to a VDS (affects context-switch
 	// cost on the VDom kernel).
 	vds bool
-
-	// Counter attributes this task's cycles.
-	Counter *cycles.Counter
 }
 
 // NewTask creates a task pinned to the given core, running on the process
@@ -343,7 +340,6 @@ func (p *Process) NewTask(core int) *Task {
 		// Like Linux's init_pkru, threads start with access to the
 		// default domain only.
 		savedPerm: hw.DenyAll(),
-		Counter:   cycles.NewCounter(),
 	}
 	p.tasks = append(p.tasks, t)
 	return t

@@ -198,17 +198,12 @@ func TestSchedVDSSwitchUnderContention(t *testing.T) {
 // snapHeader describes the bootVDom geometry to the snapshot layer, so
 // Restore boots an identical system.
 func snapHeader(cores int) replay.Header {
-	pol := core.DefaultPolicy()
 	h := replay.Header{
 		Version: replay.FormatVersion, Kernel: replay.KernelVDom,
 		Arch: "x86", Cores: cores, TLBCap: 256, Workload: "sched-test",
-		Flags:          replay.HdrVDomKernel,
-		FlushThreshold: pol.RangeFlushThresholdPages,
-		Nas:            pol.DefaultNas,
+		Flags: replay.HdrVDomKernel,
 	}
-	if pol.SecureGate {
-		h.Flags |= replay.HdrSecureGate
-	}
+	h.SetPolicy(core.DefaultPolicy())
 	return h
 }
 

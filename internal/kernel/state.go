@@ -14,12 +14,7 @@ import (
 // mm.TableID); tasks by TID within their process. The section encodes
 // the Snap fields in declaration order: unsigned values as uvarints, Go
 // ints as zigzag varints, and every slice as a count then its elements.
-
-// AccountSnap is one named cycle account of a task counter.
-type AccountSnap struct {
-	Name string
-	Cost cycles.Cost
-}
+// Each task ends with two reserved uvarints that must be zero.
 
 // TaskSnap is the serializable image of one Task.
 type TaskSnap struct {
@@ -30,8 +25,6 @@ type TaskSnap struct {
 	BaseASID  tlb.ASID
 	SavedPerm uint64
 	VDS       bool
-	Total     cycles.Cost
-	Accounts  []AccountSnap
 }
 
 // Snap is the serializable image of a Kernel plus one Process's tasks.
@@ -81,12 +74,7 @@ func (k *Kernel) Snap(p *Process, tableID func(*pagetable.Table) int) Snap {
 			BaseASID:  t.baseASID,
 			SavedPerm: t.savedPerm,
 			VDS:       t.vds,
-			Total:     t.Counter.Total(),
 		}
-		for name, c := range t.Counter.Accounts() {
-			ts.Accounts = append(ts.Accounts, AccountSnap{Name: name, Cost: c})
-		}
-		sort.Slice(ts.Accounts, func(i, j int) bool { return ts.Accounts[i].Name < ts.Accounts[j].Name })
 		s.Tasks = append(s.Tasks, ts)
 	}
 	sort.Slice(s.Tasks, func(i, j int) bool { return s.Tasks[i].TID < s.Tasks[j].TID })
@@ -128,10 +116,6 @@ func (k *Kernel) LoadSnap(s Snap, p *Process, table func(id int) *pagetable.Tabl
 			baseASID:  ts.BaseASID,
 			savedPerm: ts.SavedPerm,
 			vds:       ts.VDS,
-			Counter:   cycles.NewCounter(),
-		}
-		for _, a := range ts.Accounts {
-			t.Counter.Charge(a.Name, a.Cost)
 		}
 		p.tasks = append(p.tasks, t)
 		byTID[ts.TID] = t
@@ -170,12 +154,10 @@ func (s Snap) Append(b []byte) []byte {
 		b = wire.AppendUvarint(b, uint64(t.BaseASID))
 		b = wire.AppendUvarint(b, t.SavedPerm)
 		b = wire.AppendBool(b, t.VDS)
-		b = wire.AppendUvarint(b, uint64(t.Total))
-		b = wire.AppendUvarint(b, uint64(len(t.Accounts)))
-		for _, a := range t.Accounts {
-			b = wire.AppendString(b, a.Name)
-			b = wire.AppendUvarint(b, uint64(a.Cost))
-		}
+		// The two reserved words (a retired per-task cycle total and
+		// account count) keep the v2 layout.
+		b = wire.AppendUvarint(b, 0)
+		b = wire.AppendUvarint(b, 0)
 	}
 	return b
 }
@@ -184,8 +166,8 @@ func (s Snap) Append(b []byte) []byte {
 // booted kernel k and the restored address space's numTables, so that
 // LoadSnap cannot fail: the per-core arrays must match k's core count,
 // TIDs must be positive and ascending, every task's core and table id in
-// range and its accounts must sum to its total, and every LastTaskTID
-// must name a snapshot task (or 0).
+// range and its two reserved words zero, and every LastTaskTID must name
+// a snapshot task (or 0).
 func (s *Snap) Read(r *wire.Reader, k *Kernel, numTables int) {
 	s.NextASID = tlb.ReadASID(r)
 	s.MaxASID = tlb.ReadASID(r)
@@ -223,13 +205,7 @@ func (s *Snap) Read(r *wire.Reader, k *Kernel, numTables int) {
 		t.BaseASID = tlb.ReadASID(r)
 		t.SavedPerm = r.Uvarint()
 		t.VDS = r.Bool()
-		t.Total = cycles.Cost(r.Uvarint())
-		t.Accounts = make([]AccountSnap, r.Count("account"))
-		var sum cycles.Cost
-		for j := range t.Accounts {
-			t.Accounts[j] = AccountSnap{Name: r.String(), Cost: cycles.Cost(r.Uvarint())}
-			sum += t.Accounts[j].Cost
-		}
+		total, accounts := r.Uvarint(), r.Uvarint()
 		switch {
 		case r.Err() != nil:
 			return
@@ -237,8 +213,8 @@ func (s *Snap) Read(r *wire.Reader, k *Kernel, numTables int) {
 			r.Failf("task %d out of order", t.TID)
 		case t.Core < 0 || t.Core >= cores:
 			r.Failf("task %d on core %d of %d", t.TID, t.Core, cores)
-		case sum != t.Total:
-			r.Failf("task %d accounts sum to %d, total %d", t.TID, sum, t.Total)
+		case total != 0 || accounts != 0:
+			r.Failf("task %d reserved words %d, %d are not zero", t.TID, total, accounts)
 		}
 	}
 	for id, tid := range s.LastTaskTID {

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"vdom/internal/core"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -119,6 +121,42 @@ func TestErrCodeNamesRoundTrip(t *testing.T) {
 	for _, c := range codes {
 		if got := errCodeFromName(c.String()); got != c {
 			t.Fatalf("errCodeFromName(%q) = %v, want %v", c.String(), got, c)
+		}
+	}
+}
+
+// TestPolicyHeaderRoundTrip checks the one core.Policy <-> header
+// translation over every combination of Policy's bools with a
+// non-default flush threshold and nas: Header.Policy and SpecFromHeader
+// both return exactly the policy SetPolicy wrote, through an encode and
+// decode too, and SetPolicy leaves the non-policy flag bits alone.
+func TestPolicyHeaderRoundTrip(t *testing.T) {
+	for bits := 0; bits < 8; bits++ {
+		want := core.Policy{
+			SecureGate:               bits&1 != 0,
+			NoPMDOpt:                 bits&2 != 0,
+			StrictLRU:                bits&4 != 0,
+			RangeFlushThresholdPages: 1024,
+			DefaultNas:               7,
+		}
+		h := Header{Version: FormatVersion, Kernel: KernelVDom, Arch: "x86", Cores: 2,
+			Flags: HdrVDomKernel | HdrNoASID | hdrPolicy}
+		h.SetPolicy(want)
+		if got := h.Policy(); got != want {
+			t.Errorf("Header.Policy() = %+v, want %+v", got, want)
+		}
+		if got := SpecFromHeader(h).Policy; got != want {
+			t.Errorf("SpecFromHeader(h).Policy = %+v, want %+v", got, want)
+		}
+		if h.Flags&^hdrPolicy != HdrVDomKernel|HdrNoASID {
+			t.Errorf("SetPolicy changed non-policy flags: %#x", h.Flags)
+		}
+		tr, err := Decode(Encode(&Trace{Header: h}))
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		if got := tr.Header.Policy(); got != want {
+			t.Errorf("decoded Header.Policy() = %+v, want %+v", got, want)
 		}
 	}
 }

@@ -34,8 +34,8 @@ func bootConformance(t *testing.T, kind string) *replay.System {
 	h := replay.Header{
 		Version: replay.FormatVersion, Kernel: kind, Arch: "x86",
 		Cores: 1, TLBCap: 256, Workload: "conformance",
-		Flags: replay.HdrSecureGate, FlushThreshold: 64, Nas: 4,
 	}
+	h.SetPolicy(core.DefaultPolicy())
 	if kind == replay.KernelVDom {
 		h.Flags |= replay.HdrVDomKernel
 	}

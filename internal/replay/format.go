@@ -378,16 +378,49 @@ type Header struct {
 	ConfigDigest uint64
 	// Flags carries the Hdr* configuration bits.
 	Flags uint32
-	// FlushThreshold is core.Policy.RangeFlushThresholdPages.
+	// FlushThreshold and Nas carry core.Policy's
+	// RangeFlushThresholdPages and DefaultNas (see SetPolicy).
 	FlushThreshold uint64
-	// Nas is core.Policy.DefaultNas.
-	Nas int
+	Nas            int
 	// Domains is the EPK domain capacity (epk.New's numDomains).
 	Domains int
 	// Extra carries layer-specific configuration a wrapper needs to
 	// rebuild the recorded environment (the chaos layer stores its fault
 	// mix here). Encoded sorted by key.
 	Extra map[string]uint64
+}
+
+// hdrPolicy is the set of Flags bits SetPolicy owns.
+const hdrPolicy = HdrSecureGate | HdrNoPMDOpt | HdrStrictLRU
+
+// SetPolicy writes a VDom policy into the header: the HdrSecureGate,
+// HdrNoPMDOpt and HdrStrictLRU bits, FlushThreshold and Nas. It and
+// Policy are the only translation between core.Policy and the trace
+// header; other Flags bits are left as they are.
+func (h *Header) SetPolicy(p core.Policy) {
+	h.Flags &^= hdrPolicy
+	if p.SecureGate {
+		h.Flags |= HdrSecureGate
+	}
+	if p.NoPMDOpt {
+		h.Flags |= HdrNoPMDOpt
+	}
+	if p.StrictLRU {
+		h.Flags |= HdrStrictLRU
+	}
+	h.FlushThreshold = p.RangeFlushThresholdPages
+	h.Nas = p.DefaultNas
+}
+
+// Policy returns the VDom policy SetPolicy wrote into the header.
+func (h Header) Policy() core.Policy {
+	return core.Policy{
+		SecureGate:               h.Flags&HdrSecureGate != 0,
+		NoPMDOpt:                 h.Flags&HdrNoPMDOpt != 0,
+		StrictLRU:                h.Flags&HdrStrictLRU != 0,
+		RangeFlushThresholdPages: h.FlushThreshold,
+		DefaultNas:               h.Nas,
+	}
 }
 
 // Trace is one recorded run: header, event stream, and the end-state

@@ -128,12 +128,7 @@ func replayFrom(t *Trace, sys *System, tasks map[uint64]*kernel.Task, startClock
 		}
 	}
 	if sys.Manager != nil && opt.Trace != nil {
-		tr := opt.Trace
-		sys.Manager.SetTracer(func(e core.Event) {
-			tr.Decision(e.Kind.String(), e.TID, clock, uint64(e.Cost), map[string]uint64{
-				"vdom": uint64(e.Vdom), "vds": uint64(e.VDS), "pdom": uint64(e.Pdom),
-			})
-		})
+		sys.Manager.SetTracer(core.DecisionTracer(opt.Trace, func() uint64 { return clock }))
 	}
 
 	res := &Result{Header: t.Header}
@@ -417,38 +412,25 @@ func layerErr(idx int, layer, kind string) error {
 	return fmt.Errorf("%w: event %d targets the %s layer, absent for kernel kind %q", ErrBadRecord, idx, layer, kind)
 }
 
-// Boot builds the platform a header describes: machine, kernel, process,
-// and the kernel kind's domain layer, unwired (no metrics, taps, or
-// chaos attached). Run uses it internally; the snapshot subsystem uses
-// it to rebuild a System skeleton before loading checkpointed state into
-// each layer. The kernel kind is resolved through the backend registry,
-// so a registered backend replays with no changes here.
+// Boot builds the platform a header describes through the backend
+// registry (backend.Boot): machine, kernel, process, and the kernel
+// kind's domain layer, unwired (no metrics, taps, or chaos attached).
+// Run uses it internally; the snapshot subsystem uses it to rebuild a
+// System skeleton before loading checkpointed state into each layer,
+// and the workloads boot every recorded run from its header with it.
+// The architecture is parsed only when a machine is built, so
+// standalone cost-model traces (EPK with Cores <= 0) stay arch-agnostic.
 func Boot(h Header) (*System, error) {
-	b, ok := backend.Get(h.Kernel)
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown kernel kind %q", ErrBadRecord, h.Kernel)
-	}
 	spec := SpecFromHeader(h)
-	sys := &System{}
-	// A standalone cost-model trace (EPK with Cores <= 0) needs no
-	// machine; application traces record scheduler dispatches too, so
-	// they carry the machine geometry and get the substrate.
-	if b.Standalone(spec) {
-		if err := b.Attach(sys, spec); err != nil {
+	if h.Cores > 0 {
+		arch, err := ArchFromName(h.Arch)
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 		}
-		return sys, nil
+		spec.Arch = arch
 	}
-	arch, err := ArchFromName(h.Arch)
+	sys, err := backend.Boot(h.Kernel, spec)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	spec.Arch = arch
-	if spec.Cores <= 0 {
-		return nil, fmt.Errorf("%w: kernel kind %q needs cores > 0", ErrBadRecord, h.Kernel)
-	}
-	backend.BootSubstrate(sys, spec)
-	if err := b.Attach(sys, spec); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
 	return sys, nil
@@ -456,20 +438,16 @@ func Boot(h Header) (*System, error) {
 
 // SpecFromHeader converts a trace header to the backend boot spec. The
 // architecture is left zero — Boot parses it only when a machine is
-// actually built, so standalone cost-model traces stay arch-agnostic.
+// actually built.
 func SpecFromHeader(h Header) backend.Spec {
 	return backend.Spec{
-		Cores:          h.Cores,
-		TLBCap:         h.TLBCap,
-		NoASID:         h.Flags&HdrNoASID != 0,
-		VDomKernel:     h.Flags&HdrVDomKernel != 0,
-		SecureGate:     h.Flags&HdrSecureGate != 0,
-		NoPMDOpt:       h.Flags&HdrNoPMDOpt != 0,
-		StrictLRU:      h.Flags&HdrStrictLRU != 0,
-		FlushThreshold: h.FlushThreshold,
-		Nas:            h.Nas,
-		Domains:        h.Domains,
-		Huge2M:         h.Flags&HdrHugePages != 0,
+		Cores:      h.Cores,
+		TLBCap:     h.TLBCap,
+		NoASID:     h.Flags&HdrNoASID != 0,
+		VDomKernel: h.Flags&HdrVDomKernel != 0,
+		Policy:     h.Policy(),
+		Domains:    h.Domains,
+		Huge2M:     h.Flags&HdrHugePages != 0,
 	}
 }
 

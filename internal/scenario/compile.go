@@ -192,13 +192,8 @@ func (c *Cell) Header() replay.Header {
 	}
 	switch c.Kernel {
 	case replay.KernelVDom:
-		pol := core.DefaultPolicy()
 		h.Flags |= replay.HdrVDomKernel
-		if pol.SecureGate {
-			h.Flags |= replay.HdrSecureGate
-		}
-		h.FlushThreshold = pol.RangeFlushThresholdPages
-		h.Nas = pol.DefaultNas
+		h.SetPolicy(core.DefaultPolicy())
 	case replay.KernelEPK:
 		h.Domains = c.Capacity
 	}

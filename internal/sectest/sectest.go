@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"vdom/internal/backend"
 	"vdom/internal/core"
 	"vdom/internal/cycles"
 	"vdom/internal/hw"
@@ -81,14 +82,13 @@ type env struct {
 }
 
 func newEnv(arch cycles.Arch) *env {
-	m := hw.NewMachine(hw.Config{Arch: arch, NumCores: 4, TLBCapacity: 0})
-	k := kernel.New(kernel.Config{Machine: m, VDomEnabled: true})
-	proc := k.NewProcess()
-	return &env{
-		k: k, proc: proc,
-		mgr:  core.Attach(proc, core.DefaultPolicy()),
-		next: 0x50_0000_0000,
+	sys, err := backend.Boot("vdom", backend.Spec{
+		Arch: arch, Cores: 4, VDomKernel: true, Policy: core.DefaultPolicy(),
+	})
+	if err != nil {
+		panic(err)
 	}
+	return &env{k: sys.Kernel, proc: sys.Proc, mgr: sys.Manager, next: 0x50_0000_0000}
 }
 
 // region maps a fresh protected area for task and returns its vdom and

@@ -1,10 +1,10 @@
 package workload
 
 import (
+	"vdom/internal/backend"
 	"vdom/internal/core"
 	"vdom/internal/cycles"
-	"vdom/internal/hw"
-	"vdom/internal/kernel"
+	"vdom/internal/replay"
 )
 
 // CtxSwitchCycles measures §7.5's context-switch costs on one
@@ -13,12 +13,18 @@ import (
 // running in a VDS (which carries the extra metadata maintenance).
 func CtxSwitchCycles(arch cycles.Arch) (vanilla, vdomProc, vdsSwitch float64) {
 	measure := func(vdomOn, vds bool) float64 {
-		m := hw.NewMachine(hw.Config{Arch: arch, NumCores: 1, TLBCapacity: 0})
-		k := kernel.New(kernel.Config{Machine: m, VDomEnabled: vdomOn})
-		p := k.NewProcess()
-		t1, t2 := p.NewTask(0), p.NewTask(0)
+		spec := backend.Spec{Arch: arch, Cores: 1, VDomKernel: vdomOn, Policy: core.DefaultPolicy()}
+		sys := backend.BootSubstrate(spec)
+		k := sys.Kernel
+		sys.Proc = k.NewProcess()
+		t1, t2 := sys.Proc.NewTask(0), sys.Proc.NewTask(0)
 		if vds {
-			mgr := core.Attach(p, core.DefaultPolicy())
+			// The manager attaches after the tasks exist.
+			vdomBackend, _ := backend.Get(replay.KernelVDom)
+			if err := vdomBackend.Attach(sys, spec); err != nil {
+				panic(err)
+			}
+			mgr := sys.Manager
 			if _, err := mgr.VdrAlloc(t1, 2); err != nil {
 				panic(err)
 			}

@@ -129,7 +129,8 @@ func httpdCostsFor(arch cycles.Arch) httpdCosts {
 // RunHttpd executes one httpd configuration and reports throughput.
 func RunHttpd(cfg HttpdConfig) HttpdResult {
 	cfg.defaults()
-	pl := newPlatform(cfg.Arch, cfg.Cores, cfg.System == VDom || cfg.System == VDomLowerbound, cfg.Seed)
+	sys := bootApp(cfg.System, cfg.Arch, httpdHeader(cfg, ""), cfg.Record)
+	pl := newPlatform(sys)
 	if cfg.Trace != nil {
 		pl.env.SetTracer(cfg.Trace)
 	}
@@ -141,28 +142,18 @@ func RunHttpd(cfg HttpdConfig) HttpdResult {
 	}
 	totalRequests := cfg.Clients * cfg.RequestsPerClient
 
+	mgr, lbm, esys := sys.Manager, sys.Libmpk, sys.EPK
 	var (
-		mgr     *core.Manager
-		lbm     *libmpk.Manager
 		lbmLock *sim.Resource
-		esys    *epk.System
 		edoms   *epkDomains
 		lowDom  core.VdomID
 		lowBase pagetable.VAddr
 	)
 	switch cfg.System {
-	case VDom, VDomLowerbound:
-		mgr = core.Attach(pl.proc, core.DefaultPolicy())
 	case Libmpk:
-		lbm = libmpk.Attach(pl.proc, nil)
-		lbm.SetPageMode(cfg.LibmpkMode)
 		lbmLock = pl.env.NewResource(1)
 	case EPK:
-		esys = epk.New(epk.KeysPerEPT*5, epk.DefaultVMTax())
 		edoms = newEPKDomains(esys)
-	}
-	if rec := cfg.Record; rec != nil {
-		rec.AttachSystem(&replay.System{Kernel: pl.kernel, Proc: pl.proc, Manager: mgr, Libmpk: lbm, EPK: esys})
 	}
 
 	// Spawn workers, round-robin over cores.

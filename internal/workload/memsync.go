@@ -3,10 +3,12 @@ package workload
 import (
 	"fmt"
 
+	"vdom/internal/backend"
 	"vdom/internal/core"
 	"vdom/internal/cycles"
 	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
+	"vdom/internal/replay"
 	"vdom/internal/sim"
 )
 
@@ -103,8 +105,14 @@ func RunMemSync(cfg MemSyncConfig) MemSyncResult {
 		return MemSyncResult{Config: cfg, Defined: false}
 	}
 
-	pl := newPlatform(cfg.Arch, cfg.Cores, true, cfg.Seed)
-	mgr := core.Attach(pl.proc, core.DefaultPolicy())
+	sys, err := backend.Boot(replay.KernelVDom, backend.Spec{
+		Arch: cfg.Arch, Cores: cfg.Cores, VDomKernel: true, Policy: core.DefaultPolicy(),
+	})
+	if err != nil {
+		panic(err)
+	}
+	pl := newPlatform(sys)
+	mgr := sys.Manager
 
 	alloc := pl.proc.NewTask(0)
 	if _, err := mgr.VdrAlloc(alloc, 2); err != nil {
@@ -188,7 +196,7 @@ func RunMemSync(cfg MemSyncConfig) MemSyncResult {
 						// Outside the lock: per-address-space TLB
 						// generation / metadata maintenance plus the
 						// read itself.
-						sync := pl.kernel.Params().SyncPerPage *
+						sync := sys.Kernel.Params().SyncPerPage *
 							cycles.Cost(len(pl.proc.AS().Tables()))
 						pl.sched.Run(p, rt, func() cycles.Cost { return sync + jitter(rng, memsyncReadCycles) })
 					} else {

@@ -60,7 +60,8 @@ type MySQLResult struct {
 	// Supported is false when the system cannot run the configuration
 	// at all — libmpk cannot provide per-thread stack protection beyond
 	// 14 concurrent clients (one hardware key is taken by the engine
-	// data, and stack keys are held for the connection's lifetime).
+	// data, and stack keys are held for the connection's lifetime) —
+	// or does not model it (VDomLowerbound).
 	Supported   bool
 	Queries     int
 	Makespan    sim.Time
@@ -109,39 +110,27 @@ func RunMySQL(cfg MySQLConfig) MySQLResult {
 
 	// libmpk pins one key per live connection stack plus one for the
 	// engine; beyond the hardware's usable keys it busy-waits forever.
-	if cfg.System == Libmpk && cfg.Clients > libmpk.UsableKeys-1 {
+	// The single-domain lowerbound is not modelled for MySQL.
+	if cfg.System == VDomLowerbound || cfg.System == Libmpk && cfg.Clients > libmpk.UsableKeys-1 {
 		res.Supported = false
 		return res
 	}
 
-	pl := newPlatform(cfg.Arch, cfg.Cores, cfg.System == VDom, cfg.Seed)
+	sys := bootApp(cfg.System, cfg.Arch, mysqlHeader(cfg, ""), cfg.Record)
+	pl := newPlatform(sys)
 	costs := mysqlCostsFor(cfg.Arch)
 	totalQueries := cfg.Clients * cfg.QueriesPerClient
 
+	mgr, lbm, esys := sys.Manager, sys.Libmpk, sys.EPK
 	var (
-		mgr       *core.Manager
-		lbm       *libmpk.Manager
 		lbmLock   *sim.Resource
-		esys      *epk.System
 		engineDom core.VdomID
 		engineKey libmpk.Vkey
-		engineEPK int
+		engineEPK int // the engine region's EPK domain; stacks follow it
 	)
 	engineLock := pl.env.NewResource(1)
-
-	switch cfg.System {
-	case VDom:
-		mgr = core.Attach(pl.proc, core.DefaultPolicy())
-	case Libmpk:
-		lbm = libmpk.Attach(pl.proc, nil)
+	if cfg.System == Libmpk {
 		lbmLock = pl.env.NewResource(1)
-	case EPK:
-		// Domains: one per connection stack + the engine region.
-		esys = epk.New(cfg.Clients+1, epk.DefaultVMTax())
-		engineEPK = 0
-	}
-	if rec := cfg.Record; rec != nil {
-		rec.AttachSystem(&replay.System{Kernel: pl.kernel, Proc: pl.proc, Manager: mgr, Libmpk: lbm, EPK: esys})
 	}
 
 	setupTask := pl.proc.NewTask(0)

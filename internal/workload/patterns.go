@@ -223,11 +223,7 @@ func RunPattern(cfg PatternConfig) PatternResult {
 		case PatternDPTI:
 			name, tid = "dpti-enter", task.TID()
 		default:
-			sys.Manager.SetTracer(func(e core.Event) {
-				tr.Decision(e.Kind.String(), e.TID, grand, uint64(e.Cost), map[string]uint64{
-					"vdom": uint64(e.Vdom), "vds": uint64(e.VDS), "pdom": uint64(e.Pdom),
-				})
-			})
+			sys.Manager.SetTracer(core.DecisionTracer(tr, func() uint64 { return grand }))
 		}
 		if name != "" {
 			span = func(id uint64, c cycles.Cost) {

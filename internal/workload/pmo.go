@@ -97,27 +97,14 @@ const pmoBytes = 2 << 20 // 2 MiB per PMO
 // RunPMO executes one String Replace configuration.
 func RunPMO(cfg PMOConfig) PMOResult {
 	cfg.defaults()
-	pl := newPlatform(cfg.Arch, cfg.Cores, cfg.System == VDom || cfg.System == VDomLowerbound, cfg.Seed)
+	sys := bootApp(cfg.System, cfg.Arch, pmoHeader(cfg, ""), cfg.Record)
+	pl := newPlatform(sys)
 	costs := pmoCostsFor(cfg.Arch)
 
-	var (
-		mgr     *core.Manager
-		lbm     *libmpk.Manager
-		lbmLock *sim.Resource
-		esys    *epk.System
-	)
-	switch cfg.System {
-	case VDom, VDomLowerbound:
-		mgr = core.Attach(pl.proc, core.DefaultPolicy())
-	case Libmpk:
-		lbm = libmpk.Attach(pl.proc, nil)
-		lbm.SetPageMode(cfg.LibmpkMode)
+	mgr, lbm, esys := sys.Manager, sys.Libmpk, sys.EPK
+	var lbmLock *sim.Resource
+	if cfg.System == Libmpk {
 		lbmLock = pl.env.NewResource(1)
-	case EPK:
-		esys = epk.New(cfg.NumPMOs, epk.DefaultVMTax())
-	}
-	if rec := cfg.Record; rec != nil {
-		rec.AttachSystem(&replay.System{Kernel: pl.kernel, Proc: pl.proc, Manager: mgr, Libmpk: lbm, EPK: esys})
 	}
 
 	// Map and protect the PMOs.

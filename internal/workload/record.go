@@ -48,32 +48,26 @@ func patternHeader(cfg PatternConfig, name string) replay.Header {
 	default:
 		h.Kernel = replay.KernelVDom
 		h.Cores = 2
-		pol := core.DefaultPolicy()
 		h.Flags |= replay.HdrVDomKernel
-		if cfg.System == PatternVDomSecure {
-			h.Flags |= replay.HdrSecureGate
-		}
 		if cfg.NoASID {
 			h.Flags |= replay.HdrNoASID
 		}
-		if cfg.StrictLRU {
-			h.Flags |= replay.HdrStrictLRU
-		}
-		if cfg.NoPMDOpt {
-			h.Flags |= replay.HdrNoPMDOpt
-		}
-		h.FlushThreshold = pol.RangeFlushThresholdPages
+		pol := core.DefaultPolicy()
+		pol.SecureGate = cfg.System == PatternVDomSecure
+		pol.StrictLRU = cfg.StrictLRU
+		pol.NoPMDOpt = cfg.NoPMDOpt
 		if cfg.FlushThresholdPages != 0 {
-			h.FlushThreshold = cfg.FlushThresholdPages
+			pol.RangeFlushThresholdPages = cfg.FlushThresholdPages
 		}
-		h.Nas = pol.DefaultNas
+		h.SetPolicy(pol)
 	}
 	return h
 }
 
 // appHeader fills the fields every application workload (httpd, pmo,
-// mysql) shares: the newPlatform machine geometry and, for VDom runs,
-// the DefaultPolicy knobs.
+// mysql) shares: the machine geometry and, for VDom runs, the patched
+// kernel and DefaultPolicy. bootApp boots each run from this header.
+// Original names no kernel kind: it boots the bare vanilla substrate.
 func appHeader(sys System, arch cycles.Arch, cores int, seed uint64, name, digest string) replay.Header {
 	h := replay.Header{
 		Arch:         replay.ArchName(arch),
@@ -83,19 +77,15 @@ func appHeader(sys System, arch cycles.Arch, cores int, seed uint64, name, diges
 		ConfigDigest: replay.DigestString(digest),
 	}
 	switch sys {
+	case Original:
 	case Libmpk:
 		h.Kernel = replay.KernelLibmpk
 	case EPK:
 		h.Kernel = replay.KernelEPK
 	default:
 		h.Kernel = replay.KernelVDom
-		pol := core.DefaultPolicy()
 		h.Flags |= replay.HdrVDomKernel
-		if pol.SecureGate {
-			h.Flags |= replay.HdrSecureGate
-		}
-		h.FlushThreshold = pol.RangeFlushThresholdPages
-		h.Nas = pol.DefaultNas
+		h.SetPolicy(core.DefaultPolicy())
 	}
 	return h
 }

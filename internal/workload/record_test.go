@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 
 	"vdom/internal/cycles"
@@ -80,6 +81,86 @@ func TestRecordPatternRows(t *testing.T) {
 				}
 				if res.Cycles != got.TotalCycles {
 					t.Errorf("replayed clock %d, harness total %d", res.Cycles, got.TotalCycles)
+				}
+			})
+		}
+	}
+}
+
+// TestAppRecordReplaysOwnHeader records every httpd, PMO and MySQL run
+// under every System through the run's own header and replays it: a
+// supported combination must replay with no divergence, so the header
+// describes exactly the platform the run booted. Original has no domain
+// backend and refuses a recording up front; MySQL's single-domain
+// lowerbound is not modelled and reports Supported: false.
+func TestAppRecordReplaysOwnHeader(t *testing.T) {
+	// Each app runs one small configuration under sys, recording through
+	// record(its header); it reports whether the combination is
+	// supported.
+	apps := []struct {
+		name string
+		run  func(sys System, record func(replay.Header) *replay.Recorder) bool
+	}{
+		{"httpd", func(sys System, record func(replay.Header) *replay.Recorder) bool {
+			cfg := HttpdConfig{Arch: cycles.X86, System: sys, Clients: 4, RequestsPerClient: 2, Workers: 4, Cores: 4}
+			cfg.Record = record(httpdHeader(cfg, "httpd"))
+			RunHttpd(cfg)
+			return true
+		}},
+		{"pmo", func(sys System, record func(replay.Header) *replay.Recorder) bool {
+			cfg := PMOConfig{Arch: cycles.X86, System: sys, Threads: 2, OpsPerThread: 40, NumPMOs: 8, Cores: 4}
+			cfg.Record = record(pmoHeader(cfg, "pmo"))
+			RunPMO(cfg)
+			return true
+		}},
+		{"mysql", func(sys System, record func(replay.Header) *replay.Recorder) bool {
+			cfg := MySQLConfig{Arch: cycles.X86, System: sys, Clients: 2, QueriesPerClient: 4, StatementsPerQuery: 6, Cores: 2}
+			cfg.Record = record(mysqlHeader(cfg, "mysql"))
+			return RunMySQL(cfg).Supported
+		}},
+	}
+	for _, app := range apps {
+		for _, sys := range []System{Original, VDom, EPK, Libmpk, VDomLowerbound} {
+			t.Run(app.name+"-"+sys.String(), func(t *testing.T) {
+				var rec *replay.Recorder
+				record := func(h replay.Header) *replay.Recorder {
+					rec = replay.NewRecorder(h)
+					return rec
+				}
+				if sys == Original {
+					defer func() {
+						r := recover()
+						if r == nil {
+							return // the run was not refused: reported below
+						}
+						if err, _ := r.(error); !errors.Is(err, ErrUnrecordable) {
+							t.Fatalf("recording an original run: recovered %v, want ErrUnrecordable", r)
+						}
+						if rec.Len() != 0 {
+							t.Errorf("refused recording captured %d events", rec.Len())
+						}
+					}()
+				}
+				ok := app.run(sys, record)
+				if sys == Original {
+					t.Fatal("recording an original run was not refused")
+				}
+				if wantOK := !(app.name == "mysql" && sys == VDomLowerbound); ok != wantOK {
+					t.Fatalf("Supported = %v, want %v", ok, wantOK)
+				}
+				if !ok {
+					return
+				}
+				tr := rec.Finish()
+				if len(tr.Events) == 0 {
+					t.Fatal("recorded no events")
+				}
+				res, err := replay.Run(tr, replay.Options{})
+				if err != nil {
+					t.Fatalf("replay: %v", err)
+				}
+				if res.Divergence != nil {
+					t.Fatalf("replay of %d events diverged: %s", len(tr.Events), res.Divergence)
 				}
 			})
 		}

@@ -3,8 +3,8 @@ package workload
 import (
 	"math"
 
+	"vdom/internal/backend"
 	"vdom/internal/cycles"
-	"vdom/internal/hw"
 	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
 )
@@ -65,8 +65,7 @@ func RunUnixBench(arch cycles.Arch, parallel bool) UnixBenchResult {
 }
 
 func bootBench(arch cycles.Arch, cores int, vdomOn bool) *kernel.Kernel {
-	m := hw.NewMachine(hw.Config{Arch: arch, NumCores: cores, TLBCapacity: 0})
-	return kernel.New(kernel.Config{Machine: m, VDomEnabled: vdomOn})
+	return backend.BootSubstrate(backend.Spec{Arch: arch, Cores: cores, VDomKernel: vdomOn}).Kernel
 }
 
 // ubDhrystone: pure user-space integer work — kernel flavour is invisible.

@@ -18,14 +18,17 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 
+	"vdom/internal/backend"
 	"vdom/internal/cycles"
 	"vdom/internal/epk"
 	"vdom/internal/hw"
 	"vdom/internal/kernel"
 	"vdom/internal/libmpk"
 	"vdom/internal/pagetable"
+	"vdom/internal/replay"
 	"vdom/internal/sim"
 )
 
@@ -99,30 +102,53 @@ func DefaultCores(arch cycles.Arch) int {
 	}
 }
 
-// platform bundles one booted machine + kernel + process for a workload.
+// platform is the discrete-event scheduler a workload runs its booted
+// process on.
 type platform struct {
-	machine *hw.Machine
-	kernel  *kernel.Kernel
-	proc    *kernel.Process
-	env     *sim.Env
-	sched   *kernel.Sched
-	rng     *sim.Rand
-	next    pagetable.VAddr
+	proc  *kernel.Process
+	env   *sim.Env
+	sched *kernel.Sched
+	next  pagetable.VAddr
 }
 
-func newPlatform(arch cycles.Arch, cores int, vdomKernel bool, seed uint64) *platform {
-	m := hw.NewMachine(hw.Config{Arch: arch, NumCores: cores, TLBCapacity: 0})
-	k := kernel.New(kernel.Config{Machine: m, VDomEnabled: vdomKernel})
+func newPlatform(sys *backend.Instance) *platform {
 	env := sim.NewEnv()
 	return &platform{
-		machine: m,
-		kernel:  k,
-		proc:    k.NewProcess(),
-		env:     env,
-		sched:   kernel.NewSched(env, k),
-		rng:     sim.NewRand(seed),
-		next:    0x20_0000_0000,
+		proc:  sys.Proc,
+		env:   env,
+		sched: kernel.NewSched(env, sys.Kernel),
+		next:  0x20_0000_0000,
 	}
+}
+
+// ErrUnrecordable refuses a recording of an Original run: it has no
+// domain backend, so no trace kernel kind could replay it.
+var ErrUnrecordable = errors.New("workload: an unprotected (original) run cannot be recorded")
+
+// bootApp boots an application run from its trace header, as RunPattern
+// does, and attaches rec (when non-nil) to the booted system. Original
+// has no domain backend: it runs on the bare vanilla substrate the
+// header describes, and a recording of it panics with ErrUnrecordable
+// before anything runs.
+func bootApp(s System, arch cycles.Arch, h replay.Header, rec *replay.Recorder) *backend.Instance {
+	if s == Original {
+		if rec != nil {
+			panic(ErrUnrecordable)
+		}
+		spec := replay.SpecFromHeader(h)
+		spec.Arch = arch
+		sys := backend.BootSubstrate(spec)
+		sys.Proc = sys.Kernel.NewProcess()
+		return sys
+	}
+	sys, err := replay.Boot(h)
+	if err != nil {
+		panic(err)
+	}
+	if rec != nil {
+		rec.AttachSystem(sys)
+	}
+	return sys
 }
 
 // alloc reserves a PMD-separated virtual region of `bytes` (page-aligned

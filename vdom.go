@@ -178,9 +178,9 @@ type System struct {
 	metrics    *MetricsRegistry
 	procs      []*Process
 	kernelName string
-	arch       Arch
-	cores      int
-	vanilla    bool
+	// spec is the boot configuration every process's backend attaches
+	// with; NewProcess fills in the policy.
+	spec backend.Spec
 }
 
 // NewSystem boots a simulated machine. The zero Config is valid (X86,
@@ -202,22 +202,23 @@ func newSystem(cfg Config) *System {
 	if cfg.Kernel == "" {
 		cfg.Kernel = "vdom"
 	}
-	m := hw.NewMachine(hw.Config{
+	spec := backend.Spec{
 		Arch:           cfg.Arch,
-		NumCores:       cfg.Cores,
-		TLBCapacity:    cfg.TLBEntries,
+		Cores:          cfg.Cores,
+		TLBCap:         cfg.TLBEntries,
 		NoASID:         cfg.NoASID,
 		SetAssociative: cfg.SetAssociativeTLB,
-	})
-	// Only the vdom backend runs on the patched kernel; the baselines
-	// measure against a vanilla one, exactly as the paper does.
-	vdomKernel := !cfg.VanillaKernel && cfg.Kernel == "vdom"
-	k := kernel.New(kernel.Config{Machine: m, VDomEnabled: vdomKernel})
-	s := &System{
-		machine: m, kernel: k,
-		kernelName: cfg.Kernel, arch: cfg.Arch, cores: cfg.Cores,
-		vanilla: cfg.VanillaKernel,
+		// Only the vdom backend runs on the patched kernel; the
+		// baselines measure against a vanilla one, exactly as the paper
+		// does.
+		VDomKernel: !cfg.VanillaKernel && cfg.Kernel == "vdom",
+		// EPK's fixed capacity when that backend is selected: four EPT
+		// groups of hardware keys.
+		Domains: 4 * epk.KeysPerEPT,
 	}
+	sub := backend.BootSubstrate(spec)
+	m, k := sub.Machine, sub.Kernel
+	s := &System{machine: m, kernel: k, kernelName: cfg.Kernel, spec: spec}
 	if cfg.Metrics {
 		s.metrics = metrics.New()
 		k.SetMetrics(s.metrics)
@@ -308,18 +309,8 @@ func (s *System) NewProcess(policy Policy) *Process {
 	b, _ := backend.Get(s.kernelName)
 	proc := s.kernel.NewProcess()
 	inst := &backend.Instance{Machine: s.machine, Kernel: s.kernel, Proc: proc}
-	spec := backend.Spec{
-		Arch: s.arch, Cores: s.cores,
-		VDomKernel:     s.kernelName == "vdom" && !s.vanilla,
-		SecureGate:     policy.SecureGate,
-		NoPMDOpt:       policy.NoPMDOpt,
-		StrictLRU:      policy.StrictLRU,
-		FlushThreshold: policy.RangeFlushThresholdPages,
-		Nas:            policy.DefaultNas,
-		// EPK's fixed capacity when that backend is selected: four EPT
-		// groups of hardware keys.
-		Domains: 4 * epk.KeysPerEPT,
-	}
+	spec := s.spec
+	spec.Policy = policy
 	if err := b.Attach(inst, spec); err != nil {
 		panic("vdom: " + err.Error())
 	}
