@@ -223,16 +223,16 @@ func TestCompareOutput(t *testing.T) {
 }
 
 func TestPaperReferenceTables(t *testing.T) {
-	if len(PaperTable3) != 10 {
-		t.Errorf("PaperTable3 rows = %d, want 10", len(PaperTable3))
+	if len(paperTable3) != 10 {
+		t.Errorf("paperTable3 rows = %d, want 10", len(paperTable3))
 	}
-	if len(PaperTable4) != 11 {
-		t.Errorf("PaperTable4 rows = %d, want 11", len(PaperTable4))
+	if len(paperTable4) != 11 {
+		t.Errorf("paperTable4 rows = %d, want 11", len(paperTable4))
 	}
-	if PaperTable5["X86"][4] != 56.1 {
-		t.Error("PaperTable5 X86/32 wrong")
+	if paperTable5["X86"][4] != 56.1 {
+		t.Error("paperTable5 X86/32 wrong")
 	}
-	if len(PaperHeadlines) < 15 {
-		t.Errorf("PaperHeadlines = %d entries", len(PaperHeadlines))
+	if len(paperHeadlines) < 15 {
+		t.Errorf("paperHeadlines = %d entries", len(paperHeadlines))
 	}
 }

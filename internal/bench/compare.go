@@ -29,7 +29,7 @@ func Compare(w io.Writer, o Options) {
 	}
 	var worstT3 float64
 	for _, r := range workload.Table3Parallel(o.workers()) {
-		ref, ok := PaperTable3[r.Operation]
+		ref, ok := paperTable3[r.Operation]
 		if !ok {
 			continue
 		}
@@ -63,12 +63,12 @@ func Compare(w io.Writer, o Options) {
 		ours  func() float64
 		paper float64
 	}{
-		{"X86s seq, 3 vdoms", cell(workload.PatternVDomSecure, workload.Sequential, 3, cycles.X86), PaperTable4["VDom X86s seq"][0]},
-		{"X86s trig, 64 vdoms", cell(workload.PatternVDomSecure, workload.SwitchTriggering, 64, cycles.X86), PaperTable4["VDom X86s trig"][6]},
-		{"X86e seq, 32 vdoms", cell(workload.PatternVDomEvict, workload.Sequential, 32, cycles.X86), PaperTable4["VDom X86e seq"][5]},
-		{"libmpk seq, 64 vdoms", cell(workload.PatternLibmpk, workload.Sequential, 64, cycles.X86), PaperTable4["libmpk seq"][6]},
-		{"EPK trig, 64 vdoms", cell(workload.PatternEPK, workload.SwitchTriggering, 64, cycles.X86), PaperTable4["EPK trig"][6]},
-		{"ARMe seq, 32 vdoms", cell(workload.PatternVDomEvict, workload.Sequential, 32, cycles.ARM), PaperTable4["VDom ARMe seq"][5]},
+		{"X86s seq, 3 vdoms", cell(workload.PatternVDomSecure, workload.Sequential, 3, cycles.X86), paperTable4["VDom X86s seq"][0]},
+		{"X86s trig, 64 vdoms", cell(workload.PatternVDomSecure, workload.SwitchTriggering, 64, cycles.X86), paperTable4["VDom X86s trig"][6]},
+		{"X86e seq, 32 vdoms", cell(workload.PatternVDomEvict, workload.Sequential, 32, cycles.X86), paperTable4["VDom X86e seq"][5]},
+		{"libmpk seq, 64 vdoms", cell(workload.PatternLibmpk, workload.Sequential, 64, cycles.X86), paperTable4["libmpk seq"][6]},
+		{"EPK trig, 64 vdoms", cell(workload.PatternEPK, workload.SwitchTriggering, 64, cycles.X86), paperTable4["EPK trig"][6]},
+		{"ARMe seq, 32 vdoms", cell(workload.PatternVDomEvict, workload.Sequential, 32, cycles.ARM), paperTable4["VDom ARMe seq"][5]},
 	}
 	t4jobs := make([]func() float64, len(t4cases))
 	for i := range t4cases {

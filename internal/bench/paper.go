@@ -5,8 +5,8 @@ package bench
 // automatically. Table values are exact; figure values are read off the
 // charts and therefore approximate.
 
-// PaperTable3 maps each Table 3 operation to its [X86, ARM] cycles.
-var PaperTable3 = map[string][2]float64{
+// paperTable3 maps each Table 3 operation to its [X86, ARM] cycles.
+var paperTable3 = map[string][2]float64{
 	"empty API call return":           {6.7, 16.5},
 	"empty syscall return":            {173.4, 268.3},
 	"update PKRU or DACR":             {25.6, 18.1},
@@ -19,9 +19,9 @@ var PaperTable3 = map[string][2]float64{
 	"secure wrvdr with VDS switch":    {583, 723},
 }
 
-// PaperTable4 holds Table 4's rows at the vdom counts of table4Counts;
+// paperTable4 holds Table 4's rows at the vdom counts of table4Counts;
 // NaN-like zeros mark the cells the paper prints as "NA".
-var PaperTable4 = map[string][8]float64{
+var paperTable4 = map[string][8]float64{
 	"VDom X86f seq":  {70, 73, 82, 151, 121, 141, 138, 134},
 	"VDom X86f trig": {70, 75, 82, 530, 552, 566, 704, 701},
 	"VDom X86s seq":  {107, 104, 113, 183, 152, 171, 161, 166},
@@ -35,15 +35,15 @@ var PaperTable4 = map[string][8]float64{
 	"VDom ARMe seq":  {408, 421, 1613, 1895, 3137, 3161, 3187, 3185},
 }
 
-// PaperTable5 holds Table 5's overheads (%) for 2/4/8/16/32 VDSes; <0
+// paperTable5 holds Table 5's overheads (%) for 2/4/8/16/32 VDSes; <0
 // marks "undefined".
-var PaperTable5 = map[string][5]float64{
+var paperTable5 = map[string][5]float64{
 	"X86": {3.8, 8.9, 20.9, 38.8, 56.1},
 	"ARM": {19.7, 33.8, -1, -1, -1},
 }
 
-// PaperHeadlines are the single-number claims of §7 with their source.
-var PaperHeadlines = []struct {
+// paperHeadlines are the single-number claims of §7 with their source.
+var paperHeadlines = []struct {
 	Name  string
 	Value float64
 	Unit  string

@@ -416,10 +416,11 @@ type CrashConfig struct {
 	// CheckpointEvery is the checkpoint cadence in ops (default 300; a
 	// checkpoint is always taken right after setup).
 	CheckpointEvery int
-	// WatchdogThreshold is how many stalled observations arm the
-	// watchdog (default 8).
-	WatchdogThreshold int
 }
+
+// StallThreshold is how many consecutive stalled clock observations fire
+// the crash-detection watchdog, in CrashSoak and in the serve supervisor.
+const StallThreshold = 8
 
 // CrashOutcome is the report of one crash-and-recover soak.
 type CrashOutcome struct {
@@ -462,9 +463,6 @@ func CrashSoak(cfg SoakConfig, crash CrashConfig) (*CrashOutcome, error) {
 	if crash.CheckpointEvery <= 0 {
 		crash.CheckpointEvery = 300
 	}
-	if crash.WatchdogThreshold <= 0 {
-		crash.WatchdogThreshold = 8
-	}
 
 	s := StartSoak(cfg)
 	out := &CrashOutcome{Kind: crash.Kind.String(), CrashOp: crash.AtOp}
@@ -477,7 +475,7 @@ func CrashSoak(cfg SoakConfig, crash CrashConfig) (*CrashOutcome, error) {
 			return nil, fmt.Errorf("chaos: crash soak cancelled at op %d: %w", op, crash.Ctx.Err())
 		}
 		if op == crash.AtOp {
-			st, err := s.Strike(crash.Kind, sim.NewWatchdog(crash.WatchdogThreshold, nil))
+			st, err := s.Strike(crash.Kind, sim.NewWatchdog(StallThreshold))
 			out.Detail, out.DetectedBy = st.Detail, st.DetectedBy
 			var rec *Recovery
 			if err == nil {

@@ -118,7 +118,12 @@ func ReadFrame(br *bufio.Reader) (FrameType, []byte, error) {
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: reading payload length", ErrTruncated)
+		// A stream that ends inside the varint is truncated; any other
+		// failure (a varint overflowing 64 bits) is a malformed frame.
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return 0, nil, fmt.Errorf("%w: reading payload length: %v", ErrTruncated, err)
+		}
+		return 0, nil, fmt.Errorf("%w: payload length: %w", ErrBadRecord, err)
 	}
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("%w: payload length %d exceeds cap %d", ErrBadRecord, n, maxFramePayload)

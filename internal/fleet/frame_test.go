@@ -102,6 +102,7 @@ func TestReadFrameSentinels(t *testing.T) {
 	oversize := append([]byte{}, frameMagic[:]...)
 	oversize = append(oversize, byte(FrameResult))
 	oversize = binary.AppendUvarint(oversize, maxFramePayload+1)
+	header := append(append([]byte{}, frameMagic[:]...), byte(FrameHello))
 
 	cases := []struct {
 		name string
@@ -113,6 +114,8 @@ func TestReadFrameSentinels(t *testing.T) {
 		{"truncated header", good[:2], ErrTruncated},
 		{"truncated payload", good[:len(good)-1], ErrTruncated},
 		{"oversize payload length", oversize, ErrBadRecord},
+		{"missing payload length", header, ErrTruncated},
+		{"truncated payload length", append(header, 0x80, 0x80), ErrTruncated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,6 +124,22 @@ func TestReadFrameSentinels(t *testing.T) {
 				t.Fatalf("ReadFrame = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestReadFrameLengthOverflow pins the class of a payload-length varint
+// that overflows 64 bits: the frame is malformed, not truncated (the
+// stream has bytes left), and the varint error stays in the chain.
+func TestReadFrameLengthOverflow(t *testing.T) {
+	data := append(append([]byte{}, frameMagic[:]...), byte(FrameHello))
+	data = append(data, bytes.Repeat([]byte{0xff}, 10)...)
+	data = append(data, 0x01)
+	_, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
+	if !errors.Is(err, ErrBadRecord) || errors.Is(err, ErrTruncated) {
+		t.Fatalf("ReadFrame = %v, want ErrBadRecord only", err)
+	}
+	if !strings.Contains(err.Error(), "overflow") {
+		t.Errorf("ReadFrame = %v, want the varint overflow kept in the chain", err)
 	}
 }
 

@@ -356,8 +356,9 @@ func TestSetAssociativeMachine(t *testing.T) {
 // identical, because the cache is a host-side optimization charged zero
 // simulated cycles.
 func TestWalkCacheTransparent(t *testing.T) {
-	script := func(cfg Config) ([]AccessResult, tlb.Stats) {
-		m := NewMachine(cfg)
+	script := func(noWalkCache bool) ([]AccessResult, tlb.Stats) {
+		m := NewMachine(Config{Arch: cycles.X86, NumCores: 1, TLBCapacity: 16})
+		m.noWalkCache = noWalkCache
 		c := m.Core(0)
 		pt := pagetable.New()
 		c.SwitchPgd(pt, 1)
@@ -385,11 +386,8 @@ func TestWalkCacheTransparent(t *testing.T) {
 		}
 		return out, c.TLB().Stats()
 	}
-	base := Config{Arch: cycles.X86, NumCores: 1, TLBCapacity: 16}
-	on, onStats := script(base)
-	offCfg := base
-	offCfg.NoWalkCache = true
-	off, offStats := script(offCfg)
+	on, onStats := script(false)
+	off, offStats := script(true)
 	if len(on) != len(off) {
 		t.Fatalf("result counts differ: %d vs %d", len(on), len(off))
 	}

@@ -30,12 +30,6 @@ type Config struct {
 	// SetAssociative organizes each TLB as 8-way set-associative
 	// (modelling conflict misses) instead of fully associative.
 	SetAssociative bool
-	// NoWalkCache disables the per-core page-walk cache (ablation and
-	// equivalence testing). The cache is a host-side wall-clock
-	// optimization only: it is charged zero simulated cycles and never
-	// changes an access outcome, so this knob must not affect any
-	// simulated result.
-	NoWalkCache bool
 }
 
 // IPIFate is an injector's verdict on one inter-processor interrupt.
@@ -74,9 +68,13 @@ type Injector interface {
 
 // Machine is the simulated hardware platform.
 type Machine struct {
-	params      *cycles.Params
-	cores       []*Core
-	noASID      bool
+	params *cycles.Params
+	cores  []*Core
+	noASID bool
+	// noWalkCache disables the per-core page-walk cache; only the
+	// walk-cache transparency test sets it. The cache is a host-side
+	// optimization charged zero simulated cycles, so it must never change
+	// an access outcome.
 	noWalkCache bool
 	inj         Injector
 
@@ -93,9 +91,8 @@ func NewMachine(cfg Config) *Machine {
 		capacity = tlb.DefaultCapacity
 	}
 	m := &Machine{
-		params:      cycles.ParamsFor(cfg.Arch),
-		noASID:      cfg.NoASID,
-		noWalkCache: cfg.NoWalkCache,
+		params: cycles.ParamsFor(cfg.Arch),
+		noASID: cfg.NoASID,
 	}
 	for i := 0; i < cfg.NumCores; i++ {
 		var cache tlb.Cache

@@ -383,36 +383,20 @@ func (as *AddressSpace) HandleFault(t *pagetable.Table, addr pagetable.VAddr, wr
 	return fix, nil
 }
 
-// DisableFastPopulate forces Populate onto the page-at-a-time fault loop.
-// It exists so equivalence tests can prove the fused fast path produces
-// byte-identical tables, counters, and frame assignments.
-var DisableFastPopulate bool
-
 // Populate eagerly faults in every page of [start, start+length) in table
 // t, as mmap(MAP_POPULATE) would. It returns the number of fresh frames.
 //
-// The fast path performs exactly the per-page work HandleFault would —
-// the same counter resets, frame allocations, and map calls in the same
+// It performs exactly the per-page work a HandleFault loop would — the
+// same counter resets, frame allocations, and map calls in the same
 // per-page order — but hoists the VMA lookup and domain resolution out
 // of the page loop (both are invariant across one area: the resolvers
 // are pure lookups and nothing inside the loop can remap a domain) and
 // delegates each 2 MiB run to the fused pagetable chunk operations.
+// FuzzPopulate checks it against that HandleFault loop on a twin
+// machine.
 func (as *AddressSpace) Populate(t *pagetable.Table, start pagetable.VAddr, length uint64) (int, error) {
 	if err := checkRange(start, length); err != nil {
 		return 0, err
-	}
-	if DisableFastPopulate {
-		fresh := 0
-		for off := uint64(0); off < length; off += pagetable.PageSize {
-			fix, err := as.HandleFault(t, start+pagetable.VAddr(off), false)
-			if err != nil {
-				return fresh, err
-			}
-			if fix.FreshFrame {
-				fresh++
-			}
-		}
-		return fresh, nil
 	}
 	fresh := 0
 	end := start + pagetable.VAddr(length)

@@ -1,6 +1,9 @@
 package pagetable
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // fuzzAddr spreads a 16-bit tape argument over all four radix indices:
 // four puds (including the top of the address space), eight pmds under
@@ -14,6 +17,47 @@ func fuzzAddr(hi, lo byte) VAddr {
 	return VAddr(i3<<39 | i2<<30 | i1<<21 | i0<<12)
 }
 
+// Tape operations, selected by op % numOps. The range operations are
+// checked against a loop over their per-page primitives on a twin table.
+const (
+	opMap byte = iota
+	opUnmap
+	opSetPdom
+	opDisablePMD
+	opEnablePMD
+	opRetagRange       // against SetPdom per page
+	opUnmapRange       // against Unmap per page
+	opSetWritableRange // against SetWritable per page
+	opMapChunk         // against ResetCounts+Map per page
+	numOps
+)
+
+// opMapWritable is a Map op byte with the writable bit (0x80) set.
+const opMapWritable = 16 * numOps
+
+// rangePages are the range lengths in pages; a range op's op byte
+// selects rangePages[op/numOps % len]. They cover single pages, runs
+// ending inside a leaf, whole leaves and runs crossing one, two and
+// three 2 MiB boundaries.
+var rangePages = [...]uint64{1, 2, 4, 5, 8, 64, 65, 200, 511, 512, 513, 600, 1024, 1025, 1100, 1537}
+
+// rangeOp returns the op byte of range operation kind over pages pages.
+func rangeOp(kind byte, pages uint64) byte {
+	for i, n := range rangePages {
+		if n == pages {
+			return kind + byte(i)*numOps
+		}
+	}
+	panic("rangeOp: no such length")
+}
+
+// step appends one tape triple addressing leaf i1 (0..31) of the first
+// pmd node and page selector v (0..63): leaf index v<<3|v>>3, so v=0 is
+// index 0, v=1 index 8 and v=63 index 511.
+func step(tape []byte, op, i1, v byte) []byte {
+	return append(tape, op, i1>>2, (i1&3)<<6|v)
+}
+
 // leafTape returns a tape that materializes n distinct leaves (n ≤ 256),
 // disabling every fourth one's PMD entry and unmapping every fifth page.
 func leafTape(n int) []byte {
@@ -21,20 +65,98 @@ func leafTape(n int) []byte {
 	for j := 0; j < n; j++ {
 		hi := byte(j * 67) // odd multiplier: distinct hi for every j < 256
 		lo := byte(j*13) & 63
-		tape = append(tape, byte(j%2)*140, hi, lo) // Map (140%5 == 0, writable)
+		tape = append(tape, byte(j%2)*opMapWritable, hi, lo) // Map, read-only or writable
 		if j%4 == 3 {
-			tape = append(tape, 3, hi, lo) // DisablePMD
+			tape = append(tape, opDisablePMD, hi, lo)
 		}
 		if j%5 == 4 {
-			tape = append(tape, 1, hi, lo) // Unmap
+			tape = append(tape, opUnmap, hi, lo)
 		}
 	}
 	return tape
 }
 
+// rangeTapes are seeds for the range operations: ranges from leaf index
+// 0 through 511, ranges crossing 2 MiB boundaries, ranges under a
+// disabled PMD entry, and ranges spanning absent leaves.
+func rangeTapes() [][]byte {
+	var whole, cross, disabled, absent []byte
+	// Whole leaf: a few pages of leaf 0, then every range op over
+	// indices 0..511.
+	for _, v := range []byte{0, 1, 5, 63} {
+		whole = step(whole, opMapWritable, 0, v)
+	}
+	for _, k := range []byte{opRetagRange, opSetWritableRange, opUnmapRange, opMapChunk, opRetagRange} {
+		whole = step(whole, rangeOp(k, 512), 0, 0)
+	}
+	whole = step(whole, rangeOp(opUnmapRange, 512), 0, 0)
+
+	// Crossing 2 MiB boundaries: fill leaf 0 and half of leaf 1, then
+	// ranges from index 511 of leaf 0 and from index 0 across three
+	// leaves.
+	cross = step(cross, rangeOp(opMapChunk, 512), 0, 0)
+	cross = step(cross, rangeOp(opMapChunk, 200), 1, 0)
+	for _, k := range []byte{opRetagRange, opSetWritableRange, opUnmapRange} {
+		cross = step(cross, rangeOp(k, 65), 0, 63)
+		cross = step(cross, rangeOp(k, 1100), 0, 0)
+	}
+
+	// Under a disabled PMD entry: each range op meets a disabled entry
+	// with present pages underneath.
+	disabled = step(disabled, rangeOp(opMapChunk, 64), 2, 0)
+	disabled = step(disabled, opMap, 3, 9)
+	for _, k := range []byte{opSetWritableRange, opRetagRange, opUnmapRange, opMapChunk} {
+		disabled = step(disabled, opDisablePMD, 2, 0)
+		disabled = step(disabled, rangeOp(k, 600), 2, 0)
+	}
+	disabled = step(disabled, opDisablePMD, 3, 0)
+	disabled = step(disabled, rangeOp(opRetagRange, 1025), 2, 0)
+
+	// Spanning absent leaves: leaves 4 and 7 exist, 5 and 6 never do,
+	// and the ranges run on into leaf 8 and past it.
+	absent = step(absent, opMapWritable, 4, 7)
+	absent = step(absent, rangeOp(opMapChunk, 8), 7, 0)
+	for _, k := range []byte{opRetagRange, opSetWritableRange, opUnmapRange} {
+		absent = step(absent, rangeOp(k, 1537), 4, 0)
+		absent = step(absent, rangeOp(k, 1024), 5, 0)
+	}
+	return [][]byte{whole, cross, disabled, absent}
+}
+
+// sameTable fails unless the range-op table and its per-page twin agree
+// on every observable: the snapshot image (radix skeleton, disabled
+// marks, PTEs, counters, generation) and the live counters.
+func sameTable(t *testing.T, op int, fast, slow *Table) {
+	t.Helper()
+	if fast.Gen() != slow.Gen() || fast.PTEWrites != slow.PTEWrites ||
+		fast.PMDWrites != slow.PMDWrites || fast.Present() != slow.Present() {
+		t.Fatalf("op %d: gen/pte/pmd/present = %d/%d/%d/%d, per-page %d/%d/%d/%d", op,
+			fast.Gen(), fast.PTEWrites, fast.PMDWrites, fast.Present(),
+			slow.Gen(), slow.PTEWrites, slow.PMDWrites, slow.Present())
+	}
+	if !bytes.Equal(fast.AppendState(nil), slow.AppendState(nil)) {
+		t.Fatalf("op %d: table image differs from the per-page twin", op)
+	}
+}
+
+// perPage runs fn on every page of [a, a+pages*PageSize) and counts the
+// pages it reports true for.
+func perPage(a VAddr, pages uint64, fn func(VAddr) bool) int {
+	n := 0
+	for j := uint64(0); j < pages; j++ {
+		if fn(a + VAddr(j*PageSize)) {
+			n++
+		}
+	}
+	return n
+}
+
 // FuzzTableOps drives a page table with an arbitrary operation tape of
 // (op, addr-hi, addr-lo) triples and checks the structural invariants the
-// rest of the system depends on.
+// rest of the system depends on. A twin table runs the same tape with
+// every range operation replaced by a loop over its per-page primitive;
+// the two must agree on the returned count and on the whole table after
+// every op.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0, 0, 0, 16, 16, 32, 255, 1, 9})
@@ -42,26 +164,39 @@ func FuzzTableOps(f *testing.F) {
 	for _, n := range []int{3, 5, 9, 65} { // across leaf-slab boundaries
 		f.Add(leafTape(n))
 	}
+	for _, tape := range rangeTapes() {
+		f.Add(tape)
+	}
 	f.Fuzz(func(t *testing.T, tape []byte) {
-		pt := New()
+		pt, twin := New(), New()
 		ref := map[VAddr]PTE{} // page → expected
 		for i := 0; i+2 < len(tape); i += 3 {
 			op, hi, lo := tape[i], tape[i+1], tape[i+2]
 			a := fuzzAddr(hi, lo)
-			switch op % 5 {
-			case 0:
+			pages := rangePages[int(op/numOps)%len(rangePages)]
+			end := a + VAddr(pages*PageSize)
+			inRange := func(p VAddr) bool { return p >= a && p < end }
+			// Range ops take their pdom and writable bit from the address
+			// bytes, so every length meets every tag.
+			d, w := Pdom((hi^lo)%16), (hi^lo)&16 != 0
+			got, want := 0, 0
+			switch op % numOps {
+			case opMap:
 				pte := PTE{Frame: Frame(hi)<<8 | Frame(lo), Present: true,
 					Writable: op&0x80 != 0, Pdom: Pdom(op % 16)}
 				pt.Map(a, pte.Frame, pte.Writable, pte.Pdom)
+				twin.Map(a, pte.Frame, pte.Writable, pte.Pdom)
 				ref[a] = pte
-			case 1:
+			case opUnmap:
 				had := ref[a].Present
 				delete(ref, a)
+				twin.Unmap(a)
 				if pt.Unmap(a) != had {
 					t.Fatalf("Unmap(%#x) disagreement", uint64(a))
 				}
-			case 2:
+			case opSetPdom:
 				d := Pdom(op % 16)
+				twin.SetPdom(a, d)
 				if pt.SetPdom(a, d) {
 					e := ref[a]
 					if !e.Present {
@@ -72,11 +207,59 @@ func FuzzTableOps(f *testing.F) {
 				} else if ref[a].Present {
 					t.Fatalf("SetPdom failed on present page %#x", uint64(a))
 				}
-			case 3:
+			case opDisablePMD:
 				pt.DisablePMD(a)
-			case 4:
+				twin.DisablePMD(a)
+			case opEnablePMD:
 				pt.EnablePMD(a)
+				twin.EnablePMD(a)
+			case opRetagRange:
+				got = pt.RetagRange(a, pages*PageSize, d)
+				want = perPage(a, pages, func(p VAddr) bool { return twin.SetPdom(p, d) })
+				for p, e := range ref {
+					if inRange(p) {
+						e.Pdom = d
+						ref[p] = e
+					}
+				}
+			case opUnmapRange:
+				got = pt.UnmapRange(a, pages*PageSize)
+				want = perPage(a, pages, twin.Unmap)
+				for p := range ref {
+					if inRange(p) {
+						delete(ref, p)
+					}
+				}
+			case opSetWritableRange:
+				// Pages under a disabled PMD entry walk as not-present
+				// and keep their bit.
+				for p, e := range ref {
+					if inRange(p) && !pt.PMDDisabled(p) {
+						e.Writable = w
+						ref[p] = e
+					}
+				}
+				got = pt.SetWritableRange(a, pages*PageSize, w)
+				want = perPage(a, pages, func(p VAddr) bool { return twin.SetWritable(p, w) })
+			case opMapChunk:
+				pages = min(pages, uint64(a.PMDAlign()+PMDSize-a)/PageSize)
+				frames := make([]Frame, pages)
+				for j := range frames {
+					frames[j] = Frame(hi)<<16 | Frame(lo)<<8 + Frame(j)
+				}
+				pt.MapChunk(a, frames, w, d)
+				for j, fr := range frames {
+					p := a + VAddr(j*PageSize)
+					twin.ResetCounts()
+					twin.Map(p, fr, w, d)
+					ref[p] = PTE{Frame: fr, Present: true, Writable: w, Pdom: d}
+				}
 			}
+			if got != want {
+				t.Fatalf("op %d (%d at %#x, %d pages) returned %d, per-page %d",
+					i/3, op%numOps, uint64(a), pages, got, want)
+			}
+			sameTable(t, i/3, pt, twin)
 		}
 		// Present() equals the reference count.
 		if pt.Present() != len(ref) {

@@ -30,10 +30,15 @@
 // Go size class, so small slabs waste nothing to rounding.
 //
 // Range operations (RetagRange, EvictRange, RemapRange, UnmapRange,
-// SetWritableRange) descend the radix once per leaf table instead of once
-// per page, but keep counter and generation accounting identical to the
-// equivalent per-page loop; DisableFastRange forces the per-page loop so
-// tests can prove the equivalence byte-for-byte.
+// SetWritableRange, MapChunk, PopulateChunk) descend the radix once per
+// leaf table instead of once per page, but keep counter and generation
+// accounting identical to the equivalent loop over the per-page
+// primitives (SetPdom, Unmap, SetWritable, Map). Those primitives are the
+// reference: FuzzTableOps runs RetagRange, UnmapRange, SetWritableRange
+// and MapChunk against that loop on a twin table and compares the two
+// tables byte for byte after each op. EvictRange and RemapRange are built
+// from RetagRange and the PMD primitives; mm's FuzzPopulate checks
+// PopulateChunk against the demand-fault loop.
 package pagetable
 
 import "fmt"
@@ -56,14 +61,6 @@ const (
 	// AddrBits is the number of meaningful virtual-address bits.
 	AddrBits = PageShift + 9*Levels
 )
-
-// DisableFastRange forces every range operation through the per-page
-// slow path (one full radix descent per page, exactly the loops the
-// batched fast paths replace). It exists for equivalence testing only:
-// transparency tests run the same seeded experiment with the flag on and
-// off and require byte-identical output. Set it only from test setup,
-// never while simulations run.
-var DisableFastRange bool
 
 // VAddr is a virtual address in the simulated machine.
 type VAddr uint64
@@ -523,22 +520,13 @@ func (t *Table) PMDDisabled(a VAddr) bool {
 // RetagRange retags every present page in [start, start+length) with d and
 // returns the number of pages retagged. length must be page-aligned.
 //
-// The fast path descends the radix once per 2 MiB leaf instead of once per
-// page; its counter and generation accounting is exactly that of the
-// per-page loop (one generation bump per page scanned, one PTE write per
-// present page, one PMD write when the first present page under a disabled
-// PMD entry re-enables it).
+// It descends the radix once per 2 MiB leaf instead of once per page; its
+// counter and generation accounting is exactly that of a SetPdom loop
+// (one generation bump per page scanned, one PTE write per present page,
+// one PMD write when the first present page under a disabled PMD entry
+// re-enables it).
 func (t *Table) RetagRange(start VAddr, length uint64, d Pdom) int {
 	checkAligned(start, length)
-	if DisableFastRange {
-		n := 0
-		for off := uint64(0); off < length; off += PageSize {
-			if t.SetPdom(start+VAddr(off), d) {
-				n++
-			}
-		}
-		return n
-	}
 	n := 0
 	end := start + VAddr(length)
 	for a := start; a < end; {
@@ -547,7 +535,7 @@ func (t *Table) RetagRange(start VAddr, length uint64, d Pdom) int {
 			chunk = end
 		}
 		pages := uint64(chunk-a) / PageSize
-		t.gen += pages // one SetPdom call per page in the slow path
+		t.gen += pages // one SetPdom call per page
 		pmd := t.pmdOf(a)
 		if pmd == nil {
 			a = chunk
@@ -799,15 +787,6 @@ func (t *Table) MapChunk(a VAddr, frames []Frame, writable bool, d Pdom) {
 // entries are unmapped too), with one radix descent per leaf.
 func (t *Table) UnmapRange(start VAddr, length uint64) int {
 	checkAligned(start, length)
-	if DisableFastRange {
-		n := 0
-		for off := uint64(0); off < length; off += PageSize {
-			if t.Unmap(start + VAddr(off)) {
-				n++
-			}
-		}
-		return n
-	}
 	n := 0
 	end := start + VAddr(length)
 	for a := start; a < end; {
@@ -842,15 +821,6 @@ func (t *Table) UnmapRange(start VAddr, length uint64) int {
 // pages under a disabled PMD entry walk as not-present and are skipped.
 func (t *Table) SetWritableRange(start VAddr, length uint64, w bool) int {
 	checkAligned(start, length)
-	if DisableFastRange {
-		n := 0
-		for off := uint64(0); off < length; off += PageSize {
-			if t.SetWritable(start+VAddr(off), w) {
-				n++
-			}
-		}
-		return n
-	}
 	n := 0
 	end := start + VAddr(length)
 	for a := start; a < end; {

@@ -78,9 +78,9 @@ const Version = "vdom-perf/v1"
 // committed baselines exist, or every baseline silently rescales.
 const RefCalibration = 250e6
 
-// Sink defeats dead-code elimination of the calibration loop. Never read
+// sink defeats dead-code elimination of the calibration loop. Never read
 // it for meaning.
-var Sink uint64
+var sink uint64
 
 // Report is one suite run: the vdom-perf/v1 JSON document.
 type Report struct {
@@ -210,7 +210,7 @@ func Calibrate(reps int) float64 {
 	best := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {
 		start := time.Now()
-		Sink += calibrationLoop(calSteps)
+		sink += calibrationLoop(calSteps)
 		if d := time.Since(start); d < best {
 			best = d
 		}
@@ -245,7 +245,7 @@ func oneRep(b *Benchmark, units float64, iter func() error, iters int) (cal floa
 	// this repetition.
 	runtime.GC()
 	start := time.Now()
-	Sink += calibrationLoop(burstSteps)
+	sink += calibrationLoop(burstSteps)
 	cal = burstSteps / time.Since(start).Seconds()
 	start = time.Now()
 	for i := 0; i < iters; i++ {

@@ -83,16 +83,10 @@ type Config struct {
 	// RingDir hosts the shards' checkpoint rings. Empty selects a
 	// fresh temp directory, removed when Run returns.
 	RingDir string
-	// RingMaxAge, when positive, additionally prunes ring entries older
-	// than this (the newest entry is always kept).
-	RingMaxAge time.Duration
 
 	// MaxRetries is the consecutive-recovery-failure budget before a
 	// shard is quarantined (default 3).
 	MaxRetries int
-	// WatchdogThreshold arms the stall watchdog (default 8 consecutive
-	// no-progress observations).
-	WatchdogThreshold int
 
 	// CrashEvery is the mean op interval between injected crash faults
 	// (seeded, jitter within [CrashEvery/2, 3*CrashEvery/2)); 0 injects
@@ -146,9 +140,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
-	}
-	if c.WatchdogThreshold <= 0 {
-		c.WatchdogThreshold = 8
 	}
 	if len(c.CrashKinds) == 0 {
 		c.CrashKinds = []chaos.CrashKind{chaos.CrashCore, chaos.CrashKernelPanic, chaos.CrashTornDomainMap}

@@ -86,9 +86,6 @@ func newSupervisor(cfg Config, ringDir string, shard int) (*Supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RingMaxAge > 0 {
-		ring.SetMaxAge(cfg.RingMaxAge)
-	}
 	s.ring = ring
 
 	pcfg := cfg.Pressure
@@ -98,7 +95,7 @@ func newSupervisor(cfg Config, ringDir string, shard int) (*Supervisor, error) {
 	pcfg.Seed += uint64(shard) * 0x9e3779b97f4a7c15
 	s.press = chaos.NewPressure(pcfg)
 
-	s.wd = sim.NewWatchdog(cfg.WatchdogThreshold, nil)
+	s.wd = sim.NewWatchdog(chaos.StallThreshold)
 	// The crash schedule's PRNG is independent of both the workload's
 	// and the injector's streams, so injected crashes never perturb the
 	// simulated run — the bit-identity guarantee rests on this.

@@ -41,7 +41,6 @@ type Env struct {
 	blocked int // processes blocked on a resource/signal (no pending event)
 	current *Proc
 	tracer  Tracer
-	wd      *Watchdog
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -56,14 +55,6 @@ func (e *Env) Now() Time { return e.now }
 // tracer (the default) disables tracing at the cost of one branch per
 // Delay.
 func (e *Env) SetTracer(t Tracer) { e.tracer = t }
-
-// SetWatchdog attaches a watchdog to the environment. With one attached,
-// Run no longer panics on a simulation deadlock: it feeds the watchdog
-// repeated observations of the frozen clock until it fires (invoking its
-// onStall recovery callback) and then returns, leaving the blocked
-// processes parked. Without a watchdog (the default) the historical
-// ErrDeadlock panic is unchanged.
-func (e *Env) SetWatchdog(w *Watchdog) { e.wd = w }
 
 type event struct {
 	at   Time
@@ -199,14 +190,6 @@ func (e *Env) Run() Time {
 		e.current = nil
 	}
 	if e.blocked > 0 {
-		if e.wd != nil {
-			// A deadlock freezes the virtual clock: feed the watchdog
-			// the stuck clock until it trips and drives recovery.
-			for !e.wd.Fired() {
-				e.wd.Observe(uint64(e.now))
-			}
-			return e.now
-		}
 		panic(fmt.Errorf("%w: %d process(es) blocked with an empty event queue", ErrDeadlock, e.blocked))
 	}
 	return e.now

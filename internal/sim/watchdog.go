@@ -2,16 +2,15 @@ package sim
 
 // Watchdog detects stalled progress in the simulated system. A harness
 // feeds it periodic clock observations; when the clock fails to advance
-// for `threshold` consecutive observations the watchdog declares a stall
-// and invokes its onStall callback exactly once (until Reset).
+// for `threshold` consecutive observations the watchdog declares a stall:
+// that Observe returns true, and Fired stays true until Reset.
 //
 // The watchdog is the recovery trigger of the crash-tolerance subsystem
 // (see RECOVERY.md): a wedged core or a kernel panic stops the virtual
-// clock, the watchdog fires, and the onStall callback restores the
+// clock, the watchdog fires, and the harness polling it restores the
 // latest checkpoint and replays the trace tail.
 type Watchdog struct {
 	threshold int
-	onStall   func(clock uint64)
 	last      uint64
 	seen      bool
 	stuck     int
@@ -19,19 +18,17 @@ type Watchdog struct {
 }
 
 // NewWatchdog returns a watchdog that fires after `threshold` consecutive
-// observations without clock progress. onStall may be nil, in which case
-// the watchdog only records that it fired. threshold must be positive.
-func NewWatchdog(threshold int, onStall func(clock uint64)) *Watchdog {
+// observations without clock progress. threshold must be positive.
+func NewWatchdog(threshold int) *Watchdog {
 	if threshold <= 0 {
 		panic("sim: watchdog threshold must be positive")
 	}
-	return &Watchdog{threshold: threshold, onStall: onStall}
+	return &Watchdog{threshold: threshold}
 }
 
-// Observe feeds the watchdog one clock sample. It returns true — and
-// invokes the onStall callback — when this observation pushes the
-// consecutive no-progress count to the threshold. Once fired, further
-// observations are no-ops until Reset.
+// Observe feeds the watchdog one clock sample. It returns true when this
+// observation pushes the consecutive no-progress count to the threshold.
+// Once fired, further observations are no-ops until Reset.
 func (w *Watchdog) Observe(clock uint64) bool {
 	if w.fired {
 		return false
@@ -47,9 +44,6 @@ func (w *Watchdog) Observe(clock uint64) bool {
 		return false
 	}
 	w.fired = true
-	if w.onStall != nil {
-		w.onStall(clock)
-	}
 	return true
 }
 

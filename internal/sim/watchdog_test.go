@@ -6,8 +6,7 @@ import (
 )
 
 func TestWatchdogFiresAfterThreshold(t *testing.T) {
-	var firedAt uint64
-	w := NewWatchdog(3, func(clock uint64) { firedAt = clock })
+	w := NewWatchdog(3)
 
 	// Progress keeps it quiet.
 	for c := uint64(10); c <= 30; c += 10 {
@@ -19,18 +18,21 @@ func TestWatchdogFiresAfterThreshold(t *testing.T) {
 	if w.Observe(30) || w.Observe(30) {
 		t.Fatal("watchdog fired below threshold")
 	}
+	if w.Fired() {
+		t.Fatal("Fired() true below threshold")
+	}
 	if !w.Observe(30) {
 		t.Fatal("watchdog did not fire at the threshold")
-	}
-	if firedAt != 30 {
-		t.Fatalf("onStall clock = %d, want 30", firedAt)
 	}
 	if !w.Fired() {
 		t.Fatal("Fired() false after firing")
 	}
-	// Latched: further observations are no-ops.
-	if w.Observe(30) {
+	// Latched: further observations are no-ops, and Fired stays set.
+	if w.Observe(30) || w.Observe(40) {
 		t.Fatal("watchdog fired twice without Reset")
+	}
+	if !w.Fired() {
+		t.Fatal("Fired() cleared without Reset")
 	}
 
 	w.Reset()
@@ -44,7 +46,7 @@ func TestWatchdogFiresAfterThreshold(t *testing.T) {
 }
 
 func TestWatchdogProgressResetsCount(t *testing.T) {
-	w := NewWatchdog(2, nil)
+	w := NewWatchdog(2)
 	if w.Observe(5) {
 		t.Fatal("fired on first observation")
 	}
@@ -62,40 +64,8 @@ func TestWatchdogProgressResetsCount(t *testing.T) {
 	}
 }
 
-// TestRunDeadlockWithWatchdog checks that an attached watchdog converts
-// the deadlock panic into a fired stall callback and a normal return.
-func TestRunDeadlockWithWatchdog(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource(1)
-	e.Go("holder", func(p *Proc) {
-		r.Acquire(p, 1)
-		p.Delay(7)
-		// Never releases: the waiter below deadlocks.
-	})
-	e.Go("waiter", func(p *Proc) {
-		p.Delay(1)
-		r.Acquire(p, 1)
-	})
-
-	var stalled bool
-	wd := NewWatchdog(4, func(clock uint64) {
-		stalled = true
-		if clock != 7 {
-			t.Errorf("stall clock = %d, want 7", clock)
-		}
-	})
-	e.SetWatchdog(wd)
-	end := e.Run()
-	if !stalled {
-		t.Fatal("watchdog did not fire on deadlock")
-	}
-	if end != 7 {
-		t.Fatalf("Run returned clock %d, want 7", end)
-	}
-}
-
-// TestRunDeadlockWithoutWatchdog pins the historical behavior: no
-// watchdog means the ErrDeadlock panic is raised as before.
+// TestRunDeadlockWithoutWatchdog pins that a deadlock always panics with
+// ErrDeadlock: the environment never drives a watchdog itself.
 func TestRunDeadlockWithoutWatchdog(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource(1)
@@ -143,36 +113,32 @@ func TestWatchdogRejectsNonPositiveThreshold(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewWatchdog(%d, nil) did not panic", th)
+					t.Errorf("NewWatchdog(%d) did not panic", th)
 				}
 			}()
-			NewWatchdog(th, nil)
+			NewWatchdog(th)
 		}()
 	}
 }
 
 // TestWatchdogReArmAfterFire checks the full fire → Reset → fire cycle:
-// the callback runs once per armed period, and a re-armed dog needs a
+// Observe reports true once per armed period, and a re-armed dog needs a
 // full fresh streak of stuck observations to fire again.
 func TestWatchdogReArmAfterFire(t *testing.T) {
-	fires := 0
-	w := NewWatchdog(2, func(uint64) { fires++ })
+	w := NewWatchdog(2)
 	w.Observe(10)
 	w.Observe(10)
-	if !w.Observe(10) || fires != 1 {
-		t.Fatalf("first firing: fired=%v fires=%d", w.Fired(), fires)
+	if !w.Observe(10) || !w.Fired() {
+		t.Fatalf("first firing: fired=%v", w.Fired())
 	}
 	w.Reset()
 	// The pre-fire history is gone: the first post-Reset observation
 	// seeds the baseline even at the same stuck clock.
-	if w.Observe(10) || w.Observe(10) {
+	if w.Observe(10) || w.Observe(10) || w.Fired() {
 		t.Fatal("re-armed watchdog fired before a full fresh streak")
 	}
-	if !w.Observe(10) {
+	if !w.Observe(10) || !w.Fired() {
 		t.Fatal("re-armed watchdog did not fire after a full streak")
-	}
-	if fires != 2 {
-		t.Fatalf("fires = %d, want 2", fires)
 	}
 }
 
@@ -184,7 +150,7 @@ func TestWatchdogReArmAfterFire(t *testing.T) {
 // simulated clock either) and no later.
 func TestWatchdogExactFireAtCheckpointBoundary(t *testing.T) {
 	const threshold = 8
-	w := NewWatchdog(threshold, nil)
+	w := NewWatchdog(threshold)
 	clock := uint64(0)
 	for op := 1; op <= 100; op++ {
 		clock += 7

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Ring is a rolling on-disk checkpoint ring: the last Cap vdom-snap/v2
@@ -19,14 +18,13 @@ import (
 // Writes are atomic: each entry is written to a temp file in the same
 // directory, fsync'd, and renamed into place, so a crash mid-write can
 // never leave a half-visible entry under the ring's naming scheme. After
-// every append the ring prunes to its capacity (and, when MaxAge is set,
-// drops entries older than MaxAge — always keeping the newest), so disk
-// use is bounded on an indefinitely running service.
+// every append the ring prunes to its capacity, oldest first, so disk use
+// is bounded on an indefinitely running service. The ring never reads a
+// clock: which entries it keeps depends only on the append sequence.
 type Ring struct {
-	dir    string
-	name   string
-	cap    int
-	maxAge time.Duration
+	dir  string
+	name string
+	cap  int
 
 	seq     uint64
 	entries []RingEntry // oldest → newest
@@ -42,8 +40,6 @@ type RingEntry struct {
 	Seq uint64
 	// Size is the encoded snapshot's size in bytes.
 	Size int64
-	// When is the entry's write (or scan) time; age pruning uses it.
-	When time.Time
 }
 
 // NewRing opens (or creates) a ring in dir. name prefixes every entry
@@ -65,13 +61,9 @@ func NewRing(dir, name string, cap int) (*Ring, error) {
 	if err := r.scan(); err != nil {
 		return nil, err
 	}
-	r.prune(time.Now())
+	r.prune()
 	return r, nil
 }
-
-// SetMaxAge enables age-based pruning: entries older than d are removed
-// on the next append (the newest entry is always kept). d <= 0 disables.
-func (r *Ring) SetMaxAge(d time.Duration) { r.maxAge = d }
 
 // Len returns the current entry count; Cap the configured capacity.
 func (r *Ring) Len() int { return len(r.entries) }
@@ -107,7 +99,7 @@ func (r *Ring) scan() error {
 		if err != nil {
 			continue
 		}
-		r.entries = append(r.entries, RingEntry{Path: path, Op: op, Seq: seq, Size: info.Size(), When: info.ModTime()})
+		r.entries = append(r.entries, RingEntry{Path: path, Op: op, Seq: seq, Size: info.Size()})
 		if seq > r.seq {
 			r.seq = seq
 		}
@@ -145,25 +137,15 @@ func (r *Ring) Append(op int, data []byte) (RingEntry, error) {
 		return RingEntry{}, err
 	}
 	syncDir(r.dir)
-	e := RingEntry{Path: path, Op: op, Seq: r.seq, Size: int64(len(data)), When: time.Now()}
+	e := RingEntry{Path: path, Op: op, Seq: r.seq, Size: int64(len(data))}
 	r.entries = append(r.entries, e)
-	r.prune(e.When)
+	r.prune()
 	return e, nil
 }
 
-// prune drops entries beyond capacity and, with MaxAge set, entries
-// older than now-MaxAge — always keeping the newest entry so recovery
-// never loses its last resort.
-func (r *Ring) prune(now time.Time) {
+// prune drops the oldest entries beyond capacity.
+func (r *Ring) prune() {
 	for len(r.entries) > r.cap {
-		os.Remove(r.entries[0].Path)
-		r.entries = r.entries[1:]
-	}
-	if r.maxAge <= 0 {
-		return
-	}
-	cutoff := now.Add(-r.maxAge)
-	for len(r.entries) > 1 && r.entries[0].When.Before(cutoff) {
 		os.Remove(r.entries[0].Path)
 		r.entries = r.entries[1:]
 	}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"vdom/internal/replay"
 	"vdom/internal/snapshot"
@@ -252,40 +251,5 @@ func TestRingRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := snapshot.NewRing(t.TempDir(), "", 2); err == nil {
 		t.Error("empty name accepted")
-	}
-}
-
-func TestRingMaxAgePrunesOldEntriesButKeepsNewest(t *testing.T) {
-	dir := t.TempDir()
-	r, err := snapshot.NewRing(dir, "shard0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.SetMaxAge(50 * time.Millisecond)
-	if _, err := r.Append(100, ringSnap(1)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(80 * time.Millisecond)
-	if _, err := r.Append(200, ringSnap(2)); err != nil {
-		t.Fatal(err)
-	}
-	ents := r.Entries()
-	if len(ents) != 1 || ents[0].Op != 200 {
-		t.Fatalf("age pruning kept %+v, want only op 200", ents)
-	}
-
-	// Even when the sole remaining entry is ancient, it survives: the
-	// ring never prunes away recovery's last resort.
-	time.Sleep(80 * time.Millisecond)
-	if _, err := r.Append(300, ringSnap(3)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(80 * time.Millisecond)
-	r.SetMaxAge(time.Nanosecond)
-	if _, err := r.Append(400, ringSnap(4)); err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (newest always kept)", r.Len())
 	}
 }
