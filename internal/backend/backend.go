@@ -11,9 +11,12 @@
 //
 // A backend registers once, under its trace kernel-kind name, and
 // through the Backend interface reaches booting, trace recording (the
-// unified tap), end-state verification, checkpoint capture/restore (its
-// vdom-snap/v2 section), metrics attribution, and the generic workload
-// adapter (DomainOps). Adding a kernel is one Register call.
+// unified tap), trace replay of its own layer's ops (Replay), end-state
+// verification, checkpoint capture/restore (its vdom-snap/v2 section),
+// metrics attribution, and the generic workload adapter (DomainOps).
+// Adding a kernel takes its package, its ops appended to tap.Op, a field
+// on Instance, one Backend implementation, and one Register call; the
+// recorder and the replayer need no change.
 package backend
 
 import (
@@ -133,6 +136,28 @@ type Backend interface {
 	Restore(inst *Instance, r *wire.Reader, task func(tid int) *kernel.Task)
 	// Ops returns the kernel-neutral workload adapter over the instance.
 	Ops(inst *Instance) DomainOps
+	// Replay re-executes one recorded event of the backend's layer: e
+	// carries the recorded op and arguments, t the task e.TID names (nil
+	// for tid 0 or a tid no spawn created). It sets e's Dom, Perm, Cost
+	// and Err to what the call returned, and reports ok; ok is false,
+	// with e untouched, when e.Op is not of this layer. err reports a
+	// record the layer cannot execute at all (an unknown tid, or an op
+	// that takes a thread recorded without one).
+	Replay(inst *Instance, e *tap.Event, t *kernel.Task) (ok bool, err error)
+}
+
+// checkTask validates the task a recorded event resolved to: a non-zero
+// tid must name a spawned task, and need demands a task at all.
+func checkTask(e *tap.Event, t *kernel.Task, need bool) error {
+	switch {
+	case t != nil:
+		return nil
+	case e.TID != 0:
+		return fmt.Errorf("unknown tid %d", e.TID)
+	case need:
+		return fmt.Errorf("%s needs a thread", e.Op)
+	}
+	return nil
 }
 
 // registry holds backends in registration order (stable: vdom, libmpk,

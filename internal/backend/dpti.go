@@ -46,6 +46,39 @@ func (dptiBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kerne
 
 func (dptiBackend) Ops(inst *Instance) DomainOps { return dptiOps{inst.DPTI} }
 
+// Replay executes the domain API. Free and Protect accept the nil task;
+// Enter and Exit switch a thread's pgd, so they need one.
+func (dptiBackend) Replay(inst *Instance, e *tap.Event, t *kernel.Task) (bool, error) {
+	m := inst.DPTI
+	d := dpti.DomainID(e.Dom)
+	var need bool
+	switch e.Op {
+	case tap.OpDptiAlloc:
+		id, cost := m.AllocDomain()
+		e.Dom, e.Cost = uint64(id), cost
+		return true, nil
+	case tap.OpDptiFree, tap.OpDptiProtect:
+	case tap.OpDptiEnter, tap.OpDptiExit:
+		need = true
+	default:
+		return false, nil
+	}
+	if err := checkTask(e, t, need); err != nil {
+		return true, err
+	}
+	switch e.Op {
+	case tap.OpDptiFree:
+		e.Cost, e.Err = m.FreeDomain(t, d)
+	case tap.OpDptiProtect:
+		e.Cost, e.Err = m.Protect(t, e.Addr, e.Len, d)
+	case tap.OpDptiEnter:
+		e.Cost, e.Err = m.Enter(t, d)
+	case tap.OpDptiExit:
+		e.Cost, e.Err = m.Exit(t)
+	}
+	return true, nil
+}
+
 // dptiOps adapts DPTI: domains map 1:1, activation is an Enter (pgd
 // switch into the domain's table) and deactivation an Exit back to the
 // base table.

@@ -48,6 +48,16 @@ func (epkBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kernel
 
 func (epkBackend) Ops(inst *Instance) DomainOps { return &epkOps{s: inst.EPK} }
 
+// Replay executes domain switches. EPK thread ids are the workload's own
+// worker ids, not kernel tasks, so the switch takes e.TID as recorded.
+func (epkBackend) Replay(inst *Instance, e *tap.Event, t *kernel.Task) (bool, error) {
+	if e.Op != tap.OpEpkSwitch {
+		return false, nil
+	}
+	e.Cost = inst.EPK.Switch(e.TID, int(e.Dom))
+	return true, nil
+}
+
 // epkOps adapts the EPK model: domains are slots in the fixed EPT-group
 // space, activation is a domain switch (MPK write or VMFUNC), and the
 // page-level operations are no-ops — EPK isolates through per-group

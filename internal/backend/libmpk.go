@@ -48,6 +48,33 @@ func (libmpkBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *ker
 
 func (libmpkBackend) Ops(inst *Instance) DomainOps { return libmpkOps{inst.Libmpk} }
 
+// Replay executes the pkey API in direct mode. Tid 0 is the nil task
+// direct-mode calls may legitimately pass.
+func (libmpkBackend) Replay(inst *Instance, e *tap.Event, t *kernel.Task) (bool, error) {
+	m := inst.Libmpk
+	v := libmpk.Vkey(e.Dom)
+	if e.Op == tap.OpPkeyAlloc {
+		id, cost := m.PkeyAlloc()
+		e.Dom, e.Cost = uint64(id), cost
+		return true, nil
+	}
+	if e.Op != tap.OpPkeyFree && e.Op != tap.OpPkeyMprotect && e.Op != tap.OpPkeySet {
+		return false, nil
+	}
+	if err := checkTask(e, t, false); err != nil {
+		return true, err
+	}
+	switch e.Op {
+	case tap.OpPkeyFree:
+		e.Cost, e.Err = m.PkeyFree(t, v)
+	case tap.OpPkeyMprotect:
+		e.Cost, e.Err = m.PkeyMprotect(nil, t, e.Addr, e.Len, v)
+	case tap.OpPkeySet:
+		e.Cost, e.Err = m.PkeySet(nil, t, v, hw.Perm(e.Perm))
+	}
+	return true, nil
+}
+
 // libmpkOps adapts the libmpk baseline: domains are virtual keys and
 // activation is a per-thread pkey register write. Per-thread setup is a
 // no-op (the register is architectural state, not allocated).

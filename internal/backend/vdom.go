@@ -51,6 +51,48 @@ func (vdomBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kerne
 
 func (vdomBackend) Ops(inst *Instance) DomainOps { return vdomOps{inst.Manager} }
 
+// Replay executes the core's API ops and VDS reaping. Every per-thread
+// call needs the thread's task.
+func (vdomBackend) Replay(inst *Instance, e *tap.Event, t *kernel.Task) (bool, error) {
+	m := inst.Manager
+	d := core.VdomID(e.Dom)
+	switch e.Op {
+	case tap.OpReap:
+		e.Dom = uint64(m.ReapVDSes())
+		return true, nil
+	case tap.OpVdomAlloc:
+		id, cost := m.AllocVdom(e.Freq)
+		e.Dom, e.Cost = uint64(id), cost
+		return true, nil
+	case tap.OpVdomFree:
+		e.Cost, e.Err = m.FreeVdom(d)
+		return true, nil
+	case tap.OpVdomMprotect, tap.OpVdrAlloc, tap.OpVdrFree, tap.OpVdrRead, tap.OpVdrWrite, tap.OpNewVDS:
+	default:
+		return false, nil
+	}
+	if err := checkTask(e, t, true); err != nil {
+		return true, err
+	}
+	switch e.Op {
+	case tap.OpVdomMprotect:
+		e.Cost, e.Err = m.Mprotect(t, e.Addr, e.Len, d)
+	case tap.OpVdrAlloc:
+		e.Cost, e.Err = m.VdrAlloc(t, int(e.Len))
+	case tap.OpVdrFree:
+		e.Cost, e.Err = m.VdrFree(t)
+	case tap.OpVdrRead:
+		var p core.VPerm
+		p, e.Cost, e.Err = m.RdVdr(t, d)
+		e.Perm = uint8(p)
+	case tap.OpVdrWrite:
+		e.Cost, e.Err = m.WrVdr(t, d, core.VPerm(e.Perm))
+	case tap.OpNewVDS:
+		e.Cost, e.Err = m.PlaceInNewVDS(t)
+	}
+	return true, nil
+}
+
 // vdomOps adapts the VDom manager: domains are vdoms, per-thread setup
 // is a VDR allocation, and activation is a VDR permission write.
 type vdomOps struct{ m *core.Manager }

@@ -189,9 +189,6 @@ type VDR struct {
 // Current returns the VDS the thread is resident in.
 func (r *VDR) Current() *VDS { return r.current }
 
-// Attached returns the VDSes the thread can efficiently switch between.
-func (r *VDR) Attached() []*VDS { return r.vdses }
-
 // Perm returns the thread's permission on d.
 func (r *VDR) Perm(d VdomID) VPerm { return r.perms.get(d) }
 
@@ -373,7 +370,7 @@ func (m *Manager) apiCost() cycles.Cost {
 // frequently-accessed, biasing the algorithm toward eviction-in-place over
 // VDS switches when it must be activated (§5.4).
 func (m *Manager) AllocVdom(freqAccessed bool) (d VdomID, cost cycles.Cost) {
-	defer func() { m.tapAPI(APICall{Op: APIAllocVdom, Vdom: d, Freq: freqAccessed, Cost: cost}) }()
+	defer func() { m.tapOp(tap.Event{Op: tap.OpVdomAlloc, Dom: uint64(d), Freq: freqAccessed, Cost: cost}) }()
 	defer m.endOp("vdom-alloc", &cost)
 	d = m.nextVdom
 	m.nextVdom++
@@ -389,7 +386,7 @@ func (m *Manager) AllocVdom(freqAccessed bool) (d VdomID, cost cycles.Cost) {
 // (freeing the pdoms), clears its VDT chain, and forgets per-thread
 // permissions lazily.
 func (m *Manager) FreeVdom(d VdomID) (cost cycles.Cost, err error) {
-	defer func() { m.tapAPI(APICall{Op: APIFreeVdom, Vdom: d, Cost: cost, Err: err}) }()
+	defer func() { m.tapOp(tap.Event{Op: tap.OpVdomFree, Dom: uint64(d), Cost: cost, Err: err}) }()
 	defer m.endOp("vdom-free", &cost)
 	if !m.live[d] {
 		return m.apiCost(), ErrFreedVdom
@@ -440,7 +437,7 @@ func (m *Manager) FreeVdom(d VdomID) (cost cycles.Cost, err error) {
 // vdom is rejected to preserve address-space integrity.
 func (m *Manager) Mprotect(task *kernel.Task, addr pagetable.VAddr, length uint64, d VdomID) (cost cycles.Cost, err error) {
 	defer func() {
-		m.tapAPI(APICall{Op: APIMprotect, TID: tapTID(task), Vdom: d, Addr: addr, Len: length, Cost: cost, Err: err})
+		m.tapOp(tap.Event{Op: tap.OpVdomMprotect, TID: kernel.TIDOf(task), Dom: uint64(d), Addr: addr, Len: length, Cost: cost, Err: err})
 	}()
 	defer m.endOp("mprotect", &cost)
 	cost = m.apiCost() + m.params.SyscallReturn
@@ -536,7 +533,7 @@ func (m *Manager) VdrAlloc(task *kernel.Task, nas int) (cost cycles.Cost, err er
 	// The defer captures the caller's nas before the default is applied
 	// below, so the trace records the argument as passed.
 	defer func(argNas int) {
-		m.tapAPI(APICall{Op: APIVdrAlloc, TID: tapTID(task), Nas: argNas, Cost: cost, Err: err})
+		m.tapOp(tap.Event{Op: tap.OpVdrAlloc, TID: kernel.TIDOf(task), Len: uint64(argNas), Cost: cost, Err: err})
 	}(nas)
 	defer m.endOp("vdr-alloc", &cost)
 	if m.vdrs[task] != nil {
@@ -585,7 +582,7 @@ func (m *Manager) VdrAlloc(task *kernel.Task, nas int) (cost cycles.Cost, err er
 // synchronization experiment) use it to pin threads to distinct address
 // spaces explicitly instead of waiting for the algorithm to spread them.
 func (m *Manager) PlaceInNewVDS(task *kernel.Task) (cost cycles.Cost, err error) {
-	defer func() { m.tapAPI(APICall{Op: APINewVDS, TID: tapTID(task), Cost: cost, Err: err}) }()
+	defer func() { m.tapOp(tap.Event{Op: tap.OpNewVDS, TID: kernel.TIDOf(task), Cost: cost, Err: err}) }()
 	defer m.endOp("place-in-new-vds", &cost)
 	vdr := m.vdrs[task]
 	if vdr == nil {
@@ -612,7 +609,7 @@ func (m *Manager) PlaceInNewVDS(task *kernel.Task) (cost cycles.Cost, err error)
 
 // VdrFree releases the thread's VDR (vdr_free).
 func (m *Manager) VdrFree(task *kernel.Task) (cost cycles.Cost, err error) {
-	defer func() { m.tapAPI(APICall{Op: APIVdrFree, TID: tapTID(task), Cost: cost, Err: err}) }()
+	defer func() { m.tapOp(tap.Event{Op: tap.OpVdrFree, TID: kernel.TIDOf(task), Cost: cost, Err: err}) }()
 	defer m.endOp("vdr-free", &cost)
 	vdr := m.vdrs[task]
 	if vdr == nil {
@@ -631,7 +628,9 @@ func (m *Manager) VdrFree(task *kernel.Task) (cost cycles.Cost, err error) {
 
 // RdVdr reads the calling thread's permission on d (rdvdr).
 func (m *Manager) RdVdr(task *kernel.Task, d VdomID) (perm VPerm, cost cycles.Cost, err error) {
-	defer func() { m.tapAPI(APICall{Op: APIRdVdr, TID: tapTID(task), Vdom: d, Perm: perm, Cost: cost, Err: err}) }()
+	defer func() {
+		m.tapOp(tap.Event{Op: tap.OpVdrRead, TID: kernel.TIDOf(task), Dom: uint64(d), Perm: uint8(perm), Cost: cost, Err: err})
+	}()
 	defer m.endOp("rdvdr", &cost)
 	vdr := m.vdrs[task]
 	if vdr == nil {
@@ -647,7 +646,9 @@ func (m *Manager) RdVdr(task *kernel.Task, d VdomID) (perm VPerm, cost cycles.Co
 // vdom, whichever is cheapest under §5.4's rules. The returned cost covers
 // the whole operation.
 func (m *Manager) WrVdr(task *kernel.Task, d VdomID, perm VPerm) (cost cycles.Cost, err error) {
-	defer func() { m.tapAPI(APICall{Op: APIWrVdr, TID: tapTID(task), Vdom: d, Perm: perm, Cost: cost, Err: err}) }()
+	defer func() {
+		m.tapOp(tap.Event{Op: tap.OpVdrWrite, TID: kernel.TIDOf(task), Dom: uint64(d), Perm: uint8(perm), Cost: cost, Err: err})
+	}()
 	defer m.endOp("wrvdr", &cost)
 	vdr := m.vdrs[task]
 	if vdr == nil {

@@ -1,103 +1,15 @@
 package core
 
-import (
-	"vdom/internal/cycles"
-	"vdom/internal/kernel"
-	"vdom/internal/pagetable"
-	"vdom/internal/tap"
-)
+import "vdom/internal/tap"
 
-// APIOp identifies one public Manager API call for trace recording.
-type APIOp int
-
-// The tapped API operations, one per public syscall-shaped entry point.
-const (
-	APIAllocVdom APIOp = iota
-	APIFreeVdom
-	APIMprotect
-	APIVdrAlloc
-	APIVdrFree
-	APIRdVdr
-	APIWrVdr
-	APINewVDS
-)
-
-// APICall describes one completed Manager API call: the identifying
-// arguments, the returned cost, and the outcome. Fields an op does not
-// use stay zero. It is the core's internal call descriptor; the attached
-// tap receives the unified tap.Event form.
-type APICall struct {
-	// Op is the API entry point.
-	Op APIOp
-	// TID is the calling thread (0 for process-level ops).
-	TID int
-	// Vdom is the domain argument, or AllocVdom's returned id.
-	Vdom VdomID
-	// Addr and Len are Mprotect's range.
-	Addr pagetable.VAddr
-	Len  uint64
-	// Nas is VdrAlloc's requested address-space count, as passed.
-	Nas int
-	// Freq is AllocVdom's frequently-accessed hint.
-	Freq bool
-	// Perm is WrVdr's argument or RdVdr's result.
-	Perm VPerm
-	// Cost is the cycles the call returned.
-	Cost cycles.Cost
-	// Err is the call's error, nil on success.
-	Err error
-}
-
-// SetTap attaches a trace recorder to the Manager's public API. Pass nil
-// (the default) to detach; when detached each call pays one nil check.
+// SetTap attaches a trace recorder to the Manager's public API; completed
+// calls arrive as tap.Events (OpVdomAlloc … OpNewVDS). Pass nil (the
+// default) to detach; when detached each call pays one nil check.
 func (m *Manager) SetTap(t tap.Tap) { m.apiTap = t }
 
-// tapAPI converts a completed call to the unified tap.Event shape and
-// forwards it to the attached tap, if any. The VDR-alloc event reuses Len
-// for the nas count, matching the trace encoding.
-func (m *Manager) tapAPI(c APICall) {
-	if m.apiTap == nil {
-		return
+// tapOp forwards a completed API call to the attached tap, if any.
+func (m *Manager) tapOp(e tap.Event) {
+	if m.apiTap != nil {
+		m.apiTap(e)
 	}
-	e := tap.Event{TID: c.TID, Cost: c.Cost, Err: c.Err}
-	switch c.Op {
-	case APIAllocVdom:
-		e.Op = tap.OpVdomAlloc
-		e.Dom = uint64(c.Vdom)
-		e.Freq = c.Freq
-	case APIFreeVdom:
-		e.Op = tap.OpVdomFree
-		e.Dom = uint64(c.Vdom)
-	case APIMprotect:
-		e.Op = tap.OpVdomMprotect
-		e.Addr = c.Addr
-		e.Len = c.Len
-		e.Dom = uint64(c.Vdom)
-	case APIVdrAlloc:
-		e.Op = tap.OpVdrAlloc
-		e.Len = uint64(c.Nas)
-	case APIVdrFree:
-		e.Op = tap.OpVdrFree
-	case APIRdVdr:
-		e.Op = tap.OpVdrRead
-		e.Dom = uint64(c.Vdom)
-		e.Perm = uint8(c.Perm)
-	case APIWrVdr:
-		e.Op = tap.OpVdrWrite
-		e.Dom = uint64(c.Vdom)
-		e.Perm = uint8(c.Perm)
-	case APINewVDS:
-		e.Op = tap.OpNewVDS
-	default:
-		return
-	}
-	m.apiTap(e)
-}
-
-// tapTID extracts the thread id, tolerating process-level (nil-task) ops.
-func tapTID(t *kernel.Task) int {
-	if t == nil {
-		return 0
-	}
-	return t.TID()
 }

@@ -165,14 +165,6 @@ func (m *Manager) tapOp(e tap.Event) {
 	}
 }
 
-// tapTID extracts a task's id, tolerating nil-task direct calls.
-func tapTID(t *kernel.Task) int {
-	if t == nil {
-		return 0
-	}
-	return t.TID()
-}
-
 // domainOf returns the metadata of d, or nil for an unknown or freed id.
 func (m *Manager) domainOf(d DomainID) *domain {
 	if d >= 1 && int(d) <= len(m.domains) {
@@ -264,7 +256,7 @@ func (m *Manager) AllocDomain() (d DomainID, cost cycles.Cost) {
 func (m *Manager) FreeDomain(task *kernel.Task, d DomainID) (cost cycles.Cost, err error) {
 	defer func() {
 		m.metrics.Attribute("dpti", "free", uint64(cost))
-		m.tapOp(tap.Event{Op: tap.OpDptiFree, TID: tapTID(task), Dom: uint64(d), Cost: cost, Err: err})
+		m.tapOp(tap.Event{Op: tap.OpDptiFree, TID: kernel.TIDOf(task), Dom: uint64(d), Cost: cost, Err: err})
 	}()
 	dom := m.domainOf(d)
 	if dom == nil {
@@ -293,7 +285,7 @@ func (m *Manager) FreeDomain(task *kernel.Task, d DomainID) (cost cycles.Cost, e
 func (m *Manager) Protect(task *kernel.Task, addr pagetable.VAddr, length uint64, d DomainID) (cost cycles.Cost, err error) {
 	defer func() {
 		m.metrics.Attribute("dpti", "protect", uint64(cost))
-		m.tapOp(tap.Event{Op: tap.OpDptiProtect, TID: tapTID(task), Dom: uint64(d), Addr: addr, Len: length, Cost: cost, Err: err})
+		m.tapOp(tap.Event{Op: tap.OpDptiProtect, TID: kernel.TIDOf(task), Dom: uint64(d), Addr: addr, Len: length, Cost: cost, Err: err})
 	}()
 	dom := m.domainOf(d)
 	if dom == nil {
@@ -321,7 +313,7 @@ func (m *Manager) Protect(task *kernel.Task, addr pagetable.VAddr, length uint64
 func (m *Manager) Enter(task *kernel.Task, d DomainID) (cost cycles.Cost, err error) {
 	defer func() {
 		m.metrics.Attribute("dpti", "enter", uint64(cost))
-		m.tapOp(tap.Event{Op: tap.OpDptiEnter, TID: tapTID(task), Dom: uint64(d), Cost: cost, Err: err})
+		m.tapOp(tap.Event{Op: tap.OpDptiEnter, TID: kernel.TIDOf(task), Dom: uint64(d), Cost: cost, Err: err})
 	}()
 	dom := m.domainOf(d)
 	if dom == nil {
@@ -351,7 +343,7 @@ func (m *Manager) Enter(task *kernel.Task, d DomainID) (cost cycles.Cost, err er
 func (m *Manager) Exit(task *kernel.Task) (cost cycles.Cost, err error) {
 	defer func() {
 		m.metrics.Attribute("dpti", "exit", uint64(cost))
-		m.tapOp(tap.Event{Op: tap.OpDptiExit, TID: tapTID(task), Cost: cost, Err: err})
+		m.tapOp(tap.Event{Op: tap.OpDptiExit, TID: kernel.TIDOf(task), Cost: cost, Err: err})
 	}()
 	cost = m.apiCost()
 	m.Stats.Exits++

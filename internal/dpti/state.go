@@ -78,7 +78,7 @@ func (m *Manager) Snap(tableID func(*pagetable.Table) int) Snap {
 		s.Domains = append(s.Domains, ds)
 	}
 	for t, d := range m.current {
-		s.Current = append(s.Current, CurrentSnap{TID: tapTID(t), Dom: d})
+		s.Current = append(s.Current, CurrentSnap{TID: kernel.TIDOf(t), Dom: d})
 	}
 	sort.Slice(s.Current, func(i, j int) bool { return s.Current[i].TID < s.Current[j].TID })
 	return s

@@ -132,9 +132,6 @@ func New(numDomains int, tax VMTax) *System {
 // NumEPTs returns the number of extended page tables in use.
 func (s *System) NumEPTs() int { return s.numEPTs }
 
-// Tax returns the VM overhead model.
-func (s *System) Tax() VMTax { return s.tax }
-
 // groupOf returns the EPT group hosting the domain.
 func groupOf(domain int) int { return domain / KeysPerEPT }
 

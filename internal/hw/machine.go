@@ -132,9 +132,6 @@ func (m *Machine) NumCores() int { return len(m.cores) }
 // Core returns core i.
 func (m *Machine) Core(i int) *Core { return m.cores[i] }
 
-// ASIDSupported reports whether pgd switches preserve TLB contents.
-func (m *Machine) ASIDSupported() bool { return !m.noASID }
-
 // AllocFrames reserves n fresh physical frames and returns the first.
 func (m *Machine) AllocFrames(n int) pagetable.Frame {
 	f := m.nextFrame
@@ -184,9 +181,6 @@ type ShootdownReport struct {
 	// (ShootdownReliable only).
 	FullFlushFallbacks int
 }
-
-// Delivered reports whether every targeted remote core serviced the IPI.
-func (r ShootdownReport) Delivered() bool { return r.Dropped == 0 }
 
 // Shootdown invalidates TLB state on the given remote cores (identified by
 // a bitmap of core ids) and on the initiator, using flush to perform the

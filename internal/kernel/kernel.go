@@ -348,6 +348,15 @@ func (p *Process) NewTask(core int) *Task {
 // TID returns the task id (unique within the process).
 func (t *Task) TID() int { return t.tid }
 
+// TIDOf returns t's id, or 0 for the nil task that process-level and
+// direct-mode calls pass.
+func TIDOf(t *Task) int {
+	if t == nil {
+		return 0
+	}
+	return t.tid
+}
+
 // Process returns the owning process.
 func (t *Task) Process() *Process { return t.proc }
 

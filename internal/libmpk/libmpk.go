@@ -149,14 +149,6 @@ func (m *Manager) tapOp(e tap.Event) {
 	}
 }
 
-// tapTID extracts a task's id, tolerating the nil task direct mode uses.
-func tapTID(t *kernel.Task) int {
-	if t == nil {
-		return 0
-	}
-	return t.TID()
-}
-
 // SetMetrics installs (or, with nil, removes) the registry that receives
 // per-operation cycle attribution. libmpk attributes the full returned
 // cost of each public call to ("libmpk", op); none of its costs route
@@ -200,15 +192,6 @@ func (m *Manager) setKey(v Vkey, k *keyMeta) {
 		m.keys = append(m.keys, nil)
 	}
 	m.keys[v] = k
-}
-
-// LockWaitCycles returns the virtual time threads spent serialized on the
-// global cache mutex (simulation mode only).
-func (m *Manager) LockWaitCycles() uint64 {
-	if m.lock == nil {
-		return 0
-	}
-	return m.lock.WaitedCycles
 }
 
 // costUnits returns the number of mprotect-charged units for a byte
@@ -267,7 +250,7 @@ func (m *Manager) PkeyAlloc() (v Vkey, cost cycles.Cost) {
 func (m *Manager) PkeyFree(task *kernel.Task, v Vkey) (cost cycles.Cost, err error) {
 	defer func() {
 		m.metrics.Attribute("libmpk", "pkey-free", uint64(cost))
-		m.tapOp(tap.Event{Op: tap.OpPkeyFree, TID: tapTID(task), Dom: uint64(v), Cost: cost, Err: err})
+		m.tapOp(tap.Event{Op: tap.OpPkeyFree, TID: kernel.TIDOf(task), Dom: uint64(v), Cost: cost, Err: err})
 	}()
 	k := m.key(v)
 	if k == nil {
@@ -290,7 +273,7 @@ func (m *Manager) PkeyFree(task *kernel.Task, v Vkey) (cost cycles.Cost, err err
 func (m *Manager) PkeyMprotect(p *sim.Proc, task *kernel.Task, addr pagetable.VAddr, length uint64, v Vkey) (cost cycles.Cost, err error) {
 	defer func() {
 		m.metrics.Attribute("libmpk", "pkey-mprotect", uint64(cost))
-		m.tapOp(tap.Event{Op: tap.OpPkeyMprotect, TID: tapTID(task), Dom: uint64(v), Addr: addr, Len: length, Cost: cost, Err: err})
+		m.tapOp(tap.Event{Op: tap.OpPkeyMprotect, TID: kernel.TIDOf(task), Dom: uint64(v), Addr: addr, Len: length, Cost: cost, Err: err})
 	}()
 	k := m.key(v)
 	if k == nil {
@@ -315,7 +298,7 @@ func (m *Manager) PkeyMprotect(p *sim.Proc, task *kernel.Task, addr pagetable.VA
 func (m *Manager) PkeySet(p *sim.Proc, task *kernel.Task, v Vkey, perm hw.Perm) (cost cycles.Cost, err error) {
 	defer func() {
 		m.metrics.Attribute("libmpk", "pkey-set", uint64(cost))
-		m.tapOp(tap.Event{Op: tap.OpPkeySet, TID: tapTID(task), Dom: uint64(v), Perm: uint8(perm), Cost: cost, Err: err})
+		m.tapOp(tap.Event{Op: tap.OpPkeySet, TID: kernel.TIDOf(task), Dom: uint64(v), Perm: uint8(perm), Cost: cost, Err: err})
 	}()
 	k := m.key(v)
 	if k == nil {

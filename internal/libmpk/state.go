@@ -77,7 +77,7 @@ func (m *Manager) Snap() Snap {
 			ks.Areas = append(ks.Areas, AreaSnap{Start: a.start, Length: a.length})
 		}
 		for t, p := range km.perms {
-			ks.Perms = append(ks.Perms, TaskPermSnap{TID: tapTID(t), Perm: p})
+			ks.Perms = append(ks.Perms, TaskPermSnap{TID: kernel.TIDOf(t), Perm: p})
 		}
 		sort.Slice(ks.Perms, func(i, j int) bool { return ks.Perms[i].TID < ks.Perms[j].TID })
 		s.Keys = append(s.Keys, ks)

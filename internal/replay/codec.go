@@ -120,7 +120,7 @@ func Decode(data []byte) (*Trace, error) {
 		clock += r.Uvarint()
 		e.Time = clock
 		e.TID = r.Uvarint()
-		if op := r.Uvarint(); op == uint64(opInvalid) || op > uint64(opMax) {
+		if op := r.Uvarint(); op > math.MaxUint8 || !Op(op).Valid() {
 			r.Failf("unknown op %d", op)
 		} else {
 			e.Op = Op(op)

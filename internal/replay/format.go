@@ -4,14 +4,17 @@
 // EPK, DPTI), with thread ids, logical cycle timestamps, and per-event
 // outcomes.
 //
-// A Recorder taps the instrumented layers through the unified tap.Tap
-// hook and appends one Event per observed operation; a
-// Replayer re-executes a Trace against a freshly booted system of the
-// same configuration and reports the first Divergence — mismatching
-// cost, error, or returned id — plus an end-state diff. Traces encode to
-// a compact uvarint binary (Encode/Decode) and to JSONL (WriteJSONL /
-// ReadJSONL) for line-oriented diffing. See REPLAY.md for the format
-// specification and the record/replay how-to.
+// Events carry tap.Op, the simulator's one op vocabulary, as is: an op's
+// number is its wire encoding and its name the JSONL one. A Recorder taps
+// the instrumented layers through the unified tap.Tap hook and appends
+// one Event per observed operation; Run re-executes a Trace against a
+// freshly booted system of the same configuration — the substrate ops
+// itself, every domain op through the system's backend.Backend.Replay —
+// and reports the first Divergence (mismatching cost, error, or returned
+// id) plus an end-state diff. Traces encode to a compact uvarint binary
+// (Encode/Decode); WriteJSONL renders a write-only JSONL view for
+// line-oriented diffing, pinned byte for byte by the golden corpus. See
+// REPLAY.md for the format specification and the record/replay how-to.
 package replay
 
 import (
@@ -25,6 +28,7 @@ import (
 	"vdom/internal/kernel"
 	"vdom/internal/libmpk"
 	"vdom/internal/mm"
+	"vdom/internal/tap"
 )
 
 // FormatVersion is the trace format version this package reads and writes.
@@ -60,124 +64,10 @@ var (
 	ErrBadRecord = errors.New("replay: malformed trace record")
 )
 
-// Op identifies one recorded domain operation.
-type Op uint8
-
-// The recorded operations. Field usage per op is documented in REPLAY.md;
-// in short: Addr/Len carry the memory range, Dom the vdom/vkey/EPK-domain,
-// Perm the permission argument (or RdVdr's result), Cost the op's returned
-// cycle cost, and Err the outcome code.
-const (
-	opInvalid Op = iota
-	// OpSpawn: a task was created (TID = new task id, Len = core id).
-	OpSpawn
-	// OpMmap: kernel mmap (FlagWrite selects writability).
-	OpMmap
-	// OpMunmap: kernel munmap.
-	OpMunmap
-	// OpMprotect: kernel mprotect (writability only).
-	OpMprotect
-	// OpAccess: one memory access, including any fault handling.
-	OpAccess
-	// OpDispatch: scheduler burst prologue — pending-interrupt drain plus
-	// context switch. Recorded only when the cost is non-zero.
-	OpDispatch
-	// OpPopulate: demand-paging pre-fault of a range (FlagVDSTable: the
-	// thread's current VDS table rather than the process shadow).
-	OpPopulate
-	// OpReclaim: kswapd frame reclaim (Addr = initiator core, Len = max
-	// frames requested, Dom = frames actually reclaimed).
-	OpReclaim
-	// OpReap: VDS garbage collection (Dom = VDSes reaped).
-	OpReap
-	// OpVdomAlloc: core vdom_alloc (Dom = returned vdom, FlagFreq).
-	OpVdomAlloc
-	// OpVdomFree: core vdom_free.
-	OpVdomFree
-	// OpVdomMprotect: core vdom_mprotect (assign range to vdom Dom).
-	OpVdomMprotect
-	// OpVdrAlloc: core vdr_alloc (Len = nas argument).
-	OpVdrAlloc
-	// OpVdrFree: core vdr_free.
-	OpVdrFree
-	// OpVdrRead: core rdvdr (Perm = returned VPerm).
-	OpVdrRead
-	// OpVdrWrite: core wrvdr (Perm = VPerm argument).
-	OpVdrWrite
-	// OpNewVDS: core place_in_new_vds.
-	OpNewVDS
-	// OpPkeyAlloc: libmpk pkey_alloc (Dom = returned vkey).
-	OpPkeyAlloc
-	// OpPkeyFree: libmpk pkey_free.
-	OpPkeyFree
-	// OpPkeyMprotect: libmpk pkey_mprotect.
-	OpPkeyMprotect
-	// OpPkeySet: libmpk pkey_set (Perm = hw.Perm argument).
-	OpPkeySet
-	// OpEpkSwitch: EPK domain switch (Dom = domain id).
-	OpEpkSwitch
-	// OpDptiAlloc: dpti domain allocation (Dom = returned domain id).
-	OpDptiAlloc
-	// OpDptiFree: dpti domain free.
-	OpDptiFree
-	// OpDptiProtect: dpti dpti_mprotect (assign range to domain Dom).
-	OpDptiProtect
-	// OpDptiEnter: dpti domain entry (pgd switch into Dom's table).
-	OpDptiEnter
-	// OpDptiExit: dpti domain exit (pgd switch back to the base table).
-	OpDptiExit
-
-	opMax = OpDptiExit
-)
-
-// opNames maps ops to their stable JSONL names.
-var opNames = [...]string{
-	OpSpawn:        "spawn",
-	OpMmap:         "mmap",
-	OpMunmap:       "munmap",
-	OpMprotect:     "mprotect",
-	OpAccess:       "access",
-	OpDispatch:     "dispatch",
-	OpPopulate:     "populate",
-	OpReclaim:      "reclaim",
-	OpReap:         "reap",
-	OpVdomAlloc:    "vdom-alloc",
-	OpVdomFree:     "vdom-free",
-	OpVdomMprotect: "vdom-mprotect",
-	OpVdrAlloc:     "vdr-alloc",
-	OpVdrFree:      "vdr-free",
-	OpVdrRead:      "rdvdr",
-	OpVdrWrite:     "wrvdr",
-	OpNewVDS:       "new-vds",
-	OpPkeyAlloc:    "pkey-alloc",
-	OpPkeyFree:     "pkey-free",
-	OpPkeyMprotect: "pkey-mprotect",
-	OpPkeySet:      "pkey-set",
-	OpEpkSwitch:    "epk-switch",
-	OpDptiAlloc:    "dpti-alloc",
-	OpDptiFree:     "dpti-free",
-	OpDptiProtect:  "dpti-protect",
-	OpDptiEnter:    "dpti-enter",
-	OpDptiExit:     "dpti-exit",
-}
-
-// String names the op as the JSONL encoding does.
-func (o Op) String() string {
-	if o > opInvalid && o <= opMax {
-		return opNames[o]
-	}
-	return "invalid"
-}
-
-// opFromName inverts String for the JSONL decoder.
-func opFromName(s string) (Op, bool) {
-	for o := OpSpawn; o <= opMax; o++ {
-		if opNames[o] == s {
-			return o, true
-		}
-	}
-	return opInvalid, false
-}
+// Op identifies one recorded operation. It is tap.Op, the simulator's one
+// op vocabulary: an op's number is its vdom-trace/v1 encoding and its
+// String the JSONL name.
+type Op = tap.Op
 
 // Event flag bits.
 const (
@@ -213,10 +103,6 @@ const (
 	CodeUnknownDomain
 	CodeNoASID
 	CodeDomainCapacity
-
-	// codeMax is the highest dedicated code; the JSONL decoder's inverse
-	// name lookup scans up to it.
-	codeMax = CodeDomainCapacity
 
 	// CodeOther is any error not covered by a dedicated code.
 	CodeOther ErrCode = 255
@@ -360,7 +246,8 @@ const (
 type Header struct {
 	// Version is the format version (FormatVersion).
 	Version int
-	// Kernel is the kernel kind (KernelVDom, KernelLibmpk, KernelEPK).
+	// Kernel is the kernel kind (KernelVDom, KernelLibmpk, KernelEPK,
+	// KernelDPTI).
 	Kernel string
 	// Arch names the cost table (see ArchName).
 	Arch string

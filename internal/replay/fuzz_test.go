@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"vdom/internal/tap"
 )
 
 // fuzzSeedTrace is a small but representative trace exercising every
@@ -18,11 +20,11 @@ func fuzzSeedTrace() *Trace {
 			Extra: map[string]uint64{"chaos/seed": 9},
 		},
 		Events: []Event{
-			{Time: 0, TID: 1, Op: OpSpawn, Len: 0},
-			{Time: 0, TID: 1, Op: OpMmap, Addr: 0x1000, Len: 4096, Flags: FlagWrite, Cost: 900},
-			{Time: 900, TID: 1, Op: OpVdomAlloc, Dom: 2, Flags: FlagFreq, Cost: 50},
-			{Time: 950, TID: 1, Op: OpVdrWrite, Dom: 2, Perm: 3, Cost: 120, Err: CodeOK},
-			{Time: 1070, TID: 1, Op: OpAccess, Addr: 0x1000, Flags: FlagWrite, Cost: 30, Err: CodeSigsegv},
+			{Time: 0, TID: 1, Op: tap.OpSpawn, Len: 0},
+			{Time: 0, TID: 1, Op: tap.OpMmap, Addr: 0x1000, Len: 4096, Flags: FlagWrite, Cost: 900},
+			{Time: 900, TID: 1, Op: tap.OpVdomAlloc, Dom: 2, Flags: FlagFreq, Cost: 50},
+			{Time: 950, TID: 1, Op: tap.OpVdrWrite, Dom: 2, Perm: 3, Cost: 120, Err: CodeOK},
+			{Time: 1070, TID: 1, Op: tap.OpAccess, Addr: 0x1000, Flags: FlagWrite, Cost: 30, Err: CodeSigsegv},
 		},
 		End: map[string]uint64{"clock": 1100},
 	}
@@ -36,10 +38,10 @@ func fuzzSeedTrace() *Trace {
 func FuzzTraceDecode(f *testing.F) {
 	f.Add(Encode(fuzzSeedTrace()))
 	f.Add(Encode(&Trace{Header: Header{Version: FormatVersion, Kernel: KernelEPK, Arch: "arm", Domains: 2,
-		Workload: "tiny"}, Events: []Event{{TID: 3, Op: OpEpkSwitch, Dom: 1, Cost: 400}}}))
+		Workload: "tiny"}, Events: []Event{{TID: 3, Op: tap.OpEpkSwitch, Dom: 1, Cost: 400}}}))
 	// A partial trace (no end state), as chaos failure dumps are.
 	f.Add(Encode(&Trace{Header: Header{Version: FormatVersion, Kernel: KernelLibmpk, Arch: "x86", Cores: 2,
-		Workload: "partial"}, Events: []Event{{TID: 1, Op: OpSpawn}}}))
+		Workload: "partial"}, Events: []Event{{TID: 1, Op: tap.OpSpawn}}}))
 	// Corrupted prefixes of a valid encoding.
 	full := Encode(fuzzSeedTrace())
 	f.Add(full[:len(full)/2])

@@ -3,7 +3,6 @@ package replay
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -87,87 +86,4 @@ func WriteJSONL(w io.Writer, t *Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL parses the JSONL form back into a Trace. It accepts exactly
-// what WriteJSONL emits; malformed lines yield ErrBadRecord-wrapped
-// errors.
-func ReadJSONL(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, ErrTruncated
-	}
-	var jh jsonHeader
-	if err := json.Unmarshal(sc.Bytes(), &jh); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadRecord, err)
-	}
-	if jh.Format != FormatName {
-		return nil, fmt.Errorf("%w: format %q", ErrBadVersion, jh.Format)
-	}
-	t := &Trace{Header: Header{
-		Version:        FormatVersion,
-		Kernel:         jh.Kernel,
-		Arch:           jh.Arch,
-		Cores:          jh.Cores,
-		TLBCap:         jh.TLBCap,
-		Seed:           jh.Seed,
-		Workload:       jh.Workload,
-		ConfigDigest:   jh.ConfigDigest,
-		Flags:          jh.Flags,
-		FlushThreshold: jh.FlushThreshold,
-		Nas:            jh.Nas,
-		Domains:        jh.Domains,
-		Extra:          jh.Extra,
-	}}
-	line := 1
-	for sc.Scan() {
-		line++
-		// Peek for the end-state line: it has an "end" key and no "op".
-		var je jsonEvent
-		if err := json.Unmarshal(sc.Bytes(), &je); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrBadRecord, line, err)
-		}
-		if je.Op == "" {
-			var end jsonEnd
-			if err := json.Unmarshal(sc.Bytes(), &end); err != nil || end.End == nil {
-				return nil, fmt.Errorf("%w: line %d: neither event nor end state", ErrBadRecord, line)
-			}
-			t.End = end.End
-			if sc.Scan() {
-				return nil, fmt.Errorf("%w: line %d: content after end state", ErrBadRecord, line+1)
-			}
-			break
-		}
-		op, ok := opFromName(je.Op)
-		if !ok {
-			return nil, fmt.Errorf("%w: line %d: unknown op %q", ErrBadRecord, line, je.Op)
-		}
-		e := Event{
-			Time: je.Time, TID: je.TID, Op: op,
-			Addr: je.Addr, Len: je.Len, Dom: je.Dom,
-			Perm: je.Perm, Flags: je.Flags, Cost: je.Cost,
-		}
-		if je.Err != "" {
-			e.Err = errCodeFromName(je.Err)
-		}
-		t.Events = append(t.Events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// errCodeFromName inverts ErrCode.String for the JSONL decoder.
-func errCodeFromName(s string) ErrCode {
-	for c := CodeOK; c <= codeMax; c++ {
-		if c.String() == s {
-			return c
-		}
-	}
-	return CodeOther
 }

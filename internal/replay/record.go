@@ -11,8 +11,7 @@ import (
 // Recorder captures a domain-op trace by tapping the instrumented
 // layers. Every layer — the kernel's syscall boundary and every
 // registered backend's domain API — feeds the single unified TapEvent
-// sink; attach the workload's layers with AttachSystem (or the kernel
-// alone with AttachKernel), then drive the workload and call Finish.
+// sink; attach the workload's layers with AttachSystem, then drive the workload and call Finish.
 //
 // The simulation is cooperatively scheduled — exactly one simulated
 // process runs at a time — so taps fire strictly sequentially and the
@@ -51,20 +50,16 @@ func (r *Recorder) add(e Event) {
 	r.events = append(r.events, e)
 }
 
-// TapEvent is the Recorder's unified tap sink (a tap.Tap): it converts
-// one completed operation into its trace event. Zero-cost dispatches are
+// TapEvent is the Recorder's unified tap sink (a tap.Tap): it appends one
+// completed operation as its trace event. Zero-cost dispatches are
 // skipped — a dispatch costs zero exactly when the task was already
 // current with no pending interrupts, i.e. when it mutated nothing.
 func (r *Recorder) TapEvent(e tap.Event) {
 	if e.Op == tap.OpDispatch && e.Cost == 0 {
 		return
 	}
-	op, ok := opOfTap[e.Op]
-	if !ok {
-		return
-	}
 	ev := Event{
-		Op:   op,
+		Op:   e.Op,
 		TID:  uint64(e.TID),
 		Addr: uint64(e.Addr),
 		Len:  e.Len,
@@ -82,62 +77,24 @@ func (r *Recorder) TapEvent(e tap.Event) {
 	r.add(ev)
 }
 
-// opOfTap maps unified tap ops to their trace encoding.
-var opOfTap = map[tap.Op]Op{
-	tap.OpMmap:         OpMmap,
-	tap.OpMunmap:       OpMunmap,
-	tap.OpMprotect:     OpMprotect,
-	tap.OpAccess:       OpAccess,
-	tap.OpDispatch:     OpDispatch,
-	tap.OpVdomAlloc:    OpVdomAlloc,
-	tap.OpVdomFree:     OpVdomFree,
-	tap.OpVdomMprotect: OpVdomMprotect,
-	tap.OpVdrAlloc:     OpVdrAlloc,
-	tap.OpVdrFree:      OpVdrFree,
-	tap.OpVdrRead:      OpVdrRead,
-	tap.OpVdrWrite:     OpVdrWrite,
-	tap.OpNewVDS:       OpNewVDS,
-	tap.OpPkeyAlloc:    OpPkeyAlloc,
-	tap.OpPkeyFree:     OpPkeyFree,
-	tap.OpPkeyMprotect: OpPkeyMprotect,
-	tap.OpPkeySet:      OpPkeySet,
-	tap.OpEpkSwitch:    OpEpkSwitch,
-	tap.OpDptiAlloc:    OpDptiAlloc,
-	tap.OpDptiFree:     OpDptiFree,
-	tap.OpDptiProtect:  OpDptiProtect,
-	tap.OpDptiEnter:    OpDptiEnter,
-	tap.OpDptiExit:     OpDptiExit,
-}
-
 // AttachSystem taps every layer a booted instance carries: the kernel's
-// syscall boundary plus the present backend's domain API.
+// syscall boundary plus the present backend's domain API. The Recorder
+// keeps a copy of the instance for Finish's end state.
 func (r *Recorder) AttachSystem(sys *System) {
 	if sys.Kernel != nil {
-		r.AttachKernel(sys.Kernel)
+		sys.Kernel.SetTap(r.TapEvent)
 	}
-	for _, b := range backend.All() {
-		if b.Present(sys) {
-			b.AttachTap(sys, r.TapEvent)
-		}
+	if b := backend.Of(sys); b != nil {
+		b.AttachTap(sys, r.TapEvent)
 	}
-	r.sys.Manager = sys.Manager
-	r.sys.Libmpk = sys.Libmpk
-	r.sys.EPK = sys.EPK
-	r.sys.DPTI = sys.DPTI
-}
-
-// AttachKernel taps the kernel's syscall boundary (mmap/munmap/mprotect,
-// accesses, scheduler dispatch).
-func (r *Recorder) AttachKernel(k *kernel.Kernel) {
-	r.sys.Kernel = k
-	k.SetTap(r.TapEvent)
+	r.sys = *sys
 }
 
 // Spawn records a task creation. Workloads call it right after NewTask;
 // replay re-creates the task and asserts the kernel hands out the same
 // tid.
 func (r *Recorder) Spawn(t *kernel.Task) {
-	r.add(Event{Op: OpSpawn, TID: uint64(t.TID()), Len: uint64(t.CoreID())})
+	r.add(Event{Op: tap.OpSpawn, TID: uint64(t.TID()), Len: uint64(t.CoreID())})
 }
 
 // Populate records a demand-paging pre-fault of [addr, addr+length) —
@@ -145,7 +102,7 @@ func (r *Recorder) Spawn(t *kernel.Task) {
 // later fault behaviour. vdsTable selects the thread's current VDS table
 // over the process shadow table.
 func (r *Recorder) Populate(t *kernel.Task, addr pagetable.VAddr, length uint64, vdsTable bool) {
-	e := Event{Op: OpPopulate, TID: uint64(t.TID()), Addr: uint64(addr), Len: length}
+	e := Event{Op: tap.OpPopulate, TID: uint64(t.TID()), Addr: uint64(addr), Len: length}
 	if vdsTable {
 		e.Flags |= FlagVDSTable
 	}
@@ -155,12 +112,12 @@ func (r *Recorder) Populate(t *kernel.Task, addr pagetable.VAddr, length uint64,
 // Reclaim records a kswapd frame-reclaim call: initiator core, requested
 // maximum, frames actually reclaimed, and the charged cycles.
 func (r *Recorder) Reclaim(initiatorCore, max, got int, cost cycles.Cost) {
-	r.add(Event{Op: OpReclaim, Addr: uint64(initiatorCore), Len: uint64(max), Dom: uint64(got), Cost: uint64(cost)})
+	r.add(Event{Op: tap.OpReclaim, Addr: uint64(initiatorCore), Len: uint64(max), Dom: uint64(got), Cost: uint64(cost)})
 }
 
 // Reap records a VDS garbage-collection pass and how many VDSes it freed.
 func (r *Recorder) Reap(n int) {
-	r.add(Event{Op: OpReap, Dom: uint64(n)})
+	r.add(Event{Op: tap.OpReap, Dom: uint64(n)})
 }
 
 // Finish detaches nothing (taps stay live) but seals the trace: it

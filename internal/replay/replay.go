@@ -1,18 +1,18 @@
 package replay
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"vdom/internal/backend"
 	"vdom/internal/core"
-	"vdom/internal/dpti"
-	"vdom/internal/hw"
+	"vdom/internal/cycles"
 	"vdom/internal/kernel"
-	"vdom/internal/libmpk"
 	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
+	"vdom/internal/tap"
 )
 
 // Options configures a replay run.
@@ -119,252 +119,25 @@ func replayFrom(t *Trace, sys *System, tasks map[uint64]*kernel.Task, startClock
 		opt.Setup(sys)
 	}
 	clock := startClock
+	b := backend.Of(sys)
 	if sys.Kernel != nil {
 		sys.Kernel.SetMetrics(opt.Metrics)
 	}
-	for _, b := range backend.All() {
-		if b.Present(sys) {
-			b.SetMetrics(sys, opt.Metrics)
-		}
+	if b != nil {
+		b.SetMetrics(sys, opt.Metrics)
 	}
 	if sys.Manager != nil && opt.Trace != nil {
 		sys.Manager.SetTracer(core.DecisionTracer(opt.Trace, func() uint64 { return clock }))
 	}
 
 	res := &Result{Header: t.Header}
-	// task resolves an event's thread id; tid 0 is the nil task some
-	// libmpk direct-mode calls legitimately use.
-	task := func(e Event, idx int) (*kernel.Task, error) {
-		if e.TID == 0 {
-			return nil, nil
-		}
-		tk := tasks[e.TID]
-		if tk == nil {
-			return nil, fmt.Errorf("%w: event %d: unknown tid %d", ErrBadRecord, idx, e.TID)
-		}
-		return tk, nil
-	}
+	r := &engine{sys: sys, b: b, tasks: tasks}
 	for i := from; i < len(t.Events); i++ {
 		want := t.Events[i]
-		got := Event{TID: want.TID, Op: want.Op, Addr: want.Addr, Len: want.Len, Dom: want.Dom, Perm: want.Perm, Flags: want.Flags}
-		var rerr error
-
-		switch want.Op {
-		case OpSpawn:
-			if sys.Proc == nil {
-				return nil, layerErr(i, "kernel", t.Header.Kernel)
-			}
-			tk := sys.Proc.NewTask(int(want.Len))
-			tasks[uint64(tk.TID())] = tk
-			got.TID = uint64(tk.TID())
-		case OpMmap, OpMunmap, OpMprotect, OpAccess:
-			if sys.Proc == nil {
-				return nil, layerErr(i, "kernel", t.Header.Kernel)
-			}
-			tk, err := task(want, i)
-			if err != nil {
-				return nil, err
-			}
-			if tk == nil {
-				return nil, fmt.Errorf("%w: event %d: %s needs a thread", ErrBadRecord, i, want.Op)
-			}
-			switch want.Op {
-			case OpMmap:
-				cost, err := tk.Mmap(pagetable.VAddr(want.Addr), want.Len, want.Flags&FlagWrite != 0)
-				got.Cost, rerr = uint64(cost), err
-			case OpMunmap:
-				cost, err := tk.Munmap(pagetable.VAddr(want.Addr), want.Len)
-				got.Cost, rerr = uint64(cost), err
-			case OpMprotect:
-				cost, err := tk.Mprotect(pagetable.VAddr(want.Addr), want.Len, want.Flags&FlagWrite != 0)
-				got.Cost, rerr = uint64(cost), err
-			case OpAccess:
-				cost, err := tk.Access(pagetable.VAddr(want.Addr), want.Flags&FlagWrite != 0)
-				got.Cost, rerr = uint64(cost), err
-			}
-		case OpDispatch:
-			if sys.Kernel == nil {
-				return nil, layerErr(i, "kernel", t.Header.Kernel)
-			}
-			tk, err := task(want, i)
-			if err != nil || tk == nil {
-				return nil, fmt.Errorf("%w: event %d: dispatch needs a thread (%v)", ErrBadRecord, i, err)
-			}
-			cost := sys.Kernel.TakePendingInterrupts(tk.CoreID())
-			cost += sys.Kernel.Dispatch(tk)
-			got.Cost = uint64(cost)
-		case OpPopulate:
-			if sys.Proc == nil {
-				return nil, layerErr(i, "kernel", t.Header.Kernel)
-			}
-			tk, err := task(want, i)
-			if err != nil || tk == nil {
-				return nil, fmt.Errorf("%w: event %d: populate needs a thread (%v)", ErrBadRecord, i, err)
-			}
-			table := sys.Proc.AS().Shadow()
-			if want.Flags&FlagVDSTable != 0 {
-				if sys.Manager == nil {
-					return nil, layerErr(i, "core", t.Header.Kernel)
-				}
-				vdr := sys.Manager.VDROf(tk)
-				if vdr == nil {
-					return nil, fmt.Errorf("%w: event %d: populate into VDS table but thread %d has no VDR", ErrBadRecord, i, want.TID)
-				}
-				table = vdr.Current().Table()
-			}
-			_, rerr = sys.Proc.AS().Populate(table, pagetable.VAddr(want.Addr), want.Len)
-		case OpReclaim:
-			if sys.Proc == nil {
-				return nil, layerErr(i, "kernel", t.Header.Kernel)
-			}
-			n, cost := sys.Proc.ReclaimFrames(int(want.Addr), int(want.Len))
-			got.Dom, got.Cost = uint64(n), uint64(cost)
-		case OpReap:
-			if sys.Manager == nil {
-				return nil, layerErr(i, "core", t.Header.Kernel)
-			}
-			got.Dom = uint64(sys.Manager.ReapVDSes())
-		case OpVdomAlloc:
-			if sys.Manager == nil {
-				return nil, layerErr(i, "core", t.Header.Kernel)
-			}
-			d, cost := sys.Manager.AllocVdom(want.Flags&FlagFreq != 0)
-			got.Dom, got.Cost = uint64(d), uint64(cost)
-		case OpVdomFree:
-			if sys.Manager == nil {
-				return nil, layerErr(i, "core", t.Header.Kernel)
-			}
-			cost, err := sys.Manager.FreeVdom(core.VdomID(want.Dom))
-			got.Cost, rerr = uint64(cost), err
-		case OpVdomMprotect:
-			tk, err := replayTask(sys, tasks, want, i, "core")
-			if err != nil {
-				return nil, err
-			}
-			cost, err := sys.Manager.Mprotect(tk, pagetable.VAddr(want.Addr), want.Len, core.VdomID(want.Dom))
-			got.Cost, rerr = uint64(cost), err
-		case OpVdrAlloc:
-			tk, err := replayTask(sys, tasks, want, i, "core")
-			if err != nil {
-				return nil, err
-			}
-			cost, err := sys.Manager.VdrAlloc(tk, int(want.Len))
-			got.Cost, rerr = uint64(cost), err
-		case OpVdrFree:
-			tk, err := replayTask(sys, tasks, want, i, "core")
-			if err != nil {
-				return nil, err
-			}
-			cost, err := sys.Manager.VdrFree(tk)
-			got.Cost, rerr = uint64(cost), err
-		case OpVdrRead:
-			tk, err := replayTask(sys, tasks, want, i, "core")
-			if err != nil {
-				return nil, err
-			}
-			perm, cost, err := sys.Manager.RdVdr(tk, core.VdomID(want.Dom))
-			got.Perm, got.Cost, rerr = uint8(perm), uint64(cost), err
-		case OpVdrWrite:
-			tk, err := replayTask(sys, tasks, want, i, "core")
-			if err != nil {
-				return nil, err
-			}
-			cost, err := sys.Manager.WrVdr(tk, core.VdomID(want.Dom), core.VPerm(want.Perm))
-			got.Cost, rerr = uint64(cost), err
-		case OpNewVDS:
-			tk, err := replayTask(sys, tasks, want, i, "core")
-			if err != nil {
-				return nil, err
-			}
-			cost, err := sys.Manager.PlaceInNewVDS(tk)
-			got.Cost, rerr = uint64(cost), err
-		case OpPkeyAlloc:
-			if sys.Libmpk == nil {
-				return nil, layerErr(i, "libmpk", t.Header.Kernel)
-			}
-			v, cost := sys.Libmpk.PkeyAlloc()
-			got.Dom, got.Cost = uint64(v), uint64(cost)
-		case OpPkeyFree:
-			tk, err := task(want, i)
-			if err != nil {
-				return nil, err
-			}
-			if sys.Libmpk == nil {
-				return nil, layerErr(i, "libmpk", t.Header.Kernel)
-			}
-			cost, err := sys.Libmpk.PkeyFree(tk, libmpk.Vkey(want.Dom))
-			got.Cost, rerr = uint64(cost), err
-		case OpPkeyMprotect:
-			tk, err := task(want, i)
-			if err != nil {
-				return nil, err
-			}
-			if sys.Libmpk == nil {
-				return nil, layerErr(i, "libmpk", t.Header.Kernel)
-			}
-			cost, err := sys.Libmpk.PkeyMprotect(nil, tk, pagetable.VAddr(want.Addr), want.Len, libmpk.Vkey(want.Dom))
-			got.Cost, rerr = uint64(cost), err
-		case OpPkeySet:
-			tk, err := task(want, i)
-			if err != nil {
-				return nil, err
-			}
-			if sys.Libmpk == nil {
-				return nil, layerErr(i, "libmpk", t.Header.Kernel)
-			}
-			cost, err := sys.Libmpk.PkeySet(nil, tk, libmpk.Vkey(want.Dom), hw.Perm(want.Perm))
-			got.Cost, rerr = uint64(cost), err
-		case OpEpkSwitch:
-			if sys.EPK == nil {
-				return nil, layerErr(i, "epk", t.Header.Kernel)
-			}
-			got.Cost = uint64(sys.EPK.Switch(int(want.TID), int(want.Dom)))
-		case OpDptiAlloc:
-			if sys.DPTI == nil {
-				return nil, layerErr(i, "dpti", t.Header.Kernel)
-			}
-			d, cost := sys.DPTI.AllocDomain()
-			got.Dom, got.Cost = uint64(d), uint64(cost)
-		case OpDptiFree:
-			tk, err := task(want, i)
-			if err != nil {
-				return nil, err
-			}
-			if sys.DPTI == nil {
-				return nil, layerErr(i, "dpti", t.Header.Kernel)
-			}
-			cost, err := sys.DPTI.FreeDomain(tk, dpti.DomainID(want.Dom))
-			got.Cost, rerr = uint64(cost), err
-		case OpDptiProtect:
-			tk, err := task(want, i)
-			if err != nil {
-				return nil, err
-			}
-			if sys.DPTI == nil {
-				return nil, layerErr(i, "dpti", t.Header.Kernel)
-			}
-			cost, err := sys.DPTI.Protect(tk, pagetable.VAddr(want.Addr), want.Len, dpti.DomainID(want.Dom))
-			got.Cost, rerr = uint64(cost), err
-		case OpDptiEnter, OpDptiExit:
-			if sys.DPTI == nil {
-				return nil, layerErr(i, "dpti", t.Header.Kernel)
-			}
-			tk, err := task(want, i)
-			if err != nil || tk == nil {
-				return nil, fmt.Errorf("%w: event %d: %s needs a thread (%v)", ErrBadRecord, i, want.Op, err)
-			}
-			if want.Op == OpDptiEnter {
-				cost, err := sys.DPTI.Enter(tk, dpti.DomainID(want.Dom))
-				got.Cost, rerr = uint64(cost), err
-			} else {
-				cost, err := sys.DPTI.Exit(tk)
-				got.Cost, rerr = uint64(cost), err
-			}
-		default:
-			return nil, fmt.Errorf("%w: event %d: op %d", ErrBadRecord, i, want.Op)
+		got, err := r.step(want)
+		if err != nil {
+			return nil, fmt.Errorf("%w: event %d (%s): %v", ErrBadRecord, i, want.Op, err)
 		}
-
-		got.Err = CodeOf(rerr)
 		got.Time = clock
 		clock += got.Cost
 		res.Events++
@@ -389,28 +162,115 @@ func replayFrom(t *Trace, sys *System, tasks map[uint64]*kernel.Task, startClock
 	return res, nil
 }
 
-// replayTask resolves a core-layer event's thread, requiring both the
-// manager and a live task.
-func replayTask(sys *System, tasks map[uint64]*kernel.Task, e Event, idx int, layer string) (*kernel.Task, error) {
-	if sys.Manager == nil {
-		return nil, layerErr(idx, layer, "")
-	}
-	if e.TID == 0 {
-		return nil, fmt.Errorf("%w: event %d: %s needs a thread", ErrBadRecord, idx, e.Op)
-	}
-	tk := tasks[e.TID]
-	if tk == nil {
-		return nil, fmt.Errorf("%w: event %d: unknown tid %d", ErrBadRecord, idx, e.TID)
-	}
-	return tk, nil
+// engine re-executes recorded events against one system.
+type engine struct {
+	sys *System
+	// b is the system's domain layer (nil on a bare substrate).
+	b     backend.Backend
+	tasks map[uint64]*kernel.Task
+	// ev is the event handed to b.Replay, kept here so a run allocates it
+	// once rather than once per event.
+	ev tap.Event
 }
 
-func layerErr(idx int, layer, kind string) error {
-	if kind == "" {
-		return fmt.Errorf("%w: event %d targets the %s layer, absent in this trace's system", ErrBadRecord, idx, layer)
+// step re-executes one recorded event and returns it as replayed: the
+// recorded arguments with the replayed cost, returned id or permission,
+// and outcome code (Time is left for the caller). The substrate's ops run
+// here; every other op goes to the backend, which executes the ops of its
+// own layer. An error means the record cannot run on this system at all.
+func (r *engine) step(want Event) (Event, error) {
+	sys, tasks := r.sys, r.tasks
+	got := Event{TID: want.TID, Op: want.Op, Addr: want.Addr, Len: want.Len, Dom: want.Dom, Perm: want.Perm, Flags: want.Flags}
+	var (
+		cost cycles.Cost
+		err  error
+	)
+	tk := tasks[want.TID]
+	switch want.Op {
+	case tap.OpSpawn:
+		if sys.Proc == nil {
+			return got, errNoSubstrate
+		}
+		if n := sys.Machine.NumCores(); want.Len >= uint64(n) {
+			return got, fmt.Errorf("core %d out of range [0, %d)", want.Len, n)
+		}
+		tk = sys.Proc.NewTask(int(want.Len))
+		tasks[uint64(tk.TID())] = tk
+		got.TID = uint64(tk.TID())
+	case tap.OpReclaim:
+		if sys.Proc == nil {
+			return got, errNoSubstrate
+		}
+		var n int
+		n, cost = sys.Proc.ReclaimFrames(int(want.Addr), int(want.Len))
+		got.Dom = uint64(n)
+	case tap.OpMmap, tap.OpMunmap, tap.OpMprotect, tap.OpAccess, tap.OpDispatch, tap.OpPopulate:
+		switch {
+		case sys.Proc == nil:
+			return got, errNoSubstrate
+		case tk == nil && want.TID != 0:
+			return got, fmt.Errorf("unknown tid %d", want.TID)
+		case tk == nil:
+			return got, fmt.Errorf("%s needs a thread", want.Op)
+		}
+		addr, write := pagetable.VAddr(want.Addr), want.Flags&FlagWrite != 0
+		switch want.Op {
+		case tap.OpMmap:
+			cost, err = tk.Mmap(addr, want.Len, write)
+		case tap.OpMunmap:
+			cost, err = tk.Munmap(addr, want.Len)
+		case tap.OpMprotect:
+			cost, err = tk.Mprotect(addr, want.Len, write)
+		case tap.OpAccess:
+			cost, err = tk.Access(addr, write)
+		case tap.OpDispatch:
+			cost = sys.Kernel.TakePendingInterrupts(tk.CoreID())
+			cost += sys.Kernel.Dispatch(tk)
+		case tap.OpPopulate:
+			table := sys.Proc.AS().Shadow()
+			if want.Flags&FlagVDSTable != 0 {
+				var vdr *core.VDR
+				if sys.Manager != nil {
+					vdr = sys.Manager.VDROf(tk)
+				}
+				if vdr == nil {
+					return got, fmt.Errorf("populate into the VDS table of thread %d, which has no VDR", want.TID)
+				}
+				table = vdr.Current().Table()
+			}
+			_, err = sys.Proc.AS().Populate(table, addr, want.Len)
+		}
+	default:
+		if r.b == nil {
+			return got, errNoDomainLayer
+		}
+		e := &r.ev
+		*e = tap.Event{
+			Op: want.Op, TID: int(want.TID), Addr: pagetable.VAddr(want.Addr), Len: want.Len,
+			Dom: want.Dom, Perm: want.Perm, Write: want.Flags&FlagWrite != 0, Freq: want.Flags&FlagFreq != 0,
+		}
+		ok, berr := r.b.Replay(sys, e, tk)
+		switch {
+		case berr != nil:
+			return got, berr
+		case !ok:
+			return got, fmt.Errorf("not an op of kernel kind %q", r.b.Name())
+		}
+		got.Dom, got.Perm, cost, err = e.Dom, e.Perm, e.Cost, e.Err
 	}
-	return fmt.Errorf("%w: event %d targets the %s layer, absent for kernel kind %q", ErrBadRecord, idx, layer, kind)
+	got.Cost = uint64(cost)
+	got.Err = CodeOf(err)
+	return got, nil
 }
+
+// Structural errors of replayEvent; Run wraps both in ErrBadRecord.
+var (
+	// errNoSubstrate rejects a kernel-level op on a system without a
+	// machine (EPK's standalone cost model).
+	errNoSubstrate = errors.New("the trace's system has no kernel substrate")
+	// errNoDomainLayer rejects a domain op on a bare substrate.
+	errNoDomainLayer = errors.New("the trace's system has no domain layer")
+)
 
 // Boot builds the platform a header describes through the backend
 // registry (backend.Boot): machine, kernel, process, and the kernel
@@ -462,10 +322,8 @@ func EndState(clock uint64, sys *System) map[string]uint64 {
 	if sys.Kernel != nil {
 		sys.Kernel.EmitMetrics(emit)
 	}
-	for _, b := range backend.All() {
-		if b.Present(sys) {
-			b.EmitEnd(sys, emit)
-		}
+	if b := backend.Of(sys); b != nil {
+		b.EmitEnd(sys, emit)
 	}
 	return end
 }

@@ -222,9 +222,6 @@ func (e *Env) NewResource(capacity int) *Resource {
 	return &Resource{env: e, capacity: capacity}
 }
 
-// Available returns the number of free units.
-func (r *Resource) Available() int { return r.capacity - r.inUse }
-
 // Acquire takes n units, blocking in FIFO order until they are free. It
 // returns the cycles this caller spent waiting.
 func (r *Resource) Acquire(p *Proc, n int) uint64 {

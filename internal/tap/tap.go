@@ -1,10 +1,12 @@
-// Package tap defines the one observation interface every kernel backend
-// exports to the trace recorder. It replaces the four per-layer tap types
-// that used to exist (kernel.OpTap, core.APITap, libmpk.Tap, epk.Tap):
-// each instrumented layer now emits the same Event shape through the same
-// function type, so the recorder (internal/replay) has a single attach
-// point per layer and a new backend plugs into record/replay by emitting
-// Events — no recorder changes required.
+// Package tap defines the one op vocabulary of the simulator and the one
+// observation interface every instrumented layer exports to the trace
+// recorder. Op is the only op enum: the kernel syscall boundary, the
+// scheduler, and the domain API of every registered backend emit the same
+// Event shape through the same function type, the trace format
+// (internal/replay, vdom-trace/v1) writes an Op's number and name as they
+// are, and each backend replays the ops of its own layer from an Event
+// (backend.Backend.Replay). A new backend plugs into record/replay by
+// adding its ops here and emitting Events — no recorder changes required.
 //
 // The package is a leaf: it imports only the cycle and page-table value
 // types, so every layer (the kernel included) can depend on it without
@@ -17,17 +19,22 @@ import (
 	"vdom/internal/pagetable"
 )
 
-// Op identifies the operation an Event describes. The set is the union of
-// every instrumented surface: the kernel syscall boundary, the scheduler,
-// and the public API of each domain backend.
-type Op int
+// Op identifies one operation of an instrumented layer. Its numeric value
+// is the vdom-trace/v1 wire encoding and String its JSONL name; both are
+// frozen — append new ops, never renumber.
+type Op uint8
 
-// The tapped operations, grouped by emitting layer.
+// The ops, grouped by the layer that executes them on replay. Field use
+// per op is documented in REPLAY.md.
 const (
-	// OpInvalid is the zero Op; no layer emits it.
+	// OpInvalid is the zero Op; no layer emits it and no trace holds it.
 	OpInvalid Op = iota
 
-	// Kernel syscall boundary (internal/kernel).
+	// Substrate: the kernel syscall boundary, the scheduler, and the
+	// recorder's own setup events (internal/kernel, internal/replay).
+
+	// OpSpawn is a task creation (TID = new task id, Len = core id).
+	OpSpawn
 	OpMmap
 	OpMunmap
 	OpMprotect
@@ -36,18 +43,27 @@ const (
 	// OpDispatch is a scheduler burst prologue (pending-interrupt drain
 	// plus context switch) with its total cost.
 	OpDispatch
+	// OpPopulate is a demand-paging pre-fault of a range.
+	OpPopulate
+	// OpReclaim is a kswapd frame reclaim (Addr = initiator core, Len =
+	// frames requested, Dom = frames reclaimed).
+	OpReclaim
 
-	// VDom core API (internal/core).
+	// VDom core (internal/core).
+
+	// OpReap is a VDS garbage-collection pass (Dom = VDSes reaped).
+	OpReap
 	OpVdomAlloc
 	OpVdomFree
 	OpVdomMprotect
+	// OpVdrAlloc reuses Len for the requested nas count.
 	OpVdrAlloc
 	OpVdrFree
 	OpVdrRead
 	OpVdrWrite
 	OpNewVDS
 
-	// libmpk baseline API (internal/libmpk).
+	// libmpk baseline (internal/libmpk).
 	OpPkeyAlloc
 	OpPkeyFree
 	OpPkeyMprotect
@@ -56,13 +72,58 @@ const (
 	// EPK baseline (internal/epk).
 	OpEpkSwitch
 
-	// DPTI baseline API (internal/dpti).
+	// DPTI baseline (internal/dpti).
 	OpDptiAlloc
 	OpDptiFree
 	OpDptiProtect
 	OpDptiEnter
 	OpDptiExit
+
+	numOps
 )
+
+// names are the ops' stable JSONL names.
+var names = [numOps]string{
+	OpSpawn:        "spawn",
+	OpMmap:         "mmap",
+	OpMunmap:       "munmap",
+	OpMprotect:     "mprotect",
+	OpAccess:       "access",
+	OpDispatch:     "dispatch",
+	OpPopulate:     "populate",
+	OpReclaim:      "reclaim",
+	OpReap:         "reap",
+	OpVdomAlloc:    "vdom-alloc",
+	OpVdomFree:     "vdom-free",
+	OpVdomMprotect: "vdom-mprotect",
+	OpVdrAlloc:     "vdr-alloc",
+	OpVdrFree:      "vdr-free",
+	OpVdrRead:      "rdvdr",
+	OpVdrWrite:     "wrvdr",
+	OpNewVDS:       "new-vds",
+	OpPkeyAlloc:    "pkey-alloc",
+	OpPkeyFree:     "pkey-free",
+	OpPkeyMprotect: "pkey-mprotect",
+	OpPkeySet:      "pkey-set",
+	OpEpkSwitch:    "epk-switch",
+	OpDptiAlloc:    "dpti-alloc",
+	OpDptiFree:     "dpti-free",
+	OpDptiProtect:  "dpti-protect",
+	OpDptiEnter:    "dpti-enter",
+	OpDptiExit:     "dpti-exit",
+}
+
+// Valid reports whether o is a defined op (not OpInvalid, not past the
+// last one).
+func (o Op) Valid() bool { return o > OpInvalid && o < numOps }
+
+// String returns the op's JSONL name, or "invalid".
+func (o Op) String() string {
+	if o.Valid() {
+		return names[o]
+	}
+	return "invalid"
+}
 
 // Event describes one completed operation of an instrumented layer. Only
 // the fields meaningful for the Op are set; the rest stay zero.

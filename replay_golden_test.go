@@ -28,7 +28,8 @@ func goldenCorpus() []workload.TraceSpec {
 }
 
 // TestReplayGolden is the golden-trace regression: every corpus workload
-// is re-recorded and must match its checked-in trace byte-for-byte, and
+// is re-recorded and must match its checked-in trace and its JSONL view
+// byte-for-byte, and
 // replaying the checked-in trace must reproduce the recorded cycle
 // clock, event stream, and end state with zero divergence.
 func TestReplayGolden(t *testing.T) {
@@ -36,8 +37,13 @@ func TestReplayGolden(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			path := filepath.Join(traceDir, spec.Name+".trace")
+			jsonlPath := filepath.Join(traceDir, spec.Name+".jsonl")
 			fresh := spec.Record()
 			enc := replay.Encode(fresh)
+			var jsonl bytes.Buffer
+			if err := replay.WriteJSONL(&jsonl, fresh); err != nil {
+				t.Fatal(err)
+			}
 
 			if *updateTraces {
 				if err := os.MkdirAll(traceDir, 0o755); err != nil {
@@ -46,11 +52,7 @@ func TestReplayGolden(t *testing.T) {
 				if err := os.WriteFile(path, enc, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				var jsonl bytes.Buffer
-				if err := replay.WriteJSONL(&jsonl, fresh); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(traceDir, spec.Name+".jsonl"), jsonl.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(jsonlPath, jsonl.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				t.Logf("wrote %s (%d events, %d bytes)", path, len(fresh.Events), len(enc))
@@ -64,6 +66,14 @@ func TestReplayGolden(t *testing.T) {
 			if !bytes.Equal(enc, golden) {
 				t.Fatalf("re-recording %s no longer matches its golden trace (%d vs %d bytes); run with -update-traces if the change is intentional",
 					spec.Name, len(enc), len(golden))
+			}
+			goldenJSONL, err := os.ReadFile(jsonlPath)
+			if err != nil {
+				t.Fatalf("missing golden JSONL (run with -update-traces): %v", err)
+			}
+			if !bytes.Equal(jsonl.Bytes(), goldenJSONL) {
+				t.Fatalf("the JSONL view of %s no longer matches %s; run with -update-traces if the change is intentional",
+					spec.Name, jsonlPath)
 			}
 
 			tr, err := replay.Decode(golden)
@@ -89,8 +99,7 @@ func TestReplayGolden(t *testing.T) {
 
 // TestReplayRoundTrip checks the record→replay property independently of
 // the checked-in corpus: a fresh recording of each workload replays with
-// zero divergence, and both encodings round-trip through the binary and
-// JSONL codecs.
+// zero divergence and round-trips through the binary codec.
 func TestReplayRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus re-record is not short")
@@ -108,16 +117,6 @@ func TestReplayRoundTrip(t *testing.T) {
 				t.Fatalf("binary round-trip: %v", err)
 			}
 			assertTraceEqual(t, "binary", tr, dec)
-
-			var buf bytes.Buffer
-			if err := replay.WriteJSONL(&buf, tr); err != nil {
-				t.Fatalf("jsonl encode: %v", err)
-			}
-			jdec, err := replay.ReadJSONL(&buf)
-			if err != nil {
-				t.Fatalf("jsonl round-trip: %v", err)
-			}
-			assertTraceEqual(t, "jsonl", tr, jdec)
 
 			res, err := chaos.ReplayTrace(dec, replay.Options{})
 			if err != nil {
