@@ -316,11 +316,11 @@ func main() {
 	case "table2":
 		bench.Table2(w, o)
 	case "table3":
-		bench.Table3Opts(w, o)
+		bench.Table3(w, o)
 	case "table4":
 		bench.Table4(w, o)
 	case "table5":
-		bench.Table5Opts(w, o)
+		bench.Table5(w, o)
 	case "tables":
 		bench.Tables(w, o)
 	case "fig5":
@@ -330,9 +330,9 @@ func main() {
 	case "fig7":
 		bench.Fig7(w, o)
 	case "unixbench":
-		bench.UnixBenchOpts(w, o)
+		bench.UnixBench(w, o)
 	case "ctxswitch":
-		bench.CtxSwitchOpts(w, o)
+		bench.CtxSwitch(w, o)
 	case "ablation":
 		bench.Ablations(w, o)
 	case "matrix":

@@ -124,15 +124,18 @@ type Backend interface {
 	Present(inst *Instance) bool
 	// Section is the backend's vdom-snap/v2 section name.
 	Section() string
-	// Capture appends the domain layer's checkpoint image to b. tableID
-	// maps live page tables to stable ids (nil without a process).
+	// Capture appends the domain layer's checkpoint image to b, encoded
+	// by the layer's AppendState straight from its live structures.
+	// tableID maps live page tables to stable ids (nil without a
+	// process).
 	Capture(inst *Instance, b []byte, tableID func(*pagetable.Table) int) []byte
-	// Restore reads the checkpoint image from r, validates it against
-	// the booted instance (whose address space, if any, is already
-	// restored, so stable table ids resolve through it), and loads it
-	// into the freshly attached domain layer; an image that fails
-	// validation is left on r's sticky error and never loaded. task
-	// resolves trace thread ids (nil without a process).
+	// Restore reads the checkpoint image from r into the freshly
+	// attached domain layer with the layer's ReadState. The instance's
+	// address space, if any, is already restored, so stable table ids
+	// resolve through it; task resolves trace thread ids (nil without a
+	// process). Every count and reference is checked before it is used,
+	// and a failed check is left on r's sticky error; the layer may then
+	// be half-loaded, and the caller discards the instance.
 	Restore(inst *Instance, r *wire.Reader, task func(tid int) *kernel.Task)
 	// Ops returns the kernel-neutral workload adapter over the instance.
 	Ops(inst *Instance) DomainOps

@@ -298,18 +298,7 @@ func TestConformanceSnapshotTruncation(t *testing.T) {
 // requires Restore (and the crash harness's injector decode) to return
 // an error or a System, never to panic.
 func FuzzSnapshotRestore(f *testing.F) {
-	s := chaos.StartSoak(chaos.SoakConfig{
-		Chaos: chaos.Config{Seed: 3, DropIPI: 0.05, StaleTLB: 0.03, VDSAllocFail: 0.1, ASIDLimit: 24},
-		Ops:   300, Record: true,
-	})
-	for i := 0; i < 150; i++ {
-		s.Step()
-	}
-	soakSnap, err := s.Checkpoint()
-	if err != nil {
-		f.Fatal(err)
-	}
-	seeds := [][]byte{soakSnap}
+	seeds := [][]byte{soakCheckpoint(f)}
 	for _, b := range backend.All() {
 		seeds = append(seeds, confSnapshot(f, b, cycles.X86))
 	}
@@ -335,8 +324,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if sys, _, err := snapshot.Restore(mutated); err == nil && sys == nil {
 			t.Fatal("nil System with nil error")
 		}
-		var in chaos.InjectorSnap
-		_ = mutated.ReadSection(chaos.InjectorSection, in.Read)
+		_ = mutated.ReadSection(chaos.InjectorSection, func(r *wire.Reader) { chaos.ReadInjector(r) })
 	})
 }
 

@@ -33,15 +33,11 @@ func (dptiBackend) EmitEnd(inst *Instance, emit func(string, uint64)) {
 }
 
 func (dptiBackend) Capture(inst *Instance, b []byte, tableID func(*pagetable.Table) int) []byte {
-	return inst.DPTI.Snap(tableID).Append(b)
+	return inst.DPTI.AppendState(b, tableID)
 }
 
 func (dptiBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kernel.Task) {
-	var ds dpti.Snap
-	as := inst.Proc.AS()
-	if ds.Read(r, as.NumTables(), task); r.Err() == nil {
-		inst.DPTI.LoadSnap(ds, as.TableByID, task)
-	}
+	inst.DPTI.ReadState(r, inst.Proc.AS().TableByID, inst.Proc.AS().NumTables(), task)
 }
 
 func (dptiBackend) Ops(inst *Instance) DomainOps { return dptiOps{inst.DPTI} }

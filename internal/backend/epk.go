@@ -36,25 +36,25 @@ func (epkBackend) EmitEnd(inst *Instance, emit func(string, uint64)) {
 }
 
 func (epkBackend) Capture(inst *Instance, b []byte, tableID func(*pagetable.Table) int) []byte {
-	return inst.EPK.Snap().Append(b)
+	return inst.EPK.AppendState(b)
 }
 
 func (epkBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kernel.Task) {
-	var es epk.Snap
-	if es.Read(r, inst.EPK); r.Err() == nil {
-		inst.EPK.LoadSnap(es)
-	}
+	inst.EPK.ReadState(r)
 }
 
 func (epkBackend) Ops(inst *Instance) DomainOps { return &epkOps{s: inst.EPK} }
 
-// Replay executes domain switches. EPK thread ids are the workload's own
-// worker ids, not kernel tasks, so the switch takes e.TID as recorded.
+// Replay executes domain switches. A switch is keyed by the acting
+// task's TID; the standalone cost model has no tasks and records tid 0.
 func (epkBackend) Replay(inst *Instance, e *tap.Event, t *kernel.Task) (bool, error) {
 	if e.Op != tap.OpEpkSwitch {
 		return false, nil
 	}
-	e.Cost = inst.EPK.Switch(e.TID, int(e.Dom))
+	if err := checkTask(e, t, false); err != nil {
+		return true, err
+	}
+	e.Cost = inst.EPK.Switch(kernel.TIDOf(t), int(e.Dom))
 	return true, nil
 }
 
@@ -85,11 +85,7 @@ func (o *epkOps) Protect(t *kernel.Task, addr pagetable.VAddr, length uint64, id
 func (o *epkOps) PrepareThread(t *kernel.Task, n int) (cycles.Cost, error) { return 0, nil }
 
 func (o *epkOps) Activate(t *kernel.Task, id uint64) (cycles.Cost, error) {
-	tid := 0
-	if t != nil {
-		tid = t.TID()
-	}
-	return o.s.Switch(tid, int(id)), nil
+	return o.s.Switch(kernel.TIDOf(t), int(id)), nil
 }
 
 func (o *epkOps) Deactivate(t *kernel.Task, id uint64) (cycles.Cost, error) { return 0, nil }

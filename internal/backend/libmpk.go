@@ -36,14 +36,11 @@ func (libmpkBackend) EmitEnd(inst *Instance, emit func(string, uint64)) {
 }
 
 func (libmpkBackend) Capture(inst *Instance, b []byte, tableID func(*pagetable.Table) int) []byte {
-	return inst.Libmpk.Snap().Append(b)
+	return inst.Libmpk.AppendState(b)
 }
 
 func (libmpkBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kernel.Task) {
-	var ls libmpk.Snap
-	if ls.Read(r, task); r.Err() == nil {
-		inst.Libmpk.LoadSnap(ls, task)
-	}
+	inst.Libmpk.ReadState(r, task)
 }
 
 func (libmpkBackend) Ops(inst *Instance) DomainOps { return libmpkOps{inst.Libmpk} }

@@ -38,15 +38,11 @@ func (vdomBackend) EmitEnd(inst *Instance, emit func(string, uint64)) {
 }
 
 func (vdomBackend) Capture(inst *Instance, b []byte, tableID func(*pagetable.Table) int) []byte {
-	return inst.Manager.Snap(tableID).Append(b)
+	return inst.Manager.AppendState(b, tableID)
 }
 
 func (vdomBackend) Restore(inst *Instance, r *wire.Reader, task func(int) *kernel.Task) {
-	var ms core.ManagerSnap
-	as := inst.Proc.AS()
-	if ms.Read(r, as.NumTables(), task); r.Err() == nil {
-		inst.Manager.LoadSnap(ms, as.TableByID, task)
-	}
+	inst.Manager.ReadState(r, inst.Proc.AS().TableByID, inst.Proc.AS().NumTables(), task)
 }
 
 func (vdomBackend) Ops(inst *Instance) DomainOps { return vdomOps{inst.Manager} }

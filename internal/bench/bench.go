@@ -194,10 +194,7 @@ func Fig1(w io.Writer, o Options) {
 }
 
 // Table3 reproduces Table 3: average cycles of common operations.
-func Table3(w io.Writer) { Table3Opts(w, Options{}) }
-
-// Table3Opts is Table3 with rendering options.
-func Table3Opts(w io.Writer, o Options) {
+func Table3(w io.Writer, o Options) {
 	t := &Table{
 		Title:   "Table 3: average cycles of common operations",
 		Columns: []string{"Operation", "X86 Cycles", "ARM Cycles"},
@@ -244,10 +241,7 @@ func Table4(w io.Writer, o Options) {
 
 // Table5 reproduces Table 5: 4 KiB allocation+synchronization overhead
 // across VDS counts.
-func Table5(w io.Writer) { Table5Opts(w, Options{}) }
-
-// Table5Opts is Table5 with rendering options.
-func Table5Opts(w io.Writer, o Options) {
+func Table5(w io.Writer, o Options) {
 	t := &Table{
 		Title:   "Table 5: alloc+sync overhead across numbers of VDSes",
 		Columns: []string{"# of VDSes", "2", "4", "8", "16", "32"},
@@ -348,10 +342,7 @@ func Fig7(w io.Writer, o Options) {
 }
 
 // UnixBench reproduces §7.3: relative UnixBench scores of the VDom kernel.
-func UnixBench(w io.Writer) { UnixBenchOpts(w, Options{}) }
-
-// UnixBenchOpts is UnixBench with rendering options.
-func UnixBenchOpts(w io.Writer, o Options) {
+func UnixBench(w io.Writer, o Options) {
 	t := &Table{
 		Title:   "UnixBench (§7.3): VDom kernel score relative to vanilla (100% = equal)",
 		Columns: []string{"arch", "suite", "index", "worst test"},
@@ -363,10 +354,7 @@ func UnixBenchOpts(w io.Writer, o Options) {
 }
 
 // CtxSwitch reproduces §7.5's context-switch measurements.
-func CtxSwitch(w io.Writer) { CtxSwitchOpts(w, Options{}) }
-
-// CtxSwitchOpts is CtxSwitch with rendering options.
-func CtxSwitchOpts(w io.Writer, o Options) {
+func CtxSwitch(w io.Writer, o Options) {
 	t := &Table{
 		Title: "Context switch (§7.5): switch_mm cycles",
 		Columns: []string{"arch", "vanilla kernel", "VDom kernel (non-VDom proc)",
@@ -384,11 +372,11 @@ func CtxSwitchOpts(w io.Writer, o Options) {
 // experiment the parallel engine targets: ~110 isolated cells fanned out
 // across o.Parallel workers with byte-identical output for any width.
 func Tables(w io.Writer, o Options) {
-	Table3Opts(w, o)
+	Table3(w, o)
 	fmt.Fprintln(w)
 	Table4(w, o)
 	fmt.Fprintln(w)
-	Table5Opts(w, o)
+	Table5(w, o)
 }
 
 // All runs every experiment in order.
@@ -397,14 +385,14 @@ func All(w io.Writer, o Options) {
 		func() { Fig1(w, o) },
 		func() { Table1(w, o) },
 		func() { Table2(w, o) },
-		func() { Table3Opts(w, o) },
+		func() { Table3(w, o) },
 		func() { Table4(w, o) },
-		func() { Table5Opts(w, o) },
+		func() { Table5(w, o) },
 		func() { Fig5(w, o) },
 		func() { Fig6(w, o) },
 		func() { Fig7(w, o) },
-		func() { UnixBenchOpts(w, o) },
-		func() { CtxSwitchOpts(w, o) },
+		func() { UnixBench(w, o) },
+		func() { CtxSwitch(w, o) },
 		func() { Ablations(w, o) },
 		// Matrix is appended last so the earlier sections' output stays a
 		// byte-identical prefix of older releases' `all` output.

@@ -10,7 +10,7 @@ func quick() Options { return Options{Quick: true} }
 
 func TestTable3Output(t *testing.T) {
 	var buf bytes.Buffer
-	Table3(&buf)
+	Table3(&buf, Options{})
 	out := buf.String()
 	for _, want := range []string{
 		"Table 3", "empty syscall return", "secure wrvdr with VDS switch", "undefined",
@@ -37,7 +37,7 @@ func TestTable4Output(t *testing.T) {
 
 func TestTable5Output(t *testing.T) {
 	var buf bytes.Buffer
-	Table5(&buf)
+	Table5(&buf, Options{})
 	out := buf.String()
 	if !strings.Contains(out, "X86 overhead") || !strings.Contains(out, "undefined") {
 		t.Errorf("Table5 output malformed:\n%s", out)
@@ -69,12 +69,12 @@ func TestFig7Output(t *testing.T) {
 
 func TestUnixBenchAndCtxSwitchOutput(t *testing.T) {
 	var buf bytes.Buffer
-	UnixBench(&buf)
+	UnixBench(&buf, Options{})
 	if !strings.Contains(buf.String(), "index") {
 		t.Error("UnixBench output malformed")
 	}
 	buf.Reset()
-	CtxSwitch(&buf)
+	CtxSwitch(&buf, Options{})
 	out := buf.String()
 	if !strings.Contains(out, "switch_mm") || !strings.Contains(out, "X86") {
 		t.Errorf("CtxSwitch output malformed:\n%s", out)
@@ -140,7 +140,7 @@ func TestFig6OutputQuick(t *testing.T) {
 func TestCSVRendering(t *testing.T) {
 	var buf bytes.Buffer
 	o := Options{Quick: true, Format: CSV}
-	Table3Opts(&buf, o)
+	Table3(&buf, o)
 	out := buf.String()
 	if !strings.HasPrefix(out, "# Table 3") {
 		t.Errorf("CSV missing title comment:\n%s", out)

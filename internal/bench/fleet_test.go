@@ -86,7 +86,7 @@ func TestFleetByteIdentical(t *testing.T) {
 			}
 		}, true},
 		{"fig1", Fig1, false},
-		{"unixbench", UnixBenchOpts, false},
+		{"unixbench", UnixBench, false},
 	}
 	for _, exp := range experiments {
 		exp := exp

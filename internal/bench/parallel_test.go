@@ -22,7 +22,7 @@ func TestParallelByteIdentical(t *testing.T) {
 		{"tables", Tables},
 		{"chaos", func(w io.Writer, o Options) { ChaosSeed(w, o, 42) }},
 		{"fig1", Fig1},
-		{"unixbench", UnixBenchOpts},
+		{"unixbench", UnixBench},
 	}
 	if !testing.Short() {
 		experiments = append(experiments, experiment{"compare", Compare})

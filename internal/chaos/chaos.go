@@ -11,6 +11,10 @@
 // The cross-layer auditor (Audit) walks every core's TLB against the live
 // page tables and every manager's private metadata, reporting any
 // incoherence the degradation paths failed to contain.
+//
+// Injector.AppendState and ReadInjector carry the injector's config, PRNG
+// state, counters and event log as the "chaos/injector" checkpoint
+// section, so a recovered run resumes the identical fault stream.
 package chaos
 
 import (

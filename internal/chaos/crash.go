@@ -59,64 +59,12 @@ func (k CrashKind) String() string {
 // under the identical faults.
 const InjectorSection = "chaos/injector"
 
-// CounterSnap is one (kind → count) entry of an injector counter map.
-type CounterSnap struct {
-	Kind string
-	N    uint64
-}
-
-// InjectorSnap is the serializable image of an Injector.
-type InjectorSnap struct {
-	Cfg       Config
-	Rng       [4]uint64
-	Seq       uint64
-	Injected  []CounterSnap // ascending kind
-	Recovered []CounterSnap // ascending kind
-	Events    []Event
-}
-
-// Snap captures the injector's image, PRNG state included.
-func (in *Injector) Snap() InjectorSnap {
-	return InjectorSnap{
-		Cfg:       in.cfg,
-		Rng:       in.rng.State(),
-		Seq:       in.seq,
-		Injected:  counterSnaps(in.injected),
-		Recovered: counterSnaps(in.recovered),
-		Events:    append([]Event(nil), in.events...),
-	}
-}
-
-// NewFromSnap rebuilds an injector from its image: same config, same
-// PRNG position, same counters and event log.
-func NewFromSnap(s InjectorSnap) *Injector {
-	in := New(s.Cfg)
-	in.rng.SetState(s.Rng)
-	in.seq = s.Seq
-	for _, c := range s.Injected {
-		in.injected[c.Kind] = c.N
-	}
-	for _, c := range s.Recovered {
-		in.recovered[c.Kind] = c.N
-	}
-	in.events = append([]Event(nil), s.Events...)
-	return in
-}
-
-func counterSnaps(m map[string]uint64) []CounterSnap {
-	out := make([]CounterSnap, 0, len(m))
-	for k, v := range m {
-		out = append(out, CounterSnap{Kind: k, N: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	return out
-}
-
-// Append appends the image's encoding: the config (seed, the fault
+// AppendState appends the injector's image: the config (seed, the fault
 // probabilities as fixed 8-byte floats, the ASID limit), the PRNG state,
-// the sequence number, both counter maps, and the event log.
-func (s InjectorSnap) Append(b []byte) []byte {
-	c := s.Cfg
+// the sequence number, both counter maps (ascending kind), and the event
+// log.
+func (in *Injector) AppendState(b []byte) []byte {
+	c := in.cfg
 	b = wire.AppendUvarint(b, c.Seed)
 	for _, p := range [...]float64{c.DropIPI, c.DelayIPI, c.StaleTLB, c.ASIDExhaustion} {
 		b = wire.AppendFloat64(b, p)
@@ -125,14 +73,14 @@ func (s InjectorSnap) Append(b []byte) []byte {
 	for _, p := range [...]float64{c.VDSAllocFail, c.PdomExhaustion, c.SpuriousFault} {
 		b = wire.AppendFloat64(b, p)
 	}
-	for _, v := range s.Rng {
+	for _, v := range in.rng.State() {
 		b = wire.AppendUvarint(b, v)
 	}
-	b = wire.AppendUvarint(b, s.Seq)
-	b = appendCounters(b, s.Injected)
-	b = appendCounters(b, s.Recovered)
-	b = wire.AppendUvarint(b, uint64(len(s.Events)))
-	for _, e := range s.Events {
+	b = wire.AppendUvarint(b, in.seq)
+	b = appendCounters(b, in.injected)
+	b = appendCounters(b, in.recovered)
+	b = wire.AppendUvarint(b, uint64(len(in.events)))
+	for _, e := range in.events {
 		b = wire.AppendUvarint(b, e.Seq)
 		b = wire.AppendString(b, e.Kind)
 		b = wire.AppendString(b, e.Detail)
@@ -140,40 +88,50 @@ func (s InjectorSnap) Append(b []byte) []byte {
 	return b
 }
 
-// Read decodes an image Append wrote.
-func (s *InjectorSnap) Read(r *wire.Reader) {
-	c := &s.Cfg
+// ReadInjector rebuilds an injector from an image AppendState wrote: same
+// config, same PRNG position, same counters and event log.
+func ReadInjector(r *wire.Reader) *Injector {
+	var c Config
 	c.Seed = r.Uvarint()
 	c.DropIPI, c.DelayIPI, c.StaleTLB, c.ASIDExhaustion = r.Float64(), r.Float64(), r.Float64(), r.Float64()
 	c.ASIDLimit = tlb.ReadASID(r)
 	c.VDSAllocFail, c.PdomExhaustion, c.SpuriousFault = r.Float64(), r.Float64(), r.Float64()
-	for i := range s.Rng {
-		s.Rng[i] = r.Uvarint()
+	in := New(c)
+	var rng [4]uint64
+	for i := range rng {
+		rng[i] = r.Uvarint()
 	}
-	s.Seq = r.Uvarint()
-	s.Injected = readCounters(r)
-	s.Recovered = readCounters(r)
-	s.Events = make([]Event, r.Count("event"))
-	for i := range s.Events {
-		s.Events[i] = Event{Seq: r.Uvarint(), Kind: r.String(), Detail: r.String()}
+	in.rng.SetState(rng)
+	in.seq = r.Uvarint()
+	readCounters(r, in.injected)
+	readCounters(r, in.recovered)
+	n := r.Count("event")
+	for i := 0; i < n; i++ {
+		in.events = append(in.events, Event{Seq: r.Uvarint(), Kind: r.String(), Detail: r.String()})
 	}
+	return in
 }
 
-func appendCounters(b []byte, cs []CounterSnap) []byte {
-	b = wire.AppendUvarint(b, uint64(len(cs)))
-	for _, c := range cs {
-		b = wire.AppendString(b, c.Kind)
-		b = wire.AppendUvarint(b, c.N)
+func appendCounters(b []byte, m map[string]uint64) []byte {
+	kinds := make([]string, 0, len(m))
+	for k := range m {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	b = wire.AppendUvarint(b, uint64(len(kinds)))
+	for _, k := range kinds {
+		b = wire.AppendString(b, k)
+		b = wire.AppendUvarint(b, m[k])
 	}
 	return b
 }
 
-func readCounters(r *wire.Reader) []CounterSnap {
-	cs := make([]CounterSnap, r.Count("counter"))
-	for i := range cs {
-		cs[i] = CounterSnap{Kind: r.String(), N: r.Uvarint()}
+func readCounters(r *wire.Reader, m map[string]uint64) {
+	n := r.Count("counter")
+	for i := 0; i < n; i++ {
+		k := r.String()
+		m[k] = r.Uvarint()
 	}
-	return cs
 }
 
 // Checkpoint captures the full System — every layer plus the injector —
@@ -187,7 +145,7 @@ func (s *SoakRun) Checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.AddSection(InjectorSection, s.in.Snap().Append(nil))
+	st.AddSection(InjectorSection, s.in.AppendState(nil))
 	return snapshot.Encode(st), nil
 }
 
@@ -339,8 +297,8 @@ func recoverFromCheckpoint(snap []byte, tail *replay.Trace) (*replay.System, map
 		return nil, nil, nil, nil, fmt.Errorf("%w: checkpoint config digest %#x does not match trace %#x",
 			snapshot.ErrBadRecord, st.Meta.Header.ConfigDigest, tail.Header.ConfigDigest)
 	}
-	var isnap InjectorSnap
-	if err := st.ReadSection(InjectorSection, isnap.Read); err != nil {
+	var in *Injector
+	if err := st.ReadSection(InjectorSection, func(r *wire.Reader) { in = ReadInjector(r) }); err != nil {
 		return nil, nil, nil, nil, err
 	}
 
@@ -348,7 +306,6 @@ func recoverFromCheckpoint(snap []byte, tail *replay.Trace) (*replay.System, map
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	in := NewFromSnap(isnap)
 
 	res, err := replay.RunTail(tail, sys, tasks, st.Meta.Clock, st.Meta.EventIndex, replay.Options{
 		Setup: in.AttachSystem,

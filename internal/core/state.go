@@ -11,13 +11,23 @@ import (
 	"vdom/internal/wire"
 )
 
-// Checkpoint capture and restore for the VDom core (vdom-snap/v2). The
-// manager's VDSes refer to their page tables through the memory
-// manager's stable ids, and VDRs/thread sets refer to tasks by TID, so a
-// snapshot is free of live pointers. The section encodes the ManagerSnap
-// fields in declaration order: unsigned values as uvarints, Go ints as
-// zigzag varints, pdoms and permissions as one byte, and every slice as a
-// count then its elements.
+// Checkpoint capture and restore for the VDom core (vdom-snap/v2),
+// encoded straight from the live structures. VDSes refer to their page
+// tables through the memory manager's stable ids, and VDRs and thread
+// sets refer to tasks by TID, so the image is free of live pointers.
+// Unsigned values are uvarints, Go ints zigzag varints, pdoms and
+// permissions one byte, and every collection a count then its elements;
+// map-backed collections are sorted by key at encode time.
+//
+// The section is: the next vdom id; the live and frequently-switched
+// vdom sets (ascending); the VDT chains (ascending vdom, each chain's
+// areas in order); the next VDS id; the VDSes in creation order; the
+// VDRs (ascending TID); and the Stats counters. A VDS is its id, ASID,
+// table id, full domain map (indexed by pdom), thread TIDs (ascending),
+// HLRU clock, last-mapping and evicted hints (ascending vdom), cached-
+// core set and pdom count. A VDR is its TID, nas, attached VDS ids
+// (attach order), resident VDS id (-1 = none) and its non-None
+// permissions (ascending vdom).
 
 // maxSnapVdom caps the vdom ids a snapshot may carry in VDR permission
 // entries: a VDR's permission table is dense up to its highest vdom, so
@@ -25,288 +35,47 @@ import (
 // above any vdom count a run reaches.
 const maxSnapVdom = 1 << 24
 
-// MapEntrySnap is one serialized domain-map slot (indexed by pdom).
-type MapEntrySnap struct {
-	Vdom    VdomID
-	Used    bool
-	Threads int
-	LastUse uint64
-}
-
-// VdomPdomSnap is one (vdom → pdom) pair of an HLRU hint map.
-type VdomPdomSnap struct {
-	Vdom VdomID
-	Pdom pagetable.Pdom
-}
-
-// EvictSnap is one remembered eviction (vdom → how it left).
-type EvictSnap struct {
-	Vdom   VdomID
-	Pdom   pagetable.Pdom
-	ViaPMD bool
-}
-
-// VDSSnap is the serializable image of one VDS.
-type VDSSnap struct {
-	ID          int
-	ASID        tlb.ASID
-	TableID     int
-	DomainMap   []MapEntrySnap // full slice, indexed by pdom
-	ThreadTIDs  []int          // ascending
-	Clock       uint64
-	LastMapping []VdomPdomSnap // ascending vdom
-	Evicted     []EvictSnap    // ascending vdom
-	CachedCores hw.CPUSet
-	NumPdoms    int
-}
-
-// VdomAreasSnap is one vdom's VDT area chain.
-type VdomAreasSnap struct {
-	Vdom  VdomID
-	Areas []Area
-}
-
-// PermSnap is one VDR permission entry.
-type PermSnap struct {
-	Vdom VdomID
-	Perm VPerm
-}
-
-// VDRSnap is the serializable image of one thread's VDR.
-type VDRSnap struct {
-	TID       int
-	Nas       int
-	VDSIDs    []int // attach order
-	CurrentID int   // -1 = not resident
-	Perms     []PermSnap
-}
-
-// ManagerSnap is the serializable image of a Manager.
-type ManagerSnap struct {
-	NextVdom VdomID
-	Live     []VdomID // ascending
-	Freq     []VdomID // ascending
-	VDT      []VdomAreasSnap
-
-	NextVDSID int
-	VDSes     []VDSSnap // creation order
-	VDRs      []VDRSnap // ascending TID
-	Stats     Stats
-}
-
-// Snap captures the manager's image. tableID maps each VDS's page table
-// to its stable id (see mm.TableID).
-func (m *Manager) Snap(tableID func(*pagetable.Table) int) ManagerSnap {
-	s := ManagerSnap{
-		NextVdom:  m.nextVdom,
-		NextVDSID: m.nextVDSID,
-		Stats:     m.Stats,
-	}
-	for d := range m.live {
-		s.Live = append(s.Live, d)
-	}
-	for d := range m.freq {
-		s.Freq = append(s.Freq, d)
-	}
-	sortVdoms(s.Live)
-	sortVdoms(s.Freq)
-	s.VDT = m.vdt.snap()
+// AppendState appends the manager's image. tableID maps each VDS's page
+// table to its stable id (see mm.TableID).
+func (m *Manager) AppendState(b []byte, tableID func(*pagetable.Table) int) []byte {
+	b = wire.AppendUvarint(b, uint64(m.nextVdom))
+	b = appendVdomSet(b, m.live)
+	b = appendVdomSet(b, m.freq)
+	b = m.vdt.appendState(b)
+	b = wire.AppendVarint(b, int64(m.nextVDSID))
+	b = wire.AppendUvarint(b, uint64(len(m.vdses)))
 	for _, v := range m.vdses {
-		s.VDSes = append(s.VDSes, snapVDS(v, tableID))
+		b = v.appendState(b, tableID)
 	}
-	for t, r := range m.vdrs {
-		rs := VDRSnap{TID: t.TID(), Nas: r.nas, CurrentID: -1}
+	b = wire.AppendUvarint(b, uint64(len(m.vdrs)))
+	for _, t := range kernel.TasksByTID(m.vdrs) {
+		r := m.vdrs[t]
+		b = wire.AppendVarint(b, int64(t.TID()))
+		b = wire.AppendVarint(b, int64(r.nas))
+		b = wire.AppendUvarint(b, uint64(len(r.vdses)))
 		for _, v := range r.vdses {
-			rs.VDSIDs = append(rs.VDSIDs, v.id)
+			b = wire.AppendVarint(b, int64(v.id))
 		}
+		cur := -1
 		if r.current != nil {
-			rs.CurrentID = r.current.id
+			cur = r.current.id
 		}
+		b = wire.AppendVarint(b, int64(cur))
+		n := 0
+		for _, p := range r.perms {
+			if p != VPermNone { // absent and explicit-None entries are identical
+				n++
+			}
+		}
+		b = wire.AppendUvarint(b, uint64(n))
 		for d, p := range r.perms {
-			if p == VPermNone {
-				continue // absent and explicit-None entries are identical
+			if p != VPermNone {
+				b = wire.AppendUvarint(b, uint64(d))
+				b = append(b, byte(p))
 			}
-			rs.Perms = append(rs.Perms, PermSnap{Vdom: VdomID(d), Perm: p})
-		}
-		sort.Slice(rs.Perms, func(i, j int) bool { return rs.Perms[i].Vdom < rs.Perms[j].Vdom })
-		s.VDRs = append(s.VDRs, rs)
-	}
-	sort.Slice(s.VDRs, func(i, j int) bool { return s.VDRs[i].TID < s.VDRs[j].TID })
-	return s
-}
-
-func snapVDS(v *VDS, tableID func(*pagetable.Table) int) VDSSnap {
-	vs := VDSSnap{
-		ID:          v.id,
-		ASID:        v.asid,
-		TableID:     tableID(v.table),
-		DomainMap:   make([]MapEntrySnap, len(v.domainMap)),
-		Clock:       v.clock,
-		CachedCores: v.cachedCores,
-		NumPdoms:    v.numPdoms,
-	}
-	for p, e := range v.domainMap {
-		vs.DomainMap[p] = MapEntrySnap{Vdom: e.vdom, Used: e.used, Threads: e.threads, LastUse: e.lastUse}
-	}
-	for t := range v.threads {
-		vs.ThreadTIDs = append(vs.ThreadTIDs, t.TID())
-	}
-	sort.Ints(vs.ThreadTIDs)
-	for d, p := range v.lastMapping {
-		vs.LastMapping = append(vs.LastMapping, VdomPdomSnap{Vdom: d, Pdom: p})
-	}
-	sort.Slice(vs.LastMapping, func(i, j int) bool { return vs.LastMapping[i].Vdom < vs.LastMapping[j].Vdom })
-	for d, e := range v.evicted {
-		vs.Evicted = append(vs.Evicted, EvictSnap{Vdom: d, Pdom: e.pdom, ViaPMD: e.viaPMD})
-	}
-	sort.Slice(vs.Evicted, func(i, j int) bool { return vs.Evicted[i].Vdom < vs.Evicted[j].Vdom })
-	return vs
-}
-
-// LoadSnap restores the manager's image onto a freshly attached manager
-// (no vdoms, no VDSes beyond none, no VDRs); s must have passed Read's
-// validation. table resolves the memory manager's stable table ids; task
-// resolves TIDs to restored tasks.
-//
-// VDSes are rebuilt directly — not through allocVDS, which would draw
-// ASIDs and trace events — and VDT chains are reloaded slot-by-slot
-// rather than through AddArea, whose adjacent-area coalescing would
-// merge chains that the live system kept separate (breaking later
-// exact-match RemoveArea calls).
-func (m *Manager) LoadSnap(s ManagerSnap, table func(id int) *pagetable.Table, task func(tid int) *kernel.Task) {
-	if len(m.vdses) != 0 || len(m.vdrs) != 0 || len(m.live) != 0 {
-		panic("core: LoadSnap on a non-fresh manager")
-	}
-	m.nextVdom = s.NextVdom
-	m.live = make(map[VdomID]bool, len(s.Live))
-	for _, d := range s.Live {
-		m.live[d] = true
-	}
-	m.freq = make(map[VdomID]bool, len(s.Freq))
-	for _, d := range s.Freq {
-		m.freq[d] = true
-	}
-	m.vdt.load(s.VDT)
-	m.nextVDSID = s.NextVDSID
-	m.Stats = s.Stats
-
-	byID := make(map[int]*VDS, len(s.VDSes))
-	for _, vs := range s.VDSes {
-		v := loadVDS(vs, table, task)
-		m.vdses = append(m.vdses, v)
-		m.byTable[v.table] = v
-		m.memoTable, m.memoVDS = nil, nil
-		byID[v.id] = v
-	}
-	for _, rs := range s.VDRs {
-		r := &VDR{task: task(rs.TID), nas: rs.Nas}
-		for _, p := range rs.Perms {
-			r.perms.set(p.Vdom, p.Perm)
-		}
-		for _, id := range rs.VDSIDs {
-			r.vdses = append(r.vdses, byID[id])
-		}
-		if rs.CurrentID != -1 {
-			r.current = byID[rs.CurrentID]
-		}
-		m.vdrs[r.task] = r
-	}
-}
-
-func loadVDS(vs VDSSnap, table func(id int) *pagetable.Table, task func(tid int) *kernel.Task) *VDS {
-	v := &VDS{
-		id:          vs.ID,
-		table:       table(vs.TableID),
-		asid:        vs.ASID,
-		domainMap:   make([]mapEntry, len(vs.DomainMap)),
-		vdomPdom:    make(map[VdomID]pagetable.Pdom),
-		threads:     make(map[*kernel.Task]bool),
-		clock:       vs.Clock,
-		lastMapping: make(map[VdomID]pagetable.Pdom, len(vs.LastMapping)),
-		evicted:     make(map[VdomID]evictState, len(vs.Evicted)),
-		cachedCores: vs.CachedCores,
-		numPdoms:    vs.NumPdoms,
-	}
-	for p, e := range vs.DomainMap {
-		v.domainMap[p] = mapEntry{vdom: e.Vdom, used: e.Used, threads: e.Threads, lastUse: e.LastUse}
-		if e.Used {
-			v.vdomPdom[e.Vdom] = pagetable.Pdom(p)
 		}
 	}
-	for _, tid := range vs.ThreadTIDs {
-		v.threads[task(tid)] = true
-	}
-	for _, e := range vs.LastMapping {
-		v.lastMapping[e.Vdom] = e.Pdom
-	}
-	for _, e := range vs.Evicted {
-		v.evicted[e.Vdom] = evictState{pdom: e.Pdom, viaPMD: e.ViaPMD}
-	}
-	return v
-}
-
-// snap serializes the VDT's chains, per vdom in ascending id order.
-func (t *VDT) snap() []VdomAreasSnap {
-	var out []VdomAreasSnap
-	for hi, leaf := range t.top {
-		for lo := range leaf.slots {
-			if len(leaf.slots[lo]) == 0 {
-				continue
-			}
-			out = append(out, VdomAreasSnap{
-				Vdom:  VdomID(hi*vdtFanout + uint64(lo)),
-				Areas: append([]Area(nil), leaf.slots[lo]...),
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Vdom < out[j].Vdom })
-	return out
-}
-
-// load rebuilds the VDT from serialized chains, preserving each chain's
-// exact segmentation (no coalescing).
-func (t *VDT) load(chains []VdomAreasSnap) {
-	t.top = make(map[uint64]*vdtLeaf)
-	t.areas = 0
-	for _, c := range chains {
-		leaf, lo := t.leafFor(c.Vdom, true)
-		leaf.slots[lo] = append([]Area(nil), c.Areas...)
-		t.areas += len(c.Areas)
-	}
-}
-
-// Append appends the snapshot's encoding.
-func (s ManagerSnap) Append(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(s.NextVdom))
-	b = appendVdoms(b, s.Live)
-	b = appendVdoms(b, s.Freq)
-	b = wire.AppendUvarint(b, uint64(len(s.VDT)))
-	for _, c := range s.VDT {
-		b = wire.AppendUvarint(b, uint64(c.Vdom))
-		b = wire.AppendUvarint(b, uint64(len(c.Areas)))
-		for _, a := range c.Areas {
-			b = wire.AppendUvarint(b, uint64(a.Start))
-			b = wire.AppendUvarint(b, a.Length)
-		}
-	}
-	b = wire.AppendVarint(b, int64(s.NextVDSID))
-	b = wire.AppendUvarint(b, uint64(len(s.VDSes)))
-	for _, v := range s.VDSes {
-		b = v.append(b)
-	}
-	b = wire.AppendUvarint(b, uint64(len(s.VDRs)))
-	for _, v := range s.VDRs {
-		b = wire.AppendVarint(b, int64(v.TID))
-		b = wire.AppendVarint(b, int64(v.Nas))
-		b = appendInts(b, v.VDSIDs)
-		b = wire.AppendVarint(b, int64(v.CurrentID))
-		b = wire.AppendUvarint(b, uint64(len(v.Perms)))
-		for _, p := range v.Perms {
-			b = wire.AppendUvarint(b, uint64(p.Vdom))
-			b = append(b, byte(p.Perm))
-		}
-	}
-	st := s.Stats
+	st := m.Stats
 	for _, v := range [...]uint64{st.WrVdrCalls, st.MapsToFree, st.Migrations, st.VDSAllocs,
 		st.VDSSwitches, st.Evictions, st.EvictedPages, st.PMDFastEvicts, st.RangeFlushes,
 		st.ASIDFlushes, st.Shootdowns, st.DomainFaults, st.RegisterSyncs, st.HLRUHits} {
@@ -315,87 +84,146 @@ func (s ManagerSnap) Append(b []byte) []byte {
 	return b
 }
 
-func (v VDSSnap) append(b []byte) []byte {
-	b = wire.AppendVarint(b, int64(v.ID))
-	b = wire.AppendUvarint(b, uint64(v.ASID))
-	b = wire.AppendVarint(b, int64(v.TableID))
-	b = wire.AppendUvarint(b, uint64(len(v.DomainMap)))
-	for _, e := range v.DomainMap {
-		b = wire.AppendUvarint(b, uint64(e.Vdom))
-		b = wire.AppendBool(b, e.Used)
-		b = wire.AppendVarint(b, int64(e.Threads))
-		b = wire.AppendUvarint(b, e.LastUse)
+func (v *VDS) appendState(b []byte, tableID func(*pagetable.Table) int) []byte {
+	b = wire.AppendVarint(b, int64(v.id))
+	b = wire.AppendUvarint(b, uint64(v.asid))
+	b = wire.AppendVarint(b, int64(tableID(v.table)))
+	b = wire.AppendUvarint(b, uint64(len(v.domainMap)))
+	for _, e := range v.domainMap {
+		b = wire.AppendUvarint(b, uint64(e.vdom))
+		b = wire.AppendBool(b, e.used)
+		b = wire.AppendVarint(b, int64(e.threads))
+		b = wire.AppendUvarint(b, e.lastUse)
 	}
-	b = appendInts(b, v.ThreadTIDs)
-	b = wire.AppendUvarint(b, v.Clock)
-	b = wire.AppendUvarint(b, uint64(len(v.LastMapping)))
-	for _, e := range v.LastMapping {
-		b = wire.AppendUvarint(b, uint64(e.Vdom))
-		b = append(b, byte(e.Pdom))
+	b = wire.AppendUvarint(b, uint64(len(v.threads)))
+	for _, t := range kernel.TasksByTID(v.threads) {
+		b = wire.AppendVarint(b, int64(t.TID()))
 	}
-	b = wire.AppendUvarint(b, uint64(len(v.Evicted)))
-	for _, e := range v.Evicted {
-		b = wire.AppendUvarint(b, uint64(e.Vdom))
-		b = append(b, byte(e.Pdom))
-		b = wire.AppendBool(b, e.ViaPMD)
+	b = wire.AppendUvarint(b, v.clock)
+	b = wire.AppendUvarint(b, uint64(len(v.lastMapping)))
+	for _, d := range sortedVdoms(v.lastMapping) {
+		b = wire.AppendUvarint(b, uint64(d))
+		b = append(b, byte(v.lastMapping[d]))
 	}
-	b = wire.AppendUvarint(b, uint64(v.CachedCores))
-	return wire.AppendVarint(b, int64(v.NumPdoms))
+	b = wire.AppendUvarint(b, uint64(len(v.evicted)))
+	for _, d := range sortedVdoms(v.evicted) {
+		e := v.evicted[d]
+		b = wire.AppendUvarint(b, uint64(d))
+		b = append(b, byte(e.pdom))
+		b = wire.AppendBool(b, e.viaPMD)
+	}
+	b = wire.AppendUvarint(b, uint64(v.cachedCores))
+	return wire.AppendVarint(b, int64(v.numPdoms))
 }
 
-// Read decodes a snapshot Append wrote and validates its references so
-// that LoadSnap cannot fail: every VDS must name a table within
-// numTables (not "none") and a domain map of at most hw.MaxPdoms slots,
-// every TID must resolve through task, every VDR's VDS ids must name
-// snapshot VDSes, and permission vdoms must stay below maxSnapVdom.
-func (s *ManagerSnap) Read(r *wire.Reader, numTables int, task func(tid int) *kernel.Task) {
-	s.NextVdom = VdomID(r.Uvarint())
-	s.Live = readVdoms(r)
-	s.Freq = readVdoms(r)
-	s.VDT = make([]VdomAreasSnap, r.Count("vdt chain"))
-	for i := range s.VDT {
-		c := &s.VDT[i]
-		c.Vdom = VdomID(r.Uvarint())
-		c.Areas = make([]Area, r.Count("vdt area"))
-		for j := range c.Areas {
-			c.Areas[j] = Area{Start: pagetable.VAddr(r.Uvarint()), Length: r.Uvarint()}
-		}
-	}
-	s.NextVDSID = int(r.Varint())
-	s.VDSes = make([]VDSSnap, r.Count("vds"))
-	ids := make(map[int]bool, len(s.VDSes))
-	for i := range s.VDSes {
-		v := &s.VDSes[i]
-		v.read(r, numTables, task)
-		ids[v.ID] = true
-	}
-	s.VDRs = make([]VDRSnap, r.Count("vdr"))
-	for i := range s.VDRs {
-		v := &s.VDRs[i]
-		v.TID = int(r.Varint())
-		v.Nas = int(r.Varint())
-		v.VDSIDs = readInts(r, "vdr vds")
-		v.CurrentID = int(r.Varint())
-		v.Perms = make([]PermSnap, r.Count("vdr perm"))
-		for j := range v.Perms {
-			v.Perms[j] = PermSnap{Vdom: VdomID(r.Uvarint()), Perm: VPerm(r.Byte())}
-			if v.Perms[j].Vdom >= maxSnapVdom {
-				r.Failf("vdr %d permission on vdom %d", v.TID, v.Perms[j].Vdom)
+// appendState appends the VDT's chains in ascending vdom order, each
+// chain's exact segmentation included.
+func (t *VDT) appendState(b []byte) []byte {
+	his := make([]uint64, 0, len(t.top))
+	n := 0
+	for hi, leaf := range t.top {
+		his = append(his, hi)
+		for lo := range leaf.slots {
+			if len(leaf.slots[lo]) != 0 {
+				n++
 			}
 		}
-		if r.Err() == nil && task(v.TID) == nil {
-			r.Failf("vdr of unknown task %d", v.TID)
-		}
-		for _, id := range v.VDSIDs {
-			if !ids[id] {
-				r.Failf("vdr %d attached to unknown vds %d", v.TID, id)
+	}
+	sort.Slice(his, func(i, j int) bool { return his[i] < his[j] })
+	b = wire.AppendUvarint(b, uint64(n))
+	for _, hi := range his {
+		for lo, areas := range t.top[hi].slots {
+			if len(areas) == 0 {
+				continue
+			}
+			b = wire.AppendUvarint(b, hi*vdtFanout+uint64(lo))
+			b = wire.AppendUvarint(b, uint64(len(areas)))
+			for _, a := range areas {
+				b = wire.AppendUvarint(b, uint64(a.Start))
+				b = wire.AppendUvarint(b, a.Length)
 			}
 		}
-		if v.CurrentID != -1 && !ids[v.CurrentID] {
-			r.Failf("vdr %d resident in unknown vds %d", v.TID, v.CurrentID)
-		}
 	}
-	s.Stats = Stats{
+	return b
+}
+
+// ReadState restores an image AppendState wrote onto a freshly attached
+// manager (no vdoms, VDSes or VDRs). table resolves the memory manager's
+// stable table ids, valid up to numTables; task resolves TIDs to restored
+// tasks. Every VDS must name a table within numTables (not "none") and
+// a domain map of exactly its pdom count, at most hw.MaxPdoms slots;
+// every TID must resolve through task; every VDR's VDS ids must name
+// VDSes of the image; and permission vdoms must stay below maxSnapVdom.
+// Any other image fails the reader before the offending value is used.
+//
+// VDSes are rebuilt directly — not through allocVDS, which would draw
+// ASIDs and trace events — and VDT chains are reloaded slot by slot
+// rather than through AddArea, whose adjacent-area coalescing would
+// merge chains that the live system kept separate (breaking later
+// exact-match RemoveArea calls).
+func (m *Manager) ReadState(r *wire.Reader, table func(id int) *pagetable.Table, numTables int, task func(tid int) *kernel.Task) {
+	if len(m.vdses) != 0 || len(m.vdrs) != 0 || len(m.live) != 0 {
+		panic("core: ReadState on a non-fresh manager")
+	}
+	m.nextVdom = VdomID(r.Uvarint())
+	m.live = readVdomSet(r)
+	m.freq = readVdomSet(r)
+	m.vdt.readState(r)
+	m.nextVDSID = int(r.Varint())
+	n := r.Count("vds")
+	byID := make(map[int]*VDS, n)
+	for i := 0; i < n; i++ {
+		v := readVDS(r, table, numTables, task)
+		if r.Err() != nil {
+			return
+		}
+		m.vdses = append(m.vdses, v)
+		m.byTable[v.table] = v
+		byID[v.id] = v
+	}
+	m.memoTable, m.memoVDS = nil, nil
+	n = r.Count("vdr")
+	for i := 0; i < n; i++ {
+		tid := int(r.Varint())
+		vr := &VDR{task: task(tid), nas: int(r.Varint())}
+		ids := make([]int, r.Count("vdr vds"))
+		for j := range ids {
+			ids[j] = int(r.Varint())
+		}
+		cur := int(r.Varint())
+		perms := r.Count("vdr perm")
+		for j := 0; j < perms; j++ {
+			d, p := VdomID(r.Uvarint()), VPerm(r.Byte())
+			if d >= maxSnapVdom {
+				r.Failf("vdr %d permission on vdom %d", tid, d)
+				return
+			}
+			vr.perms.set(d, p)
+		}
+		if r.Err() != nil {
+			return
+		}
+		if vr.task == nil {
+			r.Failf("vdr of unknown task %d", tid)
+			return
+		}
+		for _, id := range ids {
+			v := byID[id]
+			if v == nil {
+				r.Failf("vdr %d attached to unknown vds %d", tid, id)
+				return
+			}
+			vr.vdses = append(vr.vdses, v)
+		}
+		if cur != -1 {
+			if vr.current = byID[cur]; vr.current == nil {
+				r.Failf("vdr %d resident in unknown vds %d", tid, cur)
+				return
+			}
+		}
+		m.vdrs[vr.task] = vr
+	}
+	m.Stats = Stats{
 		WrVdrCalls: r.Uvarint(), MapsToFree: r.Uvarint(), Migrations: r.Uvarint(),
 		VDSAllocs: r.Uvarint(), VDSSwitches: r.Uvarint(), Evictions: r.Uvarint(),
 		EvictedPages: r.Uvarint(), PMDFastEvicts: r.Uvarint(), RangeFlushes: r.Uvarint(),
@@ -404,71 +232,101 @@ func (s *ManagerSnap) Read(r *wire.Reader, numTables int, task func(tid int) *ke
 	}
 }
 
-func (v *VDSSnap) read(r *wire.Reader, numTables int, task func(tid int) *kernel.Task) {
-	v.ID = int(r.Varint())
-	v.ASID = tlb.ReadASID(r)
-	if v.TableID = pagetable.ReadTableID(r, numTables); v.TableID == -1 {
-		r.Failf("vds %d has no table", v.ID)
+func readVDS(r *wire.Reader, table func(id int) *pagetable.Table, numTables int, task func(tid int) *kernel.Task) *VDS {
+	v := &VDS{
+		id:          int(r.Varint()),
+		asid:        tlb.ReadASID(r),
+		vdomPdom:    make(map[VdomID]pagetable.Pdom),
+		threads:     make(map[*kernel.Task]bool),
+		lastMapping: make(map[VdomID]pagetable.Pdom),
+		evicted:     make(map[VdomID]evictState),
 	}
-	v.DomainMap = make([]MapEntrySnap, r.Count("domain map"))
-	for i := range v.DomainMap {
-		v.DomainMap[i] = MapEntrySnap{Vdom: VdomID(r.Uvarint()), Used: r.Bool(), Threads: int(r.Varint()), LastUse: r.Uvarint()}
+	tableID := pagetable.ReadTableID(r, numTables)
+	if r.Err() == nil && tableID == -1 {
+		r.Failf("vds %d has no table", v.id)
+		return nil
 	}
-	v.ThreadTIDs = readInts(r, "vds thread")
-	v.Clock = r.Uvarint()
-	v.LastMapping = make([]VdomPdomSnap, r.Count("last mapping"))
-	for i := range v.LastMapping {
-		v.LastMapping[i] = VdomPdomSnap{Vdom: VdomID(r.Uvarint()), Pdom: pagetable.Pdom(r.Byte())}
-	}
-	v.Evicted = make([]EvictSnap, r.Count("evicted"))
-	for i := range v.Evicted {
-		v.Evicted[i] = EvictSnap{Vdom: VdomID(r.Uvarint()), Pdom: pagetable.Pdom(r.Byte()), ViaPMD: r.Bool()}
-	}
-	v.CachedCores = hw.CPUSet(r.Uvarint())
-	v.NumPdoms = int(r.Varint())
-	if r.Err() != nil {
-		return
-	}
-	if v.NumPdoms != len(v.DomainMap) || v.NumPdoms > hw.MaxPdoms {
-		r.Failf("vds %d has %d pdoms over a %d-slot domain map", v.ID, v.NumPdoms, len(v.DomainMap))
-	}
-	for _, tid := range v.ThreadTIDs {
-		if task(tid) == nil {
-			r.Failf("vds %d references unknown task %d", v.ID, tid)
+	v.table = table(tableID)
+	v.domainMap = make([]mapEntry, r.Count("domain map"))
+	for p := range v.domainMap {
+		e := mapEntry{vdom: VdomID(r.Uvarint()), used: r.Bool(), threads: int(r.Varint()), lastUse: r.Uvarint()}
+		v.domainMap[p] = e
+		if e.used {
+			v.vdomPdom[e.vdom] = pagetable.Pdom(p)
 		}
+	}
+	n := r.Count("vds thread")
+	for i := 0; i < n; i++ {
+		tid := int(r.Varint())
+		t := task(tid)
+		if r.Err() == nil && t == nil {
+			r.Failf("vds %d references unknown task %d", v.id, tid)
+			return nil
+		}
+		v.threads[t] = true
+	}
+	v.clock = r.Uvarint()
+	n = r.Count("last mapping")
+	for i := 0; i < n; i++ {
+		d := VdomID(r.Uvarint())
+		v.lastMapping[d] = pagetable.Pdom(r.Byte())
+	}
+	n = r.Count("evicted")
+	for i := 0; i < n; i++ {
+		d := VdomID(r.Uvarint())
+		v.evicted[d] = evictState{pdom: pagetable.Pdom(r.Byte()), viaPMD: r.Bool()}
+	}
+	v.cachedCores = hw.CPUSet(r.Uvarint())
+	v.numPdoms = int(r.Varint())
+	if r.Err() == nil && (v.numPdoms != len(v.domainMap) || v.numPdoms > hw.MaxPdoms) {
+		r.Failf("vds %d has %d pdoms over a %d-slot domain map", v.id, v.numPdoms, len(v.domainMap))
+	}
+	return v
+}
+
+// readState rebuilds the VDT from its chains, preserving each chain's
+// exact segmentation (no coalescing).
+func (t *VDT) readState(r *wire.Reader) {
+	t.top = make(map[uint64]*vdtLeaf)
+	t.areas = 0
+	n := r.Count("vdt chain")
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d := VdomID(r.Uvarint())
+		areas := make([]Area, r.Count("vdt area"))
+		for j := range areas {
+			areas[j] = Area{Start: pagetable.VAddr(r.Uvarint()), Length: r.Uvarint()}
+		}
+		leaf, lo := t.leafFor(d, true)
+		leaf.slots[lo] = areas
+		t.areas += len(areas)
 	}
 }
 
-func appendVdoms(b []byte, ds []VdomID) []byte {
-	b = wire.AppendUvarint(b, uint64(len(ds)))
-	for _, d := range ds {
+func appendVdomSet(b []byte, set map[VdomID]bool) []byte {
+	b = wire.AppendUvarint(b, uint64(len(set)))
+	for _, d := range sortedVdoms(set) {
 		b = wire.AppendUvarint(b, uint64(d))
 	}
 	return b
 }
 
-func readVdoms(r *wire.Reader) []VdomID {
-	ds := make([]VdomID, r.Count("vdom"))
-	for i := range ds {
-		ds[i] = VdomID(r.Uvarint())
+func readVdomSet(r *wire.Reader) map[VdomID]bool {
+	n := r.Count("vdom")
+	set := make(map[VdomID]bool, n)
+	for i := 0; i < n; i++ {
+		set[VdomID(r.Uvarint())] = true
 	}
+	return set
+}
+
+// sortedVdoms returns a vdom-keyed map's keys in ascending order.
+func sortedVdoms[V any](m map[VdomID]V) []VdomID {
+	ds := make([]VdomID, 0, len(m))
+	for d := range m {
+		ds = append(ds, d)
+	}
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 	return ds
-}
-
-func appendInts(b []byte, vs []int) []byte {
-	b = wire.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = wire.AppendVarint(b, int64(v))
-	}
-	return b
-}
-
-func readInts(r *wire.Reader, name string) []int {
-	vs := make([]int, r.Count(name))
-	for i := range vs {
-		vs[i] = int(r.Varint())
-	}
-	return vs
 }
 
 // TearDomainMap deterministically corrupts one VDS's domain map the way
@@ -490,8 +348,4 @@ func (m *Manager) TearDomainMap() (string, bool) {
 		}
 	}
 	return "", false
-}
-
-func sortVdoms(v []VdomID) {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 }

@@ -8,7 +8,9 @@
 // DESIGN.md §3 module map. When a metrics.Registry is attached (see
 // SetMetrics), every public operation's cycle cost is attributed exactly
 // across (layer, operation) accounts, and each map/evict/switch/migrate
-// outcome feeds a cost histogram (OBSERVABILITY.md).
+// outcome feeds a cost histogram (OBSERVABILITY.md). AppendState and
+// ReadState checkpoint the manager as the "core/manager" section of
+// vdom-snap/v2, straight from and into the live structures (RECOVERY.md).
 package core
 
 import (

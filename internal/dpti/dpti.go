@@ -12,7 +12,9 @@
 // the paper's comparison space. The per-domain tables ride the same
 // mm.AddressSpace synchronization set as VDom's VDSes (RegisterTable +
 // lazy demand fill + eager revocation), so munmap shootdowns, frame
-// reclaim, and the snapshot machinery cover them with no special cases.
+// reclaim, and the snapshot machinery cover them with no special cases;
+// AppendState and ReadState checkpoint only the domain → table → ASID
+// linkage, as the "dpti" section of vdom-snap/v2 (RECOVERY.md).
 //
 // A capped number of tables stays materialized at once (MaxTables,
 // default 64): beyond it the least-recently-entered idle domain is

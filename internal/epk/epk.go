@@ -13,7 +13,9 @@
 //
 // It covers the paper's §7.4 comparison and is the "Baseline: EPK" row of
 // the DESIGN.md §3 module map. Stats.Emit publishes the switch counters
-// under the epk/ metric prefix (OBSERVABILITY.md).
+// under the epk/ metric prefix (OBSERVABILITY.md). AppendState and
+// ReadState checkpoint the per-thread group bindings as the "epk"
+// section of vdom-snap/v2 (RECOVERY.md).
 package epk
 
 import (

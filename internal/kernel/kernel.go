@@ -6,6 +6,10 @@
 // The kernel comes in two flavours, selected by Config.VDomEnabled:
 // "vanilla" (baseline Linux 5.17 analog) and "VDom-modified", whose context
 // switch carries the extra metadata maintenance the paper measures in §7.5.
+//
+// AppendState and ReadState checkpoint the ASID allocator, the per-core
+// residency and a process's tasks as the "kernel" section of
+// vdom-snap/v2, straight from and into the live structures (RECOVERY.md).
 package kernel
 
 import (

@@ -11,6 +11,10 @@
 // behaviours — process-wide shootdowns and busy waiting — are the root
 // causes of libmpk's slowdown that §3.2 of the VDom paper identifies, and
 // they emerge here from the same mechanism.
+//
+// AppendState and ReadState checkpoint the key cache as the "libmpk"
+// section of vdom-snap/v2, straight from and into the live structures
+// (RECOVERY.md).
 package libmpk
 
 import (

@@ -202,8 +202,9 @@ type Event struct {
 	// deltas, so the clock must be non-decreasing (it is, by
 	// construction).
 	Time uint64
-	// TID is the acting thread id (0 for process-level ops and for EPK,
-	// whose thread ids are the workload's own 0-based worker ids).
+	// TID is the acting thread id: the TID of a task a spawn event
+	// created, or 0 for process-level ops and for the standalone EPK
+	// cost model, which has no tasks.
 	TID uint64
 	// Op is the operation.
 	Op Op

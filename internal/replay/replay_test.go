@@ -56,6 +56,7 @@ func TestReplayRejectsMalformed(t *testing.T) {
 		tc{"wrvdr with an unknown tid", KernelVDom, []Event{spawn, {TID: 7, Op: tap.OpVdrWrite, Dom: 1}}},
 		tc{"pkey-set with an unknown tid", KernelLibmpk, []Event{spawn, {TID: 7, Op: tap.OpPkeySet, Dom: 1}}},
 		tc{"dpti-free with an unknown tid", KernelDPTI, []Event{spawn, {TID: 7, Op: tap.OpDptiFree, Dom: 1}}},
+		tc{"epk-switch with an unknown tid", KernelEPK, []Event{{TID: 3, Op: tap.OpEpkSwitch, Dom: 1}}},
 		tc{"access with an unknown tid", KernelVDom, []Event{spawn, {TID: 7, Op: tap.OpAccess, Addr: 0x1000}}},
 		tc{"mmap with tid 0", KernelLibmpk, []Event{{Op: tap.OpMmap, Addr: 0x1000, Len: 4096}}},
 		tc{"spawn on machine-less epk", KernelEPK, []Event{spawn}},

@@ -17,15 +17,17 @@
 // The first section is always "meta": the replay.Header of the recorded
 // run (carrying the config digest, in the trace codec's field sequence),
 // the virtual clock, and the trace event index the checkpoint
-// corresponds to. Every payload is CRC-32 (IEEE) protected and written
-// by its layer's explicit binary codec on internal/wire (uvarints,
-// zigzag varints, flag bytes); the layout is deterministic, so capturing
-// a restored System reproduces the snapshot byte for byte. Decode
-// returns typed errors (ErrBadMagic, ErrBadVersion, ErrTruncated,
-// ErrBadChecksum, ErrBadRecord) and never panics on hostile input, and
-// Restore validates every section against the booted System before
-// loading it, so a checksum-valid but corrupted payload is an
-// ErrBadRecord naming the section and its offset, never a panic.
+// corresponds to. Every payload is CRC-32 (IEEE) protected. Each layer
+// writes its payload with its AppendState method, straight from the live
+// structures, on internal/wire (uvarints, zigzag varints, flag bytes),
+// and reads it back with ReadState into the freshly booted layer; the
+// layout is deterministic, so capturing a restored System reproduces the
+// snapshot byte for byte. Decode returns typed errors (ErrBadMagic,
+// ErrBadVersion, ErrTruncated, ErrBadChecksum, ErrBadRecord) and never
+// panics on hostile input. Each ReadState checks every count and
+// reference before it uses it, so a checksum-valid but corrupted
+// payload is an ErrBadRecord naming the section and its offset, never a
+// panic; the half-loaded System of a failed section is never returned.
 //
 // Restore composes with internal/replay: it boots a fresh System from
 // the meta header and loads each section into its layer, after which
@@ -198,7 +200,7 @@ func Capture(sys *replay.System, hdr replay.Header, clock uint64, eventIndex int
 			}
 			return -1
 		}
-		add(secKernel, sys.Kernel.Snap(sys.Proc, tableID).Append(buf))
+		add(secKernel, sys.Kernel.AppendState(buf, sys.Proc, tableID))
 		add(secHW, sys.Machine.AppendState(buf, tableID))
 	}
 	if b := backend.Of(sys); b != nil {
@@ -210,7 +212,8 @@ func Capture(sys *replay.System, hdr replay.Header, clock uint64, eventIndex int
 // Restore boots a fresh System from the snapshot's header and loads
 // every captured layer into it. It returns the System and its live
 // tasks keyed by trace thread id, ready for replay.RunTail. Each section
-// is validated against the booted System before it is loaded.
+// is checked against the booted System as it is read; on any section
+// error the half-loaded System is discarded and only the error returned.
 func Restore(st *State) (*replay.System, map[uint64]*kernel.Task, error) {
 	sys, err := replay.Boot(st.Meta.Header)
 	if err != nil {
@@ -226,11 +229,12 @@ func Restore(st *State) (*replay.System, map[uint64]*kernel.Task, error) {
 		}
 		numTables, table := space.NumTables(), space.TableByID
 
-		var ks kernel.Snap
-		if err := st.ReadSection(secKernel, func(r *wire.Reader) { ks.Read(r, sys.Kernel, numTables) }); err != nil {
+		var byTID map[int]*kernel.Task
+		if err := st.ReadSection(secKernel, func(r *wire.Reader) {
+			byTID = sys.Kernel.ReadState(r, sys.Proc, table, numTables)
+		}); err != nil {
 			return nil, nil, err
 		}
-		byTID := sys.Kernel.LoadSnap(ks, sys.Proc, table)
 		for tid, tk := range byTID {
 			tasks[uint64(tid)] = tk
 		}

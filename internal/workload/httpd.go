@@ -326,7 +326,7 @@ func serveConnection(pl *platform, cfg HttpdConfig, costs httpdCosts, task *kern
 				return c
 			})
 		case EPK:
-			run(func() cycles.Cost { return esys.Switch(tid, k.edom) })
+			run(func() cycles.Cost { return esys.Switch(task.TID(), k.edom) })
 		}
 	}
 	closeKey := func(k *key) {

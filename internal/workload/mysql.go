@@ -312,7 +312,7 @@ func runMySQLQuery(pl *platform, cfg MySQLConfig, task *kernel.Task, tid int, p 
 		case Libmpk:
 			libmpkAcquire(pl.sched, p, lbmLock, lbm, task, engineKey, hw.PermReadWrite)
 		case EPK:
-			run(func() cycles.Cost { return esys.Switch(tid, engineEPK) })
+			run(func() cycles.Cost { return esys.Switch(task.TID(), engineEPK) })
 		}
 
 		// Statement body: engine data + own stack + compute.
@@ -346,7 +346,7 @@ func runMySQLQuery(pl *platform, cfg MySQLConfig, task *kernel.Task, tid int, p 
 				return c
 			})
 		case EPK:
-			run(func() cycles.Cost { return esys.Switch(tid, tid+1) })
+			run(func() cycles.Cost { return esys.Switch(task.TID(), tid+1) })
 		}
 	}
 

@@ -254,7 +254,7 @@ func runPMOOp(pl *platform, cfg PMOConfig, costs pmoCosts, task *kernel.Task, ti
 
 	case EPK:
 		run(func() cycles.Cost {
-			c := esys.Switch(tid, pmoIdx)
+			c := esys.Switch(task.TID(), pmoIdx)
 			return c + esys.WorkInVM(costs.searchUser, 0)
 		})
 		run(func() cycles.Cost {

@@ -7,6 +7,7 @@ import (
 	"vdom/internal/cycles"
 	"vdom/internal/metrics"
 	"vdom/internal/replay"
+	"vdom/internal/tap"
 )
 
 // TestRecordPatternRows pins the Table 4 rows the golden-trace corpus
@@ -164,5 +165,41 @@ func TestAppRecordReplaysOwnHeader(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCorpusThreadIDs checks that every trace of the corpus that boots a
+// machine names real tasks: a non-zero event tid must be one a spawn
+// earlier in the trace created, and no op that acts on a thread may carry
+// tid 0. The standalone EPK cost model has no tasks and is skipped.
+func TestCorpusThreadIDs(t *testing.T) {
+	perThread := map[replay.Op]bool{
+		tap.OpMmap: true, tap.OpMunmap: true, tap.OpMprotect: true, tap.OpAccess: true,
+		tap.OpDispatch: true, tap.OpPopulate: true, tap.OpVdomMprotect: true,
+		tap.OpVdrAlloc: true, tap.OpVdrFree: true, tap.OpVdrRead: true, tap.OpVdrWrite: true,
+		tap.OpNewVDS: true, tap.OpEpkSwitch: true, tap.OpDptiEnter: true, tap.OpDptiExit: true,
+	}
+	for _, spec := range TraceCorpus() {
+		t.Run(spec.Name, func(t *testing.T) {
+			tr := spec.Record()
+			sys, err := replay.Boot(tr.Header)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sys.Machine == nil {
+				t.Skip("standalone cost model: no tasks")
+			}
+			spawned := map[uint64]bool{}
+			for i, e := range tr.Events {
+				switch {
+				case e.Op == tap.OpSpawn:
+					spawned[e.TID] = true
+				case e.TID != 0 && !spawned[e.TID]:
+					t.Fatalf("event %d (%s) names tid %d, which no earlier spawn created", i, e.Op, e.TID)
+				case e.TID == 0 && perThread[e.Op]:
+					t.Fatalf("event %d (%s) acts on a thread but carries tid 0", i, e.Op)
+				}
+			}
+		})
 	}
 }
