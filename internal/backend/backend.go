@@ -20,7 +20,6 @@
 package backend
 
 import (
-	"errors"
 	"fmt"
 
 	"vdom/internal/core"
@@ -38,7 +37,7 @@ import (
 
 // ErrDomainCapacity reports a DomainOps.Alloc against a backend whose
 // fixed domain capacity (EPK's EPT groups) is exhausted.
-var ErrDomainCapacity = errors.New("backend: domain capacity exhausted")
+var ErrDomainCapacity = tap.NewOutcome(tap.CodeDomainCapacity, "backend: domain capacity exhausted")
 
 // Spec is the configuration a backend boots from — the replay.Header's
 // knobs (replay.SpecFromHeader), decoupled from the trace format so

@@ -17,6 +17,7 @@ import (
 	"vdom/internal/pagetable"
 	"vdom/internal/replay"
 	"vdom/internal/snapshot"
+	"vdom/internal/tap"
 	"vdom/internal/wire"
 )
 
@@ -394,7 +395,7 @@ func TestConformanceSentinels(t *testing.T) {
 			if !errors.Is(err, sentinel) {
 				t.Fatalf("error %v does not match sentinel %v", err, sentinel)
 			}
-			if code := replay.CodeOf(err); code == replay.CodeOK {
+			if code := tap.CodeOf(err); code == tap.CodeOK {
 				t.Fatalf("sentinel %v maps to CodeOK — replayed failure traces cannot classify it", sentinel)
 			}
 		})

@@ -1,14 +1,13 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 
 	"vdom/internal/core"
-	"vdom/internal/dpti"
 	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
 	"vdom/internal/replay"
+	"vdom/internal/tap"
 )
 
 // soakMix is the per-kernel half of the soak driver; boot, recording,
@@ -117,10 +116,10 @@ func (vdomMix) step(s *SoakRun, op int, t *kernel.Task, di, pick int) {
 		}
 		s.doms[di] = uint64(nd)
 	case pick < 83: // spread the thread into a fresh VDS
-		// A typed resource failure here is tolerated: the caller's
-		// recovery is simply staying in its current VDS.
+		// Pushback here is tolerated: the caller's recovery is simply
+		// staying in its current VDS.
 		err := s.charge(m.PlaceInNewVDS(t))
-		if err != nil && !errors.Is(err, core.ErrNoResources) && !errors.Is(err, core.ErrExhausted) {
+		if err != nil && tap.ClassOf(err) != tap.ClassPushback {
 			s.fail(op, "place_in_new_vds", err)
 		}
 	case pick < 90: // VDR churn (exercises the base-ASID restore)
@@ -172,11 +171,11 @@ func (dptiMix) setupRegion(s *SoakRun, i int) uint64 {
 	return d
 }
 
-// enter switches t into d, tolerating ASID exhaustion. Reports whether
-// the task is inside d afterwards.
+// enter switches t into d, tolerating pushback (ASID exhaustion).
+// Reports whether the task is inside d afterwards.
 func (dptiMix) enter(s *SoakRun, op int, t *kernel.Task, d uint64) bool {
 	err := s.charge(s.ops.Activate(t, d))
-	if err != nil && !errors.Is(err, dpti.ErrNoASID) {
+	if err != nil && tap.ClassOf(err) != tap.ClassPushback {
 		s.fail(op, fmt.Sprintf("enter domain %d", d), err)
 	}
 	return err == nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"vdom/internal/cycles"
@@ -17,27 +16,27 @@ import (
 // Errors returned by the VDom core.
 var (
 	// ErrNoVDR means the calling thread never called VdrAlloc.
-	ErrNoVDR = errors.New("core: thread has no VDR")
+	ErrNoVDR = tap.NewOutcome(tap.CodeNoVDR, "core: thread has no VDR")
 	// ErrDenied reports an access the calling thread's VDR does not
 	// permit; the kernel turns it into SIGSEGV.
-	ErrDenied = errors.New("core: vdom permission denied")
+	ErrDenied = tap.NewOutcome(tap.CodeDenied, "core: vdom permission denied")
 	// ErrReassign reports an attempt to assign a second vdom to memory
 	// already protected by another vdom (forbidden for address-space
 	// integrity, §7.2).
-	ErrReassign = errors.New("core: area already assigned to another vdom")
+	ErrReassign = tap.NewOutcome(tap.CodeReassign, "core: area already assigned to another vdom")
 	// ErrFreedVdom reports use of a vdom id that was freed or never
 	// allocated.
-	ErrFreedVdom = errors.New("core: vdom not allocated")
+	ErrFreedVdom = tap.NewOutcome(tap.CodeFreedVdom, "core: vdom not allocated")
 	// ErrNoResources reports that a required resource (a free pdom, an
 	// evictable vdom, a VDS) could not be obtained; callers with a
 	// degradation path retry or fall back before surfacing it.
-	ErrNoResources = errors.New("core: no resources")
+	ErrNoResources = tap.NewOutcome(tap.CodeNoResources, "core: no resources")
 	// ErrExhausted reports that a resource space is exhausted and every
 	// degradation path failed — the terminal form of ErrNoResources.
-	ErrExhausted = errors.New("core: resources exhausted")
+	ErrExhausted = tap.NewOutcome(tap.CodeExhausted, "core: resources exhausted")
 	// ErrDegraded reports that an operation failed even after its degraded
 	// fallback (e.g. a retried allocation failing twice).
-	ErrDegraded = errors.New("core: degraded operation failed")
+	ErrDegraded = tap.NewOutcome(tap.CodeDegraded, "core: degraded operation failed")
 )
 
 // Chaos lets a fault-injection layer (internal/chaos) perturb the

@@ -26,7 +26,6 @@
 package dpti
 
 import (
-	"errors"
 	"fmt"
 
 	"vdom/internal/cycles"
@@ -54,10 +53,10 @@ const DefaultMaxTables = 64
 // Errors.
 var (
 	// ErrUnknownDomain reports an unallocated or freed domain id.
-	ErrUnknownDomain = errors.New("dpti: unknown domain")
+	ErrUnknownDomain = tap.NewOutcome(tap.CodeUnknownDomain, "dpti: unknown domain")
 	// ErrNoASID is returned when a domain cannot be materialized because
 	// every ASID in the architectural space is live.
-	ErrNoASID = errors.New("dpti: ASID space exhausted")
+	ErrNoASID = tap.NewOutcome(tap.CodeNoASID, "dpti: ASID space exhausted")
 )
 
 // Stats breaks DPTI's overhead into its characteristic buckets.

@@ -13,7 +13,6 @@
 package kernel
 
 import (
-	"errors"
 	"fmt"
 
 	"vdom/internal/cycles"
@@ -27,7 +26,7 @@ import (
 
 // ErrSigsegv reports a fatal memory access violation delivered to the
 // faulting task.
-var ErrSigsegv = errors.New("kernel: SIGSEGV")
+var ErrSigsegv = tap.NewOutcome(tap.CodeSigsegv, "kernel: SIGSEGV")
 
 // Config describes a kernel to boot.
 type Config struct {

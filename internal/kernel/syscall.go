@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"errors"
 	"fmt"
 
 	"vdom/internal/cycles"
@@ -53,7 +52,7 @@ func (s Syscall) String() string {
 }
 
 // ErrBlocked reports that a syscall filter denied the call.
-var ErrBlocked = errors.New("kernel: syscall blocked by filter")
+var ErrBlocked = tap.NewOutcome(tap.CodeBlocked, "kernel: syscall blocked by filter")
 
 // SyscallArgs carries the arguments of a filtered syscall.
 type SyscallArgs struct {

@@ -18,7 +18,6 @@
 package libmpk
 
 import (
-	"errors"
 	"fmt"
 
 	"vdom/internal/cycles"
@@ -51,9 +50,9 @@ const UsableKeys = numPkeys - firstPkey
 var (
 	// ErrNoFreeKey is returned in direct (non-simulated) mode when every
 	// hardware key is in use and the caller would have to busy-wait.
-	ErrNoFreeKey = errors.New("libmpk: all hardware keys in use")
+	ErrNoFreeKey = tap.NewOutcome(tap.CodeNoFreeKey, "libmpk: all hardware keys in use")
 	// ErrUnknownKey reports an unallocated vkey.
-	ErrUnknownKey = errors.New("libmpk: unknown vkey")
+	ErrUnknownKey = tap.NewOutcome(tap.CodeUnknownKey, "libmpk: unknown vkey")
 )
 
 // Stats breaks libmpk's overhead into the Figure 1 buckets.

@@ -6,15 +6,16 @@ import (
 
 	"vdom/internal/hw"
 	"vdom/internal/pagetable"
+	"vdom/internal/tap"
 )
 
 // Common errors returned by address-space operations.
 var (
 	ErrOverlap   = errors.New("mm: mapping overlaps an existing area")
-	ErrNoMapping = errors.New("mm: address not mapped")
+	ErrNoMapping = tap.NewOutcome(tap.CodeNoMapping, "mm: address not mapped")
 	ErrSegfault  = errors.New("mm: segmentation fault")
 	// ErrBadRange marks a misaligned or empty address range (EINVAL).
-	ErrBadRange = errors.New("mm: bad range")
+	ErrBadRange = tap.NewOutcome(tap.CodeBadRange, "mm: bad range")
 )
 
 // DomainResolver tells the memory manager which hardware domain a tagged

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"vdom/internal/tap"
 	"vdom/internal/wire"
 )
 
@@ -120,10 +121,8 @@ func Decode(data []byte) (*Trace, error) {
 		clock += r.Uvarint()
 		e.Time = clock
 		e.TID = r.Uvarint()
-		if op := r.Uvarint(); op > math.MaxUint8 || !Op(op).Valid() {
-			r.Failf("unknown op %d", op)
-		} else {
-			e.Op = Op(op)
+		if e.Op = tap.Op(byteField(r, "op")); !e.Op.Valid() {
+			r.Failf("unknown op %d", e.Op)
 		}
 		e.Addr = r.Uvarint()
 		e.Len = r.Uvarint()
@@ -131,7 +130,9 @@ func Decode(data []byte) (*Trace, error) {
 		e.Perm = byteField(r, "perm")
 		e.Flags = byteField(r, "flags")
 		e.Cost = r.Uvarint()
-		e.Err = ErrCode(byteField(r, "err"))
+		if e.Err = tap.Code(byteField(r, "err")); !e.Err.Valid() {
+			r.Failf("unknown error code %d", e.Err)
+		}
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("event %d: %w", i, wire.Retype(err, ErrTruncated, ErrBadRecord))
 		}

@@ -21,6 +21,7 @@ import (
 	"vdom/internal/scenario"
 	"vdom/internal/sim"
 	"vdom/internal/snapshot"
+	"vdom/internal/tap"
 	"vdom/internal/tlb"
 	"vdom/internal/wire"
 )
@@ -62,7 +63,7 @@ func TestSentinelConformance(t *testing.T) {
 		name string
 		run  func(t *testing.T) error
 		want []error
-		code replay.ErrCode
+		code tap.Code
 	}{
 		{
 			name: "mm/bad-range-unaligned-mmap",
@@ -72,7 +73,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{mm.ErrBadRange},
-			code: replay.CodeBadRange,
+			code: tap.CodeBadRange,
 		},
 		{
 			name: "mm/bad-range-empty-tag",
@@ -82,7 +83,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{mm.ErrBadRange},
-			code: replay.CodeBadRange,
+			code: tap.CodeBadRange,
 		},
 		{
 			name: "mm/no-mapping-mprotect",
@@ -92,7 +93,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{mm.ErrNoMapping},
-			code: replay.CodeNoMapping,
+			code: tap.CodeNoMapping,
 		},
 		{
 			name: "kernel/sigsegv-keeps-mm-cause",
@@ -104,7 +105,7 @@ func TestSentinelConformance(t *testing.T) {
 			// The kernel's SIGSEGV wrapper must not hide the mm-layer
 			// cause of the fault.
 			want: []error{kernel.ErrSigsegv, mm.ErrSegfault},
-			code: replay.CodeSigsegv,
+			code: tap.CodeSigsegv,
 		},
 		{
 			name: "kernel/blocked-keeps-filter-cause",
@@ -117,7 +118,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{kernel.ErrBlocked, filterErr},
-			code: replay.CodeBlocked,
+			code: tap.CodeBlocked,
 		},
 		{
 			name: "core/no-vdr",
@@ -127,7 +128,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{core.ErrNoVDR},
-			code: replay.CodeNoVDR,
+			code: tap.CodeNoVDR,
 		},
 		{
 			name: "core/freed-vdom",
@@ -144,7 +145,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{core.ErrFreedVdom},
-			code: replay.CodeFreedVdom,
+			code: tap.CodeFreedVdom,
 		},
 		{
 			name: "core/no-resources",
@@ -159,7 +160,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{core.ErrNoResources},
-			code: replay.CodeNoResources,
+			code: tap.CodeNoResources,
 		},
 		{
 			name: "core/degraded-keeps-transient-cause",
@@ -172,7 +173,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{core.ErrDegraded, core.ErrNoResources},
-			code: replay.CodeDegraded,
+			code: tap.CodeDegraded,
 		},
 		{
 			name: "core/exhausted-asid-space",
@@ -189,7 +190,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{core.ErrExhausted},
-			code: replay.CodeExhausted,
+			code: tap.CodeExhausted,
 		},
 		{
 			name: "libmpk/no-free-key",
@@ -216,7 +217,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{libmpk.ErrNoFreeKey},
-			code: replay.CodeNoFreeKey,
+			code: tap.CodeNoFreeKey,
 		},
 		{
 			name: "libmpk/unknown-key",
@@ -226,7 +227,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{libmpk.ErrUnknownKey},
-			code: replay.CodeUnknownKey,
+			code: tap.CodeUnknownKey,
 		},
 		{
 			name: "backend/domain-capacity",
@@ -255,7 +256,7 @@ func TestSentinelConformance(t *testing.T) {
 				return aerr
 			},
 			want: []error{backend.ErrDomainCapacity},
-			code: replay.CodeDomainCapacity,
+			code: tap.CodeDomainCapacity,
 		},
 		{
 			name: "scenario/bad-magic",
@@ -264,7 +265,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{scenario.ErrBadMagic},
-			code: replay.CodeOther,
+			code: tap.CodeOther,
 		},
 		{
 			name: "scenario/bad-version",
@@ -273,7 +274,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{scenario.ErrBadVersion},
-			code: replay.CodeOther,
+			code: tap.CodeOther,
 		},
 		{
 			name: "scenario/truncated",
@@ -282,7 +283,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{scenario.ErrTruncated},
-			code: replay.CodeOther,
+			code: tap.CodeOther,
 		},
 		{
 			name: "scenario/bad-record",
@@ -291,7 +292,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{scenario.ErrBadRecord},
-			code: replay.CodeOther,
+			code: tap.CodeOther,
 		},
 		{
 			name: "snapshot/truncated-section",
@@ -320,7 +321,7 @@ func TestSentinelConformance(t *testing.T) {
 				return rerr
 			},
 			want: []error{snapshot.ErrBadRecord, wire.ErrTruncated},
-			code: replay.CodeOther,
+			code: tap.CodeOther,
 		},
 		{
 			name: "replay/bad-record-tail-start",
@@ -330,7 +331,7 @@ func TestSentinelConformance(t *testing.T) {
 				return err
 			},
 			want: []error{replay.ErrBadRecord},
-			code: replay.CodeOther,
+			code: tap.CodeOther,
 		},
 	}
 	for _, tc := range cases {
@@ -344,7 +345,7 @@ func TestSentinelConformance(t *testing.T) {
 					t.Errorf("errors.Is(%v, %v) = false", err, sentinel)
 				}
 			}
-			if got := replay.CodeOf(err); got != tc.code {
+			if got := tap.CodeOf(err); got != tc.code {
 				t.Errorf("CodeOf(%v) = %v, want %v", err, got, tc.code)
 			}
 		})

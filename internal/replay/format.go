@@ -4,30 +4,26 @@
 // EPK, DPTI), with thread ids, logical cycle timestamps, and per-event
 // outcomes.
 //
-// Events carry tap.Op, the simulator's one op vocabulary, as is: an op's
-// number is its wire encoding and its name the JSONL one. A Recorder taps
-// the instrumented layers through the unified tap.Tap hook and appends
-// one Event per observed operation; Run re-executes a Trace against a
-// freshly booted system of the same configuration — the substrate ops
-// itself, every domain op through the system's backend.Backend.Replay —
-// and reports the first Divergence (mismatching cost, error, or returned
-// id) plus an end-state diff. Traces encode to a compact uvarint binary
-// (Encode/Decode); WriteJSONL renders a write-only JSONL view for
-// line-oriented diffing, pinned byte for byte by the golden corpus. See
-// REPLAY.md for the format specification and the record/replay how-to.
+// Events carry tap.Op and tap.Code, the simulator's one op vocabulary and
+// outcome taxonomy, as is: a number is its wire encoding, a name the JSONL
+// one. A Recorder taps the instrumented layers through the unified tap.Tap
+// hook and appends one Event per observed operation; Run re-executes a
+// Trace against a freshly booted system of the same configuration — the
+// substrate ops itself, every domain op through the system's
+// backend.Backend.Replay — and reports the first Divergence (mismatching
+// cost, error, or returned id) plus an end-state diff. Traces encode to a
+// compact uvarint binary (Encode/Decode); WriteJSONL renders a write-only
+// JSONL view for line-oriented diffing, pinned byte for byte by the golden
+// corpus. See REPLAY.md for the format specification and the
+// record/replay how-to.
 package replay
 
 import (
 	"errors"
 	"hash/fnv"
 
-	"vdom/internal/backend"
 	"vdom/internal/core"
 	"vdom/internal/cycles"
-	"vdom/internal/dpti"
-	"vdom/internal/kernel"
-	"vdom/internal/libmpk"
-	"vdom/internal/mm"
 	"vdom/internal/tap"
 )
 
@@ -59,15 +55,10 @@ var (
 	// ErrTruncated reports input that ends inside a header, event, or
 	// end-state record.
 	ErrTruncated = errors.New("replay: truncated trace")
-	// ErrBadRecord reports a structurally invalid record (unknown op,
-	// field out of range, malformed varint).
+	// ErrBadRecord reports a structurally invalid record (unknown op or
+	// error code, field out of range, malformed varint).
 	ErrBadRecord = errors.New("replay: malformed trace record")
 )
-
-// Op identifies one recorded operation. It is tap.Op, the simulator's one
-// op vocabulary: an op's number is its vdom-trace/v1 encoding and its
-// String the JSONL name.
-type Op = tap.Op
 
 // Event flag bits.
 const (
@@ -78,122 +69,6 @@ const (
 	// FlagFreq marks a frequently-accessed vdom allocation.
 	FlagFreq uint8 = 1 << 2
 )
-
-// ErrCode is the compact encoding of an operation's error outcome. Replay
-// compares codes, not messages, so error text can evolve without breaking
-// golden traces.
-type ErrCode uint8
-
-// The error codes of vdom-trace/v1.
-const (
-	CodeOK ErrCode = iota
-	CodeSigsegv
-	CodeBlocked
-	CodeNoVDR
-	CodeDenied
-	CodeReassign
-	CodeFreedVdom
-	CodeNoResources
-	CodeExhausted
-	CodeDegraded
-	CodeNoFreeKey
-	CodeUnknownKey
-	CodeBadRange
-	CodeNoMapping
-	CodeUnknownDomain
-	CodeNoASID
-	CodeDomainCapacity
-
-	// CodeOther is any error not covered by a dedicated code.
-	CodeOther ErrCode = 255
-)
-
-// String names the code.
-func (c ErrCode) String() string {
-	switch c {
-	case CodeOK:
-		return "ok"
-	case CodeSigsegv:
-		return "sigsegv"
-	case CodeBlocked:
-		return "blocked"
-	case CodeNoVDR:
-		return "no-vdr"
-	case CodeDenied:
-		return "denied"
-	case CodeReassign:
-		return "reassign"
-	case CodeFreedVdom:
-		return "freed-vdom"
-	case CodeNoResources:
-		return "no-resources"
-	case CodeExhausted:
-		return "exhausted"
-	case CodeDegraded:
-		return "degraded"
-	case CodeNoFreeKey:
-		return "no-free-key"
-	case CodeUnknownKey:
-		return "unknown-vkey"
-	case CodeBadRange:
-		return "bad-range"
-	case CodeNoMapping:
-		return "no-mapping"
-	case CodeUnknownDomain:
-		return "unknown-domain"
-	case CodeNoASID:
-		return "no-asid"
-	case CodeDomainCapacity:
-		return "domain-capacity"
-	default:
-		return "other"
-	}
-}
-
-// CodeOf maps an error to its trace code. Both the Recorder and the
-// Replayer use it, so a replayed failure matches its recording as long as
-// the failure class is the same. Specific sentinels are checked before the
-// generic SIGSEGV wrapper so "denied" and "freed vdom" keep their identity.
-func CodeOf(err error) ErrCode {
-	switch {
-	case err == nil:
-		return CodeOK
-	case errors.Is(err, core.ErrDenied):
-		return CodeDenied
-	case errors.Is(err, core.ErrNoVDR):
-		return CodeNoVDR
-	case errors.Is(err, core.ErrReassign):
-		return CodeReassign
-	case errors.Is(err, core.ErrFreedVdom):
-		return CodeFreedVdom
-	case errors.Is(err, core.ErrDegraded):
-		return CodeDegraded
-	case errors.Is(err, core.ErrExhausted):
-		return CodeExhausted
-	case errors.Is(err, core.ErrNoResources):
-		return CodeNoResources
-	case errors.Is(err, libmpk.ErrNoFreeKey):
-		return CodeNoFreeKey
-	case errors.Is(err, libmpk.ErrUnknownKey):
-		return CodeUnknownKey
-	case errors.Is(err, dpti.ErrUnknownDomain):
-		return CodeUnknownDomain
-	case errors.Is(err, dpti.ErrNoASID):
-		return CodeNoASID
-	case errors.Is(err, backend.ErrDomainCapacity):
-		return CodeDomainCapacity
-	case errors.Is(err, kernel.ErrBlocked):
-		return CodeBlocked
-	case errors.Is(err, mm.ErrBadRange):
-		return CodeBadRange
-	case errors.Is(err, mm.ErrNoMapping):
-		return CodeNoMapping
-	case errors.Is(err, kernel.ErrSigsegv):
-		return CodeSigsegv
-	default:
-		return CodeOther
-	}
-}
 
 // Event is one recorded domain operation.
 type Event struct {
@@ -207,7 +82,7 @@ type Event struct {
 	// cost model, which has no tasks.
 	TID uint64
 	// Op is the operation.
-	Op Op
+	Op tap.Op
 	// Addr and Len are the affected virtual range, when meaningful.
 	Addr uint64
 	Len  uint64
@@ -221,8 +96,8 @@ type Event struct {
 	Flags uint8
 	// Cost is the cycle cost the operation returned.
 	Cost uint64
-	// Err is the operation's outcome code (CodeOK on success).
-	Err ErrCode
+	// Err is the operation's outcome (tap.CodeOK on success).
+	Err tap.Code
 }
 
 // Header flag bits (Header.Flags) — the configuration knobs a replayed

@@ -23,8 +23,8 @@ func fuzzSeedTrace() *Trace {
 			{Time: 0, TID: 1, Op: tap.OpSpawn, Len: 0},
 			{Time: 0, TID: 1, Op: tap.OpMmap, Addr: 0x1000, Len: 4096, Flags: FlagWrite, Cost: 900},
 			{Time: 900, TID: 1, Op: tap.OpVdomAlloc, Dom: 2, Flags: FlagFreq, Cost: 50},
-			{Time: 950, TID: 1, Op: tap.OpVdrWrite, Dom: 2, Perm: 3, Cost: 120, Err: CodeOK},
-			{Time: 1070, TID: 1, Op: tap.OpAccess, Addr: 0x1000, Flags: FlagWrite, Cost: 30, Err: CodeSigsegv},
+			{Time: 950, TID: 1, Op: tap.OpVdrWrite, Dom: 2, Perm: 3, Cost: 120, Err: tap.CodeOK},
+			{Time: 1070, TID: 1, Op: tap.OpAccess, Addr: 0x1000, Flags: FlagWrite, Cost: 30, Err: tap.CodeSigsegv},
 		},
 		End: map[string]uint64{"clock": 1100},
 	}

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+
+	"vdom/internal/tap"
 )
 
 // jsonHeader is the first JSONL line: the format tag plus the header.
@@ -73,7 +75,7 @@ func WriteJSONL(w io.Writer, t *Trace) error {
 			Addr: e.Addr, Len: e.Len, Dom: e.Dom,
 			Perm: e.Perm, Flags: e.Flags, Cost: e.Cost,
 		}
-		if e.Err != CodeOK {
+		if e.Err != tap.CodeOK {
 			je.Err = e.Err.String()
 		}
 		if err := enc.Encode(je); err != nil {

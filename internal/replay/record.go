@@ -66,7 +66,7 @@ func (r *Recorder) TapEvent(e tap.Event) {
 		Dom:  e.Dom,
 		Perm: e.Perm,
 		Cost: uint64(e.Cost),
-		Err:  CodeOf(e.Err),
+		Err:  tap.CodeOf(e.Err),
 	}
 	if e.Write {
 		ev.Flags |= FlagWrite

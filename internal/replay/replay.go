@@ -259,7 +259,7 @@ func (r *engine) step(want Event) (Event, error) {
 		got.Dom, got.Perm, cost, err = e.Dom, e.Perm, e.Cost, e.Err
 	}
 	got.Cost = uint64(cost)
-	got.Err = CodeOf(err)
+	got.Err = tap.CodeOf(err)
 	return got, nil
 }
 

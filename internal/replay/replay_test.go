@@ -31,7 +31,7 @@ func testHeader(kind string) Header {
 func TestReplayRejectsMalformed(t *testing.T) {
 	spawn := Event{TID: 1, Op: tap.OpSpawn}
 	// foreign is an op of another kernel's layer, per kernel kind.
-	foreign := map[string]Op{
+	foreign := map[string]tap.Op{
 		KernelVDom:   tap.OpPkeySet,
 		KernelLibmpk: tap.OpVdrWrite,
 		KernelEPK:    tap.OpVdomAlloc,
@@ -98,7 +98,7 @@ func TestReplayOpOwners(t *testing.T) {
 		systems[kind] = sys
 	}
 	bare := systems[KernelVDom]
-	names := map[string]Op{}
+	names := map[string]tap.Op{}
 	for op := tap.OpSpawn; op.Valid(); op++ {
 		name := op.String()
 		if name == "" || name == "invalid" {

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,6 +12,7 @@ import (
 	"vdom/internal/pagetable"
 	"vdom/internal/replay"
 	"vdom/internal/sim"
+	"vdom/internal/tap"
 )
 
 // Cell region layout: every client owns Domains+1 regions of regionPages
@@ -49,7 +49,7 @@ type CellResult struct {
 	// reallocations that fell back to the freed slot id because the
 	// kernel's fixed domain capacity was exhausted (EPK's monotonic
 	// allocator). Faulted counts operations that returned a typed,
-	// tolerated error (injected faults, capacity pushback).
+	// tolerated pushback outcome (tap.ClassPushback).
 	Ops, Activations, Churns, Reuses, Plain, Faulted uint64
 	// Cycles is the summed cost of every operation the cell drove.
 	Cycles uint64
@@ -102,13 +102,13 @@ func RunCell(c Cell, opt CellOptions) (*CellResult, error) {
 	}
 
 	res := &CellResult{Cell: c}
-	// fault tolerates a typed error (chaos injection, capacity pushback)
-	// by counting it; an untyped error aborts the cell.
+	// fault tolerates pushback by counting it; any other error aborts
+	// the cell.
 	fault := func(err error) error {
 		if err == nil {
 			return nil
 		}
-		if replay.CodeOf(err) != replay.CodeOther {
+		if tap.ClassOf(err) == tap.ClassPushback {
 			res.Faulted++
 			return nil
 		}
@@ -169,14 +169,12 @@ func RunCell(c Cell, opt CellOptions) (*CellResult, error) {
 		id, cost, err := ops.Alloc(tk)
 		clock += uint64(cost)
 		if err != nil {
-			if errors.Is(err, backend.ErrDomainCapacity) && !first {
-				res.Reuses++
-				res.Faulted++
-				id = old
-			} else if e := fault(err); e != nil {
+			if e := fault(err); e != nil {
 				return e
-			} else {
-				id = old
+			}
+			id = old
+			if tap.CodeOf(err) == tap.CodeDomainCapacity && !first {
+				res.Reuses++
 			}
 		}
 		ids[cl][s] = id

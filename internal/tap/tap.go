@@ -1,17 +1,18 @@
-// Package tap defines the one op vocabulary of the simulator and the one
-// observation interface every instrumented layer exports to the trace
-// recorder. Op is the only op enum: the kernel syscall boundary, the
-// scheduler, and the domain API of every registered backend emit the same
-// Event shape through the same function type, the trace format
+// Package tap defines the simulator's one op vocabulary, its one outcome
+// taxonomy, and the one observation interface every instrumented layer
+// exports to the trace recorder. Op is the only op enum: every layer emits
+// the same Event shape through the same function type, the trace format
 // (internal/replay, vdom-trace/v1) writes an Op's number and name as they
 // are, and each backend replays the ops of its own layer from an Event
-// (backend.Backend.Replay). A new backend plugs into record/replay by
-// adding its ops here and emitting Events — no recorder changes required.
+// (backend.Backend.Replay); a new backend plugs into record/replay by
+// adding its ops here and emitting Events. Code is the only outcome enum:
+// every domain sentinel is a NewOutcome carrying its wire code, CodeOf
+// finds it in any wrapped error, and callers decide tolerance by its class
+// (denied, pushback, misuse) through ClassOf, not by lists of sentinels.
 //
 // The package is a leaf: it imports only the cycle and page-table value
 // types, so every layer (the kernel included) can depend on it without
-// import cycles. Events carry plain task ids, not *kernel.Task, for the
-// same reason.
+// import cycles; Events carry plain task ids, not *kernel.Task.
 package tap
 
 import (

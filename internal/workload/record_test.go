@@ -173,7 +173,7 @@ func TestAppRecordReplaysOwnHeader(t *testing.T) {
 // earlier in the trace created, and no op that acts on a thread may carry
 // tid 0. The standalone EPK cost model has no tasks and is skipped.
 func TestCorpusThreadIDs(t *testing.T) {
-	perThread := map[replay.Op]bool{
+	perThread := map[tap.Op]bool{
 		tap.OpMmap: true, tap.OpMunmap: true, tap.OpMprotect: true, tap.OpAccess: true,
 		tap.OpDispatch: true, tap.OpPopulate: true, tap.OpVdomMprotect: true,
 		tap.OpVdrAlloc: true, tap.OpVdrFree: true, tap.OpVdrRead: true, tap.OpVdrWrite: true,

@@ -30,6 +30,7 @@ import (
 	"vdom/internal/pagetable"
 	"vdom/internal/replay"
 	"vdom/internal/sim"
+	"vdom/internal/tap"
 )
 
 // System selects which protection system a workload runs under.
@@ -179,33 +180,30 @@ const spinQuantum = 4_000
 // cache lock serializes key activations, and when every hardware key is
 // held by some thread the caller burns spinQuantum-cycle bursts on its
 // core until a key is released. The busy-wait cycles are recorded in the
-// manager's stats.
+// manager's stats. Any failure but pushback panics.
 func libmpkAcquire(sched *kernel.Sched, p *sim.Proc, lock *sim.Resource, m *libmpk.Manager, task *kernel.Task, v libmpk.Vkey, perm hw.Perm) cycles.Cost {
 	var total cycles.Cost
-	// Fast path: permission change on a resident key (or a revocation)
-	// never takes the cache lock.
-	if m.Mapped(v) || perm == hw.PermNone {
-		var err error
-		total += sched.Run(p, task, func() cycles.Cost {
-			c, e := m.PkeySet(nil, task, v, perm)
-			err = e
+	set := func() (err error) {
+		total += sched.Run(p, task, func() (c cycles.Cost) {
+			c, err = m.PkeySet(nil, task, v, perm)
 			return c
 		})
-		if err == nil {
-			return total
-		}
+		return err
+	}
+	// Fast path: permission change on a resident key (or a revocation)
+	// never takes the cache lock.
+	if (m.Mapped(v) || perm == hw.PermNone) && set() == nil {
+		return total
 	}
 	for {
 		lock.Acquire(p, 1)
-		var err error
-		total += sched.Run(p, task, func() cycles.Cost {
-			c, e := m.PkeySet(nil, task, v, perm)
-			err = e
-			return c
-		})
+		err := set()
 		lock.Release(1)
 		if err == nil {
 			return total
+		}
+		if tap.ClassOf(err) != tap.ClassPushback {
+			panic(fmt.Errorf("workload: libmpk activate vkey %d: %w", v, err))
 		}
 		// All keys held: spin one quantum and retry.
 		m.Stats.BusyWaits++

@@ -1,10 +1,14 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 
 	"vdom/internal/cycles"
+	"vdom/internal/hw"
 	"vdom/internal/libmpk"
+	"vdom/internal/replay"
+	"vdom/internal/sim"
 )
 
 func TestSystemString(t *testing.T) {
@@ -16,6 +20,34 @@ func TestSystemString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
 		}
+	}
+}
+
+// TestLibmpkAcquireUnknownKeyPanics checks that activating a vkey libmpk
+// never allocated fails loudly: only pushback (every key held) is worth a
+// busy-wait retry, and an unknown vkey would otherwise spin forever.
+func TestLibmpkAcquireUnknownKeyPanics(t *testing.T) {
+	sys, err := replay.Boot(replay.Header{
+		Version: replay.FormatVersion, Kernel: replay.KernelLibmpk,
+		Arch: "x86", Cores: 1, Workload: "acquire",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := newPlatform(sys)
+	lock := pl.env.NewResource(1)
+	task := sys.Proc.NewTask(0)
+	var got any
+	pl.env.Go("worker", func(p *sim.Proc) {
+		defer func() { got = recover() }()
+		libmpkAcquire(pl.sched, p, lock, sys.Libmpk, task, libmpk.Vkey(999), hw.PermReadWrite)
+	})
+	pl.env.Run()
+	if err, ok := got.(error); !ok || !errors.Is(err, libmpk.ErrUnknownKey) {
+		t.Fatalf("recovered %v, want a panic wrapping libmpk.ErrUnknownKey", got)
+	}
+	if n := sys.Libmpk.Stats.BusyWaits; n != 0 {
+		t.Fatalf("%d busy-wait retries on a misuse outcome", n)
 	}
 }
 

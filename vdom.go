@@ -105,15 +105,16 @@ func DefaultPolicy() Policy { return core.DefaultPolicy() }
 
 // Error taxonomy: every failure the library returns wraps one of these
 // sentinels, so callers branch with errors.Is instead of string matching.
+// A failure is a denial (ErrSigsegv: protection refused the access), a
+// pushback (the others: a resource ran out, so a later retry may succeed)
+// or a misuse (the caller's arguments are wrong).
 var (
 	// ErrSigsegv is returned by Load/Store when the simulated hardware
-	// denies the access; it aliases the kernel's signal for errors.Is
-	// tests.
+	// denies the access; it aliases the kernel's signal.
 	ErrSigsegv = kernel.ErrSigsegv
 	// ErrNoResources marks a failed resource acquisition (no evictable
-	// domain, transient VDS allocation failure). Degradation paths retry
-	// around it; when it reaches the caller the operation can simply be
-	// retried later.
+	// domain, transient VDS allocation failure); degradation paths retry
+	// around it before it reaches the caller.
 	ErrNoResources = core.ErrNoResources
 	// ErrExhausted marks terminal resource exhaustion: every fallback was
 	// tried and the underlying space (ASIDs, pdoms) is genuinely full.
