@@ -26,14 +26,35 @@ func (o Options) traceDir() string {
 	return defaultTraceDir
 }
 
-// Record re-records the golden trace corpus — one scaled-down run per
-// paper workload and kernel kind — and writes each trace to
+// TraceCorpus is the golden-trace corpus: one scaled-down recording per
+// paper workload family and kernel kind, the scenario subsystem's
+// recorded cell, and a short VDom chaos soak under the soak fault mix,
+// whose no-resources outcomes pin the error codes the trace carries.
+func TraceCorpus() []workload.TraceSpec {
+	specs := append(workload.TraceCorpus(), scenario.TraceCorpus()...)
+	return append(specs, workload.TraceSpec{
+		Name: "chaos-soak-vdom-x86",
+		Record: func() *replay.Trace {
+			return chaos.Soak(chaos.SoakConfig{
+				Chaos:   soakFaults(replay.KernelVDom, 7),
+				Ops:     100,
+				Threads: 2,
+				Cores:   2,
+				Vdoms:   8,
+				Record:  true,
+			}).Trace
+		},
+	})
+}
+
+// Record re-records the golden trace corpus (TraceCorpus) and writes each
+// trace to
 // Options.TraceDir in both the binary format (<name>.trace) and the
 // diff-friendly JSONL form (<name>.jsonl). Recording fans out across the
 // worker pool; files and the rendered table are emitted in corpus order,
 // so output is byte-identical for every -parallel value.
 func Record(w io.Writer, o Options) error {
-	specs := append(workload.TraceCorpus(), scenario.TraceCorpus()...)
+	specs := TraceCorpus()
 	type rec struct {
 		name  string
 		trace *replay.Trace

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
+	"vdom/internal/tap"
 	"vdom/internal/tlb"
 )
 
@@ -225,6 +227,35 @@ func TestFreedVdomTyped(t *testing.T) {
 	if _, err := f.m.FreeVdom(d); !errors.Is(err, ErrFreedVdom) {
 		t.Fatalf("double free returned %v, want ErrFreedVdom", err)
 	}
+}
+
+// TestFaultOutcomesWrapped checks that the fault resolver's SIGSEGVs
+// carry their cause: a denied read or write is ErrDenied and an access to
+// a freed vdom is ErrFreedVdom, both to errors.Is and to tap.CodeOf.
+func TestFaultOutcomesWrapped(t *testing.T) {
+	f := x86Fixture(t)
+	task := f.proc.NewTask(0)
+	if _, err := f.m.VdrAlloc(task, 2); err != nil {
+		t.Fatal(err)
+	}
+	d, base := f.newVdomRegion(t, task, 1, false)
+	check := func(what string, write bool, want error, code tap.Code) {
+		t.Helper()
+		_, err := task.Access(base, write)
+		if !errors.Is(err, kernel.ErrSigsegv) || !errors.Is(err, want) {
+			t.Fatalf("%s: %v, want SIGSEGV wrapping %v", what, err, want)
+		}
+		if got := tap.CodeOf(err); got != code {
+			t.Fatalf("%s: CodeOf = %v, want %v", what, got, code)
+		}
+	}
+	check("read without permission", false, ErrDenied, tap.CodeDenied)
+	grant(t, f.m, task, d, VPermRead)
+	check("write with read permission", true, ErrDenied, tap.CodeDenied)
+	if _, err := f.m.FreeVdom(d); err != nil {
+		t.Fatal(err)
+	}
+	check("read of a freed vdom", false, ErrFreedVdom, tap.CodeFreedVdom)
 }
 
 func TestReassignAllowedAfterFree(t *testing.T) {

@@ -704,7 +704,7 @@ func (m *Manager) HandleDomainFault(task *kernel.Task, addr pagetable.VAddr, wri
 	if !m.live[d] {
 		// The owning vdom was freed: stale VDR bits must not
 		// resurrect it through the fault path.
-		return 0, false, fmt.Errorf("%w: vdom %d was freed: %v",
+		return 0, false, fmt.Errorf("%w: vdom %d was freed: %w",
 			kernel.ErrSigsegv, d, ErrFreedVdom)
 	}
 	vdr := m.vdrs[task]
@@ -718,7 +718,7 @@ func (m *Manager) HandleDomainFault(task *kernel.Task, addr pagetable.VAddr, wri
 		if write {
 			op = "write"
 		}
-		return 0, false, fmt.Errorf("%w: %v of vdom %d denied (VDR=%v): %v",
+		return 0, false, fmt.Errorf("%w: %v of vdom %d denied (VDR=%v): %w",
 			kernel.ErrSigsegv, op, d, perm, ErrDenied)
 	}
 	if !vdr.current.Mapped(d) {

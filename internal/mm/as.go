@@ -460,11 +460,12 @@ func badRangeErr(start pagetable.VAddr, length uint64) error {
 // and the synchronization work performed.
 func (as *AddressSpace) Reclaim(max int) (int, SyncReport) {
 	var victims []pagetable.VAddr
-	as.shadow.Pages(func(a pagetable.VAddr, _ pagetable.PTE) {
-		if len(victims) < max {
+	if max > 0 {
+		as.shadow.Pages(func(a pagetable.VAddr, _ pagetable.PTE) bool {
 			victims = append(victims, a)
-		}
-	})
+			return len(victims) < max
+		})
+	}
 	var rep SyncReport
 	for _, a := range victims {
 		rep.add(as.eachTable(func(t *pagetable.Table) SyncReport {

@@ -65,10 +65,11 @@ func FuzzAddressSpaceOps(f *testing.F) {
 		}
 		// Every present shadow page must fall inside some VMA.
 		bad := false
-		as.Shadow().Pages(func(a pagetable.VAddr, _ pagetable.PTE) {
+		as.Shadow().Pages(func(a pagetable.VAddr, _ pagetable.PTE) bool {
 			if as.FindVMA(a) == nil {
 				bad = true
 			}
+			return true
 		})
 		if bad {
 			t.Fatal("present page outside any VMA")

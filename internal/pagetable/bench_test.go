@@ -63,3 +63,34 @@ func BenchmarkMaterializeLeaves(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPopulateLeaf builds a fresh table and populates one full
+// 2 MiB leaf, as every Table-4 domain's setup does.
+func BenchmarkPopulateLeaf(b *testing.B) {
+	frames := make([]Frame, EntriesPerTable)
+	alloc := func(n int) Frame { return 1 }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pt := New()
+		pt.PopulateChunk(0x40000000, EntriesPerTable, true, 3, alloc, frames)
+		tableSink = pt
+	}
+}
+
+// BenchmarkWalkRunLeaf walks DPTI's leaf shape: four single pages a
+// quarter of the leaf apart, each demand-faulted on its own.
+func BenchmarkWalkRunLeaf(b *testing.B) {
+	pt := New()
+	base := VAddr(0x40000000)
+	var addrs [4]VAddr
+	for k := range addrs {
+		addrs[k] = base + VAddr(k*EntriesPerTable/4)<<PageShift
+		pt.Map(addrs[k], Frame(100+k), true, 3)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		walkSink = pt.Walk(addrs[i&3])
+	}
+}
+
+var walkSink WalkResult

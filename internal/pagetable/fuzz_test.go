@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -123,6 +124,25 @@ func rangeTapes() [][]byte {
 	return [][]byte{whole, cross, disabled, absent}
 }
 
+// runTapes are seeds for run-leaf boundaries. Each starts with leaf 0
+// populated as one run (frames 0..511), then splits it at index 0, at
+// index 511 or in the middle; splits four middle pages to reach
+// leafRuns+1 runs, the expansion point; or unmaps a page inside the run
+// and maps the hole again with a frame that does not continue it.
+func runTapes() [][]byte {
+	one := step(nil, rangeOp(opMapChunk, 512), 0, 0)
+	split := func(v byte) []byte { return step(slices.Clone(one), opSetPdom, 0, v) }
+	expand := slices.Clone(one)
+	for s := byte(1); s <= leafRuns/2; s++ { // 1+2*(leafRuns/2) runs
+		expand = step(expand, opSetPdom, 0, 8*s)
+	}
+	expand = step(expand, rangeOp(opRetagRange, 512), 0, 0)
+	expand = step(expand, rangeOp(opUnmapRange, 200), 0, 8)
+	hole := step(slices.Clone(one), opUnmap, 0, 10)
+	hole = step(hole, opMap, 0, 10) // frame 10 at index 81
+	return [][]byte{split(0), split(63), split(32), expand, hole}
+}
+
 // sameTable fails unless the range-op table and its per-page twin agree
 // on every observable: the snapshot image (radix skeleton, disabled
 // marks, PTEs, counters, generation) and the live counters.
@@ -165,6 +185,9 @@ func FuzzTableOps(f *testing.F) {
 		f.Add(leafTape(n))
 	}
 	for _, tape := range rangeTapes() {
+		f.Add(tape)
+	}
+	for _, tape := range runTapes() {
 		f.Add(tape)
 	}
 	f.Fuzz(func(t *testing.T, tape []byte) {

@@ -19,15 +19,33 @@
 // so entries stay valid for a table's lifetime.
 //
 // The pud and pmd levels are contiguous slices indexed by entry-1: a
-// table has few of them and they rarely grow. The leaf level, which grows
-// with every 2 MiB a table touches, lives in slabs that are never copied:
-// slab s holds 1<<s leaves up to a cap of 16 (64 KiB), and a pmd entry
-// holds the leaf's (slab<<4 | offset)+1. Materializing a leaf allocates
-// only when it opens a new slab, nothing is ever copied or zeroed twice,
-// and a leaf pointer stays valid for the table's lifetime. The doubling
-// keeps one-leaf tables at one 4 KiB allocation; the cap bounds the
-// unused tail of the last slab at 15 leaves. A leaf is exactly 4 KiB, a
-// Go size class, so small slabs waste nothing to rounding.
+// table has few of them and they rarely grow.
+//
+// A leaf page table comes in two forms, told apart by the sign of its pmd
+// entry. It starts as a run leaf (negative entry): up to leafRuns runs,
+// each n present pages from index lo whose entries share a writable bit
+// and a pdom and whose frames ascend by one from a base, in the manner of
+// a segment descriptor. A populated 2 MiB domain is therefore one 16-byte
+// run, not a zeroed 4 KiB leaf plus 512 PTE stores; retagging the whole
+// domain rewrites one run, and mapping the page after a run with the next
+// frame and the same tags extends it. Edits keep runs sorted, disjoint
+// and maximal (a run never continues its predecessor). The first edit
+// whose result needs more than leafRuns runs expands the leaf into a flat
+// one (positive entry) of 512 packed PTEs. A leaf never shrinks back
+// while the table lives; ReadState rebuilds every leaf that fits as runs.
+// Nothing outside this package sees the form: every count, generation,
+// Walk result and snapshot byte is the same for both.
+//
+// Both node kinds live in slabs that are never copied: slab s holds 1<<s
+// nodes up to a cap of 16, and an entry holds the node's
+// (slab<<4 | offset)+1, or its complement ^(slab<<4 | offset) for a run
+// leaf. Materializing a node allocates only when it opens a new slab,
+// nothing is ever copied or zeroed twice, and a node pointer stays valid
+// for the table's lifetime (an expanded run node is left cleared). The
+// doubling keeps one-leaf tables at one small allocation; the cap bounds
+// the unused tail of the last slab at 15 nodes. A flat leaf is exactly
+// 4 KiB and a run leaf 128 bytes, both Go size classes, so small slabs
+// waste nothing to rounding.
 //
 // Range operations (RetagRange, EvictRange, RemapRange, UnmapRange,
 // SetWritableRange, MapChunk, PopulateChunk) descend the radix once per
@@ -96,14 +114,14 @@ type pudNode struct {
 // pmdNode is one page-middle-directory: 512 leaf-table references plus
 // the per-entry disabled bitmap of VDom's §5.5 eviction fast path.
 type pmdNode struct {
-	pts [EntriesPerTable]int32 // leaf handle (see Table.leaf); 0 = absent
+	pts [EntriesPerTable]int32 // leaf handle (see Table.leaf, Table.runLeaf); 0 = absent
 	// disabled marks PMD entries VDom has made access-never without
 	// touching the 512 PTEs underneath (§5.5 page-table optimization).
 	disabled [EntriesPerTable / 64]uint64
 }
 
 func (p *pmdNode) isDisabled(i1 int) bool {
-	return p.disabled[i1>>6]&(1<<(uint(i1)&63)) != 0
+	return p.disabled[uint(i1)>>6%uint(len(p.disabled))]&(1<<(uint(i1)&63)) != 0
 }
 
 func (p *pmdNode) setDisabled(i1 int, v bool) {
@@ -114,9 +132,9 @@ func (p *pmdNode) setDisabled(i1 int, v bool) {
 	}
 }
 
-// ptNode is one leaf page table. Entries are stored packed (one machine
-// word each, see packedPTE) so a leaf costs exactly 4 KiB instead of 8:
-// half the zeroing when nodes materialize, and a size the allocator
+// ptNode is one flat leaf page table. Entries are stored packed (one
+// machine word each, see packedPTE) so a leaf costs exactly 4 KiB instead
+// of 8: half the zeroing when nodes materialize, and a size the allocator
 // serves without rounding.
 type ptNode struct {
 	ptes [EntriesPerTable]packedPTE
@@ -131,16 +149,10 @@ const (
 	pteP        packedPTE = 1 << 0
 	pteW        packedPTE = 1 << 1
 	ptePdomMask packedPTE = 0xff << 2
+	// pteFrame1 is frame one in packed form: adding it steps to the next
+	// frame.
+	pteFrame1 packedPTE = 1 << 10
 )
-
-// setWritable flips the packed writable bit.
-func (p *packedPTE) setWritable(w bool) {
-	if w {
-		*p |= pteW
-	} else {
-		*p &^= pteW
-	}
-}
 
 // packPTE encodes e into its storage form.
 func packPTE(e PTE) packedPTE {
@@ -164,6 +176,278 @@ func (p packedPTE) unpack() PTE {
 	}
 }
 
+// writableBit is w as a packed writable bit.
+func writableBit(w bool) packedPTE {
+	if w {
+		return pteW
+	}
+	return 0
+}
+
+// leafRuns is the most runs a run leaf holds. DPTI demand-faults four
+// separate pages of every domain it enters, so it must be at least four;
+// eight fills a 128-byte size class.
+const leafRuns = 8
+
+// run is n present pages from leaf index lo whose entries share one
+// writable bit and one pdom and step by one frame: page i holds base
+// advanced by i frames. base is thus the entry index 0 would hold (its
+// frame wraps modulo the frame field), which makes a lookup one add and
+// slicing free.
+type run struct {
+	base  packedPTE
+	lo, n uint16
+}
+
+// newRun returns the run of n pages from leaf index lo whose first entry
+// is first.
+func newRun(first packedPTE, lo, n int) run {
+	return run{base: first - packedPTE(lo)*pteFrame1, lo: uint16(lo), n: uint16(n)}
+}
+
+func (r run) end() int { return int(r.lo) + int(r.n) }
+
+// first returns the entry of page lo.
+func (r run) first() packedPTE { return r.base + packedPTE(r.lo)*pteFrame1 }
+
+// slice returns the part of r covering leaf indices [lo, hi).
+func (r run) slice(lo, hi int) run {
+	return run{base: r.base, lo: uint16(lo), n: uint16(hi - lo)}
+}
+
+// continues reports whether r starts where p ends, on p's next frame and
+// with p's tags, so the two are one run.
+func (r run) continues(p run) bool {
+	return p.end() == int(r.lo) && p.base == r.base
+}
+
+// runNode is a run leaf: its runs sorted by lo, disjoint and maximal. The
+// first run with n == 0 ends the list.
+type runNode struct {
+	runs [leafRuns]run
+}
+
+// list returns the leaf's runs.
+func (rn *runNode) list() []run {
+	for i := range rn.runs {
+		if rn.runs[i].n == 0 {
+			return rn.runs[:i]
+		}
+	}
+	return rn.runs[:]
+}
+
+// entry returns the packed entry at leaf index i0 (zero when absent).
+// Unused slots are zero, so they never match.
+func (rn *runNode) entry(i0 int) packedPTE {
+	for i := range rn.runs {
+		r := &rn.runs[i]
+		if uint(i0-int(r.lo)) < uint(r.n) {
+			return r.base + packedPTE(i0)*pteFrame1
+		}
+	}
+	return 0
+}
+
+// count returns the number of present pages in [lo, hi).
+func (rn *runNode) count(lo, hi int) int {
+	n := 0
+	for _, r := range rn.list() {
+		if a, b := max(lo, int(r.lo)), min(hi, r.end()); a < b {
+			n += b - a
+		}
+	}
+	return n
+}
+
+// populated reports whether every page in [lo, hi) is present and, if
+// writable is set, writable — a range PopulateChunk leaves untouched —
+// and if so writes their frames to frames[0:hi-lo].
+func (rn *runNode) populated(lo, hi int, writable bool, frames []Frame) bool {
+	next := lo
+	for _, r := range rn.list() {
+		if next == hi {
+			break
+		}
+		if r.end() <= next {
+			continue
+		}
+		if int(r.lo) > next || writable && r.base&pteW == 0 {
+			return false
+		}
+		f := Frame((r.base + packedPTE(next)*pteFrame1) >> 10)
+		b := min(hi, r.end())
+		fs := frames[next-lo : b-lo]
+		for j := range fs {
+			fs[j] = f + Frame(j)
+		}
+		next = b
+	}
+	return next == hi
+}
+
+// runList is the scratch list an edit builds. An edit adds at most two
+// edge pieces to a full leaf, plus up to leafRuns inserted runs.
+type runList struct {
+	r [2*leafRuns + 2]run
+	n int
+}
+
+// push appends r, merging it into the last run when it continues it.
+func (l *runList) push(r run) {
+	if l.n > 0 && r.continues(l.r[l.n-1]) {
+		l.r[l.n-1].n += r.n
+		return
+	}
+	l.r[l.n] = r
+	l.n++
+}
+
+// edit rewrites leaf indices [lo, hi): the present pages there are dropped
+// if drop is set and otherwise get pte&^clear|set (clear and set touch
+// only the writable and pdom bits), then ins — sorted runs inside
+// [lo, hi), at most leafRuns of them, given only with drop — is
+// installed. It reports false, leaving the leaf unchanged, when the result
+// needs more than leafRuns runs.
+func (rn *runNode) edit(lo, hi int, clear, set packedPTE, drop bool, ins []run) bool {
+	var l runList
+	runs := rn.list()
+	i := 0
+	for ; i < len(runs) && runs[i].end() <= lo; i++ {
+		l.push(runs[i])
+	}
+	var tail run // the part of the last overlapping run beyond hi
+	for ; i < len(runs) && int(runs[i].lo) < hi; i++ {
+		r := runs[i]
+		a, b := max(lo, int(r.lo)), min(hi, r.end())
+		if int(r.lo) < a {
+			l.push(r.slice(int(r.lo), a))
+		}
+		if !drop {
+			m := r.slice(a, b)
+			m.base = m.base&^clear | set
+			l.push(m)
+		}
+		if r.end() > b {
+			tail = r.slice(b, r.end())
+		}
+	}
+	for _, r := range ins {
+		l.push(r)
+	}
+	if tail.n > 0 {
+		l.push(tail)
+	}
+	for ; i < len(runs); i++ {
+		l.push(runs[i])
+	}
+	return l.storeTo(rn)
+}
+
+// storeTo sets rn to the list and reports true, or reports false, leaving
+// rn unchanged, when the list holds more than leafRuns runs.
+func (l *runList) storeTo(rn *runNode) bool {
+	if l.n > leafRuns {
+		return false
+	}
+	rn.runs = [leafRuns]run{}
+	copy(rn.runs[:], l.r[:l.n])
+	return true
+}
+
+// store writes r's entries into pt.
+func (r run) store(pt *ptNode) {
+	v := r.first()
+	pp := pt.ptes[r.lo:r.end()]
+	for j := range pp {
+		pp[j] = v
+		v += pteFrame1
+	}
+}
+
+// decode writes the leaf's entries into pt, whose other entries must be
+// absent.
+func (rn *runNode) decode(pt *ptNode) {
+	for _, r := range rn.list() {
+		r.store(pt)
+	}
+}
+
+// encode sets the leaf to the runs of pt's entries. It reports false,
+// leaving the leaf unchanged, when they need more than leafRuns runs.
+func (rn *runNode) encode(pt *ptNode) bool {
+	var l runList
+	for i0, p := range pt.ptes[:] {
+		if p&pteP == 0 {
+			continue
+		}
+		if l.push(newRun(p, i0, 1)); l.n > leafRuns {
+			return false
+		}
+	}
+	return l.storeTo(rn)
+}
+
+// runsOf splits the frames of a MapChunk at leaf index i0 into runs of
+// consecutive frames with the entry template tmpl. It reports false when
+// they need more than leafRuns runs.
+func runsOf(frames []Frame, i0 int, tmpl packedPTE, out *[leafRuns]run) (int, bool) {
+	k, start := 0, 0
+	for j := 1; j <= len(frames); j++ {
+		if j < len(frames) && frames[j] == frames[j-1]+1 {
+			continue
+		}
+		if k == leafRuns {
+			return 0, false
+		}
+		out[k] = newRun(tmpl|packedPTE(frames[start])<<10, i0+start, j-start)
+		k++
+		start = j
+	}
+	return k, true
+}
+
+// leafSlabShift caps node slabs at leafSlabMax nodes. Slabs double up to
+// the cap, so a one-leaf table zeroes one node, and stay at the cap after
+// it, so no table zeroes more than leafSlabMax-1 nodes it does not use
+// (an uncapped doubling would zero 511 for 256).
+const (
+	leafSlabShift = 4
+	leafSlabMax   = 1 << leafSlabShift
+)
+
+// slabs is a store of leaf nodes. Slab s holds min(1<<s, leafSlabMax)
+// nodes; its backing array is allocated whole when its first node
+// materializes and its length counts the nodes in use. The slab directory
+// starts on dir, so a store of up to len(dir) slabs allocates no
+// directory.
+type slabs[N any] struct {
+	s   [][]N
+	dir [4][]N
+}
+
+// at returns node i, slab<<leafSlabShift | offset.
+func (p *slabs[N]) at(i uint32) *N {
+	return &p.s[i>>leafSlabShift][i&(leafSlabMax-1)]
+}
+
+// add materializes one zero node and returns its index. Only the first
+// node of a slab allocates; the rest of the slab is still the zero memory
+// the allocator handed out, so no node is ever copied or cleared twice.
+func (p *slabs[N]) add() uint32 {
+	s := len(p.s) - 1
+	if s < 0 || len(p.s[s]) == cap(p.s[s]) {
+		if p.s == nil {
+			p.s = p.dir[:0]
+		}
+		s++
+		p.s = append(p.s, make([]N, 0, min(1<<s, leafSlabMax)))
+	}
+	off := len(p.s[s])
+	p.s[s] = p.s[s][:off+1]
+	return uint32(s<<leafSlabShift | off)
+}
+
 // Table is one address space's page table, rooted at a pgd. The radix is
 // index-addressed: pgd/pud/pmd entries hold int32 locations (offset by
 // one, zero meaning absent) in the node stores, so the nodes are
@@ -172,13 +456,9 @@ type Table struct {
 	pgd  [EntriesPerTable]int32 // index+1 into puds; 0 = absent
 	puds []pudNode
 	pmds []pmdNode
-	// leaves holds the leaf slabs. Slab s holds min(1<<s, leafSlabMax)
-	// leaves; its backing array is allocated whole when its first leaf
-	// materializes and its length counts the leaves in use. The slab
-	// directory starts on leafDir, so a table of up to len(leafDir)
-	// slabs allocates no directory.
-	leaves  [][]ptNode
-	leafDir [4][]ptNode
+	// runs holds the run leaves, leaves the flat leaves.
+	runs   slabs[runNode]
+	leaves slabs[ptNode]
 
 	present int
 
@@ -198,12 +478,13 @@ type Table struct {
 	// Walk result is reusable iff the table's generation is unchanged.
 	gen uint64
 
-	// curCoord/curPT/curPMD memoize the leaf resolved by the last
+	// curCoord/curPT/curPMD memoize the leaf handle resolved by the last
 	// ensurePT so dense same-2MiB mutation runs (populate, retag) skip
 	// the radix descent. curPT == 0 means no memo. Links from pmd to pt
-	// are never severed (Unmap keeps the skeleton), and every caller
-	// rechecks the disabled bit through the returned pmd, so the memo
-	// needs no invalidation; ReadState's full reset clears it.
+	// are never severed (Unmap keeps the skeleton; an expansion moves the
+	// memo along), and every caller rechecks the disabled bit through the
+	// returned pmd, so the memo needs no other invalidation; ReadState's
+	// full reset clears it.
 	curCoord uint64
 	curPT    int32
 	curPMD   int32
@@ -272,7 +553,19 @@ func (t *Table) Walk(a VAddr) WalkResult {
 	if ti == 0 {
 		return WalkResult{LevelsVisited: 3}
 	}
-	pte := t.leaf(ti).ptes[v>>12&0x1ff]
+	// The first run is peeled: a populated domain is that one run.
+	i0 := int(v >> 12 & 0x1ff)
+	var pte packedPTE
+	if ti < 0 {
+		rn := t.runLeaf(ti)
+		if r := &rn.runs[0]; uint(i0-int(r.lo)) < uint(r.n) {
+			pte = r.base + packedPTE(i0)*pteFrame1
+		} else {
+			pte = rn.entry(i0)
+		}
+	} else {
+		pte = t.leaf(ti).ptes[i0]
+	}
 	return WalkResult{PTE: pte.unpack(), Present: pte&pteP != 0, LevelsVisited: 4}
 }
 
@@ -290,51 +583,81 @@ func (t *Table) pmdOf(a VAddr) *pmdNode {
 	return &t.pmds[mi-1]
 }
 
-// ptOf resolves the leaf page table covering a, or nil.
-func (t *Table) ptOf(a VAddr) *ptNode {
+// leafOf resolves the leaf handle covering a (0 when absent) together
+// with its pmd node (nil when absent) and pmd index.
+func (t *Table) leafOf(a VAddr) (int32, *pmdNode, int) {
+	i1 := int(uint64(a) >> 21 & 0x1ff)
 	pmd := t.pmdOf(a)
 	if pmd == nil {
-		return nil
+		return 0, nil, i1
 	}
-	ti := pmd.pts[uint64(a)>>21&0x1ff]
-	if ti == 0 {
-		return nil
-	}
-	return t.leaf(ti)
+	return pmd.pts[i1], pmd, i1
 }
 
-// leafSlabShift caps leaf slabs at leafSlabMax leaves (64 KiB). Slabs
-// double up to the cap, so a one-leaf table zeroes one leaf, and stay at
-// the cap after it, so no table zeroes more than leafSlabMax-1 leaves it
-// does not use (an uncapped doubling would zero 511 for 256).
-const (
-	leafSlabShift = 4
-	leafSlabMax   = 1 << leafSlabShift
-)
+// leaf resolves a flat leaf handle, (slab<<leafSlabShift | offset) + 1,
+// to its node.
+func (t *Table) leaf(h int32) *ptNode { return t.leaves.at(uint32(h) - 1) }
 
-// leaf resolves a leaf handle, (slab<<leafSlabShift | offset) + 1, to
+// runLeaf resolves a run leaf handle, ^(slab<<leafSlabShift | offset), to
 // its node.
-func (t *Table) leaf(h int32) *ptNode {
-	i := uint32(h) - 1
-	return &t.leaves[i>>leafSlabShift][i&(leafSlabMax-1)]
+func (t *Table) runLeaf(h int32) *runNode { return t.runs.at(uint32(^h)) }
+
+// newLeaf materializes one empty flat leaf and returns its handle.
+func (t *Table) newLeaf() int32 { return int32(t.leaves.add()) + 1 }
+
+// newRunLeaf materializes one empty run leaf and returns its handle.
+func (t *Table) newRunLeaf() int32 { return ^int32(t.runs.add()) }
+
+// flat returns leaf h, under entry i1 of pmd, as a flat leaf. A run leaf
+// is expanded: its entries move to a new flat leaf that takes over the
+// pmd entry (and the ensurePT memo), and the run node is cleared, never
+// to be referenced again.
+func (t *Table) flat(pmd *pmdNode, i1 int, h int32) *ptNode {
+	if h > 0 {
+		return t.leaf(h)
+	}
+	fh := t.newLeaf()
+	pt := t.leaf(fh)
+	rn := t.runLeaf(h)
+	rn.decode(pt)
+	*rn = runNode{}
+	pmd.pts[i1] = fh
+	if t.curPT == h {
+		t.curPT = fh
+	}
+	return pt
 }
 
-// newLeaf materializes one zero leaf and returns its handle. Only the
-// first leaf of a slab allocates; the rest of the slab is still the zero
-// memory the allocator handed out, so no leaf is ever copied or cleared
-// twice.
-func (t *Table) newLeaf() int32 {
-	s := len(t.leaves) - 1
-	if s < 0 || len(t.leaves[s]) == cap(t.leaves[s]) {
-		if t.leaves == nil {
-			t.leaves = t.leafDir[:0]
+// rewrite applies an edit (see runNode.edit) to indices [lo, hi) of leaf
+// h, under entry i1 of pmd, and returns how many of those pages were
+// present before it. A run leaf the result does not fit in is expanded
+// first. Flat leaves take ins of any length.
+func (t *Table) rewrite(pmd *pmdNode, i1 int, h int32, lo, hi int, clear, set packedPTE, drop bool, ins []run) int {
+	if h < 0 {
+		rn := t.runLeaf(h)
+		n := rn.count(lo, hi)
+		if len(ins) <= leafRuns && rn.edit(lo, hi, clear, set, drop, ins) {
+			return n
 		}
-		s++
-		t.leaves = append(t.leaves, make([]ptNode, 0, min(1<<s, leafSlabMax)))
 	}
-	off := len(t.leaves[s])
-	t.leaves[s] = t.leaves[s][:off+1]
-	return int32(s<<leafSlabShift|off) + 1
+	pt := t.flat(pmd, i1, h)
+	n := 0
+	pp := pt.ptes[lo:hi]
+	for j := range pp {
+		if pp[j]&pteP == 0 {
+			continue
+		}
+		n++
+		if drop {
+			pp[j] = 0
+		} else {
+			pp[j] = pp[j]&^clear | set
+		}
+	}
+	for _, r := range ins {
+		r.store(pt)
+	}
+	return n
 }
 
 // appendNode appends one zero node to a directory-node array, growing the
@@ -381,28 +704,29 @@ func (t *Table) materializePMD(coord uint64) (mi int32, installs uint64) {
 	return mi, installs
 }
 
-// ensurePT materializes the path to the page table covering a and returns
-// it together with the owning pmd node and the pmd index. Each directory
-// install counts one PTE write, as before the flattening.
-func (t *Table) ensurePT(a VAddr) (*ptNode, *pmdNode, int) {
+// ensurePT materializes the path to the leaf covering a — a new leaf
+// starts as an empty run leaf — and returns its handle together with the
+// owning pmd node and the pmd index. Each directory install counts one
+// PTE write, as before the flattening.
+func (t *Table) ensurePT(a VAddr) (int32, *pmdNode, int) {
 	coord := uint64(a) >> PMDShift
 	i1 := int(coord & 0x1ff)
 	if t.curPT != 0 && t.curCoord == coord {
-		return t.leaf(t.curPT), &t.pmds[t.curPMD-1], i1
+		return t.curPT, &t.pmds[t.curPMD-1], i1
 	}
 	mi, installs := t.materializePMD(coord)
 	t.PTEWrites += installs
 	pmd := &t.pmds[mi-1]
 	ti := pmd.pts[i1]
 	if ti == 0 {
-		ti = t.newLeaf()
+		ti = t.newRunLeaf()
 		pmd.pts[i1] = ti
 		t.PTEWrites++
 	}
 	t.curCoord = coord
 	t.curPT = ti
 	t.curPMD = mi
-	return t.leaf(ti), pmd, i1
+	return ti, pmd, i1
 }
 
 // Map installs a translation for the page containing a. Mapping a page
@@ -410,16 +734,16 @@ func (t *Table) ensurePT(a VAddr) (*ptNode, *pmdNode, int) {
 // the remap path of VDom's HLRU policy.
 func (t *Table) Map(a VAddr, f Frame, writable bool, d Pdom) {
 	t.gen++
-	pt, pmd, i1 := t.ensurePT(a)
+	h, pmd, i1 := t.ensurePT(a)
 	if pmd.isDisabled(i1) {
 		pmd.setDisabled(i1, false)
 		t.PMDWrites++
 	}
 	i0 := int(uint64(a) >> 12 & 0x1ff)
-	if pt.ptes[i0]&pteP == 0 {
+	e := packPTE(PTE{Frame: f, Present: true, Writable: writable, Pdom: d})
+	if t.rewrite(pmd, i1, h, i0, i0+1, 0, 0, true, []run{newRun(e, i0, 1)}) == 0 {
 		t.present++
 	}
-	pt.ptes[i0] = packPTE(PTE{Frame: f, Present: true, Writable: writable, Pdom: d})
 	t.PTEWrites++
 }
 
@@ -428,15 +752,14 @@ func (t *Table) Map(a VAddr, f Frame, writable bool, d Pdom) {
 // a disabled PMD entry (revocation must not be maskable by an eviction).
 func (t *Table) Unmap(a VAddr) bool {
 	t.gen++
-	pt := t.ptOf(a)
-	if pt == nil {
+	h, pmd, i1 := t.leafOf(a)
+	if h == 0 {
 		return false
 	}
 	i0 := int(uint64(a) >> 12 & 0x1ff)
-	if pt.ptes[i0]&pteP == 0 {
+	if t.rewrite(pmd, i1, h, i0, i0+1, 0, 0, true, nil) == 0 {
 		return false
 	}
-	pt.ptes[i0] = 0
 	t.present--
 	t.PTEWrites++
 	return true
@@ -447,25 +770,18 @@ func (t *Table) Unmap(a VAddr) bool {
 // the PMD entry.
 func (t *Table) SetPdom(a VAddr, d Pdom) bool {
 	t.gen++
-	pmd := t.pmdOf(a)
-	if pmd == nil {
+	h, pmd, i1 := t.leafOf(a)
+	if h == 0 {
 		return false
 	}
-	i1 := int(uint64(a) >> 21 & 0x1ff)
-	ti := pmd.pts[i1]
-	if ti == 0 {
-		return false
-	}
-	pt := t.leaf(ti)
 	i0 := int(uint64(a) >> 12 & 0x1ff)
-	if pt.ptes[i0]&pteP == 0 {
+	if t.rewrite(pmd, i1, h, i0, i0+1, ptePdomMask, packedPTE(d)<<2, false, nil) == 0 {
 		return false
 	}
 	if pmd.isDisabled(i1) {
 		pmd.setDisabled(i1, false)
 		t.PMDWrites++
 	}
-	pt.ptes[i0] = pt.ptes[i0]&^ptePdomMask | packedPTE(d)<<2
 	t.PTEWrites++
 	return true
 }
@@ -474,12 +790,14 @@ func (t *Table) SetPdom(a VAddr, d Pdom) bool {
 // whose PMD entry is disabled walks as not-present and is left untouched.
 func (t *Table) SetWritable(a VAddr, w bool) bool {
 	t.gen++
-	wr := t.Walk(a)
-	if !wr.Present {
+	h, pmd, i1 := t.leafOf(a)
+	if h == 0 || pmd.isDisabled(i1) {
 		return false
 	}
-	pt := t.ptOf(a)
-	pt.ptes[uint64(a)>>12&0x1ff].setWritable(w)
+	i0 := int(uint64(a) >> 12 & 0x1ff)
+	if t.rewrite(pmd, i1, h, i0, i0+1, pteW, writableBit(w), false, nil) == 0 {
+		return false
+	}
 	t.PTEWrites++
 	return true
 }
@@ -517,6 +835,28 @@ func (t *Table) PMDDisabled(a VAddr) bool {
 	return pmd != nil && pmd.isDisabled(int(uint64(a)>>21&0x1ff))
 }
 
+// eachLeaf calls fn for each 2 MiB piece of [start, start+length) — its
+// leaf handle (0 when absent), pmd node (nil when absent), pmd index and
+// leaf index range — after bumping the generation once per page of the
+// piece, as the per-page primitive loop would. length must be
+// page-aligned.
+func (t *Table) eachLeaf(start VAddr, length uint64, fn func(h int32, pmd *pmdNode, i1, lo, hi int)) {
+	checkAligned(start, length)
+	end := start + VAddr(length)
+	for a := start; a < end; {
+		chunk := a.PMDAlign() + PMDSize
+		if chunk > end {
+			chunk = end
+		}
+		pages := int(uint64(chunk-a) / PageSize)
+		t.gen += uint64(pages)
+		h, pmd, i1 := t.leafOf(a)
+		lo := int(uint64(a) >> 12 & 0x1ff)
+		fn(h, pmd, i1, lo, lo+pages)
+		a = chunk
+	}
+}
+
 // RetagRange retags every present page in [start, start+length) with d and
 // returns the number of pages retagged. length must be page-aligned.
 //
@@ -526,49 +866,19 @@ func (t *Table) PMDDisabled(a VAddr) bool {
 // one PMD write when the first present page under a disabled PMD entry
 // re-enables it).
 func (t *Table) RetagRange(start VAddr, length uint64, d Pdom) int {
-	checkAligned(start, length)
 	n := 0
-	end := start + VAddr(length)
-	for a := start; a < end; {
-		chunk := a.PMDAlign() + PMDSize
-		if chunk > end {
-			chunk = end
+	t.eachLeaf(start, length, func(h int32, pmd *pmdNode, i1, lo, hi int) {
+		if h == 0 {
+			return
 		}
-		pages := uint64(chunk-a) / PageSize
-		t.gen += pages // one SetPdom call per page
-		pmd := t.pmdOf(a)
-		if pmd == nil {
-			a = chunk
-			continue
-		}
-		i1 := int(uint64(a) >> 21 & 0x1ff)
-		ti := pmd.pts[i1]
-		if ti == 0 {
-			a = chunk
-			continue
-		}
-		pt := t.leaf(ti)
-		i0 := int(uint64(a) >> 12 & 0x1ff)
-		disabled := pmd.isDisabled(i1) // loop-invariant until first present page
-		pp := pt.ptes[i0 : i0+int(pages)]
-		cnt := 0
-		tag := packedPTE(d) << 2
-		for j := range pp {
-			if pp[j]&pteP == 0 {
-				continue
-			}
-			if disabled {
-				pmd.setDisabled(i1, false)
-				t.PMDWrites++
-				disabled = false
-			}
-			pp[j] = pp[j]&^ptePdomMask | tag
-			cnt++
+		cnt := t.rewrite(pmd, i1, h, lo, hi, ptePdomMask, packedPTE(d)<<2, false, nil)
+		if cnt > 0 && pmd.isDisabled(i1) {
+			pmd.setDisabled(i1, false)
+			t.PMDWrites++
 		}
 		t.PTEWrites += uint64(cnt)
 		n += cnt
-		a = chunk
-	}
+	})
 	return n
 }
 
@@ -585,129 +895,125 @@ func (t *Table) RetagRange(start VAddr, length uint64, d Pdom) int {
 // each page it performs exactly the counter-reset, map, and repair
 // sequence HandleFault would, so generations, write counters (current
 // and cumulative), and frame assignment are bit-identical to pages
-// faulted one at a time. The per-page counter windows are tracked in
+// faulted one at a time.
+func (t *Table) PopulateChunk(a VAddr, pages int, writable bool, d Pdom, alloc func(n int) Frame, frames []Frame) int {
+	h, pmd, i1 := t.leafOf(a)
+	i0 := int(uint64(a) >> 12 & 0x1ff)
+	tmpl := packPTE(PTE{Present: true, Writable: writable, Pdom: d})
+	switch {
+	case h > 0:
+		return t.populateLeaf(t.leaf(h), pmd, i1, i0, pages, tmpl, alloc, frames)
+	case h < 0:
+		return t.populateRunLeaf(h, pmd, i1, i0, pages, tmpl, alloc, frames)
+	case pages == 0:
+		return 0
+	}
+	// No leaf yet: the whole chunk faults fresh pages into a
+	// just-materialized page table — the dominant case when populating new
+	// areas — and lands as one run. The counter evolution is
+	// deterministic here, so compute it in closed form: page 0's window
+	// holds the directory installs and its own write; every later page's
+	// reset retires exactly one write.
+	next := alloc(pages)
+	retP, retM := t.PTEWrites, t.PMDWrites // pre-op window, retired by page 0's reset
+	t.PTEWrites, t.PMDWrites = 0, 0
+	h, pmd, _ = t.ensurePT(a)
+	e := t.PTEWrites // directory installs charged by ensurePT
+	var m uint64
+	if pmd.isDisabled(i1) {
+		pmd.setDisabled(i1, false)
+		m = 1
+	}
+	t.runLeaf(h).runs[0] = newRun(tmpl|packedPTE(next)<<10, i0, pages)
+	for j := range frames[:pages] {
+		frames[j] = next + Frame(j)
+	}
+	if pages == 1 {
+		t.PTEWrites, t.PMDWrites = e+1, m
+	} else {
+		t.PTEWrites, t.PMDWrites = 1, 0
+		retP += e + uint64(pages-1)
+		retM += m
+	}
+	t.retiredPTE += retP
+	t.retiredPMD += retM
+	t.gen += uint64(pages)
+	t.present += pages
+	return pages
+}
+
+// populateRunLeaf is PopulateChunk into run leaf h. A range that is
+// already populated — the second table of a populated domain — only
+// reports its frames. Any other populates a flat copy of the leaf and
+// stores the result back as runs, or as a flat leaf when it needs more
+// than leafRuns runs.
+func (t *Table) populateRunLeaf(h int32, pmd *pmdNode, i1, i0, pages int, tmpl packedPTE, alloc func(n int) Frame, frames []Frame) int {
+	rn := t.runLeaf(h)
+	if !pmd.isDisabled(i1) && rn.populated(i0, i0+pages, tmpl&pteW != 0, frames) {
+		return 0
+	}
+	var pt ptNode
+	rn.decode(&pt)
+	fresh := t.populateLeaf(&pt, pmd, i1, i0, pages, tmpl, alloc, frames)
+	if !rn.encode(&pt) {
+		*t.flat(pmd, i1, h) = pt
+	}
+	return fresh
+}
+
+// populateLeaf is PopulateChunk into the existing leaf pt, whose entries
+// it updates page by page. The per-page counter windows are tracked in
 // locals (curP/curM are the live window, retP/retM the windows already
 // retired by later pages' resets) and written back once at the end;
 // nothing can observe the table mid-operation, so only the final counter
 // state matters.
-func (t *Table) PopulateChunk(a VAddr, pages int, writable bool, d Pdom, alloc func(n int) Frame, frames []Frame) int {
-	i1 := int(uint64(a) >> 21 & 0x1ff)
-	i0 := int(uint64(a) >> 12 & 0x1ff)
-	pmd := t.pmdOf(a)
-	var pt *ptNode
-	disabled := false
-	if pmd != nil {
-		disabled = pmd.isDisabled(i1)
-		if ti := pmd.pts[i1]; ti != 0 {
-			pt = t.leaf(ti)
-		}
-	}
+func (t *Table) populateLeaf(pt *ptNode, pmd *pmdNode, i1, i0, pages int, tmpl packedPTE, alloc func(n int) Frame, frames []Frame) int {
 	// Count the pages that will fault fresh frames, then allocate them in
 	// one call. A disabled PMD entry makes the first page remap fresh
 	// regardless of its PTE (it walks as not-present); the pages after it
 	// see the entry re-enabled.
+	disabled := pmd.isDisabled(i1)
 	fresh := 0
-	switch {
-	case pt == nil:
-		fresh = pages
-	case disabled:
-		fresh = 1
-		for j := 1; j < pages; j++ {
-			if pt.ptes[i0+j]&pteP == 0 {
-				fresh++
-			}
-		}
-	default:
-		for j := 0; j < pages; j++ {
-			if pt.ptes[i0+j]&pteP == 0 {
-				fresh++
-			}
+	for j := 0; j < pages; j++ {
+		if pt.ptes[i0+j]&pteP == 0 || j == 0 && disabled {
+			fresh++
 		}
 	}
 	var next Frame
 	if fresh > 0 {
 		next = alloc(fresh)
 	}
-	tmpl := packPTE(PTE{Present: true, Writable: writable, Pdom: d})
-	if pt == nil && pages > 0 {
-		// Whole chunk faults fresh pages into a just-materialized page
-		// table — the dominant case when populating new areas. The
-		// counter evolution is deterministic here, so compute it in
-		// closed form and reduce the loop to pure PTE stores: page 0's
-		// window holds the directory installs and its own write; every
-		// later page's reset retires exactly one write.
-		retP, retM := t.PTEWrites, t.PMDWrites // pre-op window, retired by page 0's reset
-		t.PTEWrites, t.PMDWrites = 0, 0
-		pt, pmd, _ = t.ensurePT(a)
-		e := t.PTEWrites // directory installs charged by ensurePT
-		var m uint64
-		if pmd.isDisabled(i1) {
-			pmd.setDisabled(i1, false)
-			m = 1
-		}
-		v := tmpl | packedPTE(next)<<10
-		pp := pt.ptes[i0 : i0+pages]
-		for j := range pp {
-			pp[j] = v
-			v += 1 << 10
-			frames[j] = next
-			next++
-		}
-		if pages == 1 {
-			t.PTEWrites, t.PMDWrites = e+1, m
-		} else {
-			t.PTEWrites, t.PMDWrites = 1, 0
-			retP += e + uint64(pages-1)
-			retM += m
-		}
-		t.retiredPTE += retP
-		t.retiredPMD += retM
-		t.gen += uint64(pages)
-		t.present += pages
-		return fresh
-	}
+	writable := tmpl&pteW != 0
 	curP, curM := t.PTEWrites, t.PMDWrites
 	var retP, retM, gen uint64
 	newPresent := 0
 	for j := 0; j < pages; j++ {
-		if pt != nil && !disabled {
-			if pte := &pt.ptes[i0+j]; *pte&pteP != 0 {
-				frames[j] = Frame(*pte >> 10)
-				if writable && *pte&pteW == 0 {
-					// SetWritable, inlined: reset, bump, repair.
-					retP += curP
-					retM += curM
-					curM = 0
-					gen++
-					*pte |= pteW
-					curP = 1
-				}
-				continue
+		pte := &pt.ptes[i0+j]
+		if !disabled && *pte&pteP != 0 {
+			frames[j] = Frame(*pte >> 10)
+			if writable && *pte&pteW == 0 {
+				// SetWritable, inlined: reset, bump, repair.
+				retP += curP
+				retM += curM
+				curM = 0
+				gen++
+				*pte |= pteW
+				curP = 1
 			}
+			continue
 		}
 		// Absent (or shadowed by a disabled PMD entry): map the next
-		// fresh frame, exactly as a ResetCounts+Map pair would — the
-		// leaf page table materializes inside the first absent page's
-		// counter window, where Map's ensurePT would charge it.
+		// fresh frame, exactly as a ResetCounts+Map pair would.
 		frames[j] = next
 		retP += curP
 		retM += curM
 		curP, curM = 0, 0
 		gen++
-		if pt == nil {
-			// ensurePT charges directory installs to the table's live
-			// counters; sync the local window across the call.
-			t.PTEWrites, t.PMDWrites = curP, curM
-			pt, pmd, _ = t.ensurePT(a)
-			curP, curM = t.PTEWrites, t.PMDWrites
-			disabled = pmd.isDisabled(i1)
-		}
 		if disabled {
 			pmd.setDisabled(i1, false)
 			curM++
 			disabled = false
 		}
-		pte := &pt.ptes[i0+j]
 		if *pte&pteP == 0 {
 			newPresent++
 		}
@@ -730,21 +1036,16 @@ func (t *Table) PopulateChunk(a VAddr, pages int, writable bool, d Pdom, alloc f
 // PMD re-enable) are charged inside the first page's window, where Map
 // would put them, and each later page's reset retires exactly one PTE
 // write — a deterministic evolution the method applies in closed form
-// around a pure store loop.
+// around the store. Consecutive frames land as one run.
 func (t *Table) MapChunk(a VAddr, frames []Frame, writable bool, d Pdom) {
 	n := len(frames)
 	if n == 0 {
 		return
 	}
-	i1 := int(uint64(a) >> 21 & 0x1ff)
 	i0 := int(uint64(a) >> 12 & 0x1ff)
-	hadPT := false
-	if pmd := t.pmdOf(a); pmd != nil && pmd.pts[i1] != 0 {
-		hadPT = true
-	}
 	retP, retM := t.PTEWrites, t.PMDWrites // pre-op window, retired by page 0's reset
 	t.PTEWrites, t.PMDWrites = 0, 0
-	pt, pmd, _ := t.ensurePT(a)
+	h, pmd, i1 := t.ensurePT(a)
 	e := t.PTEWrites // directory installs charged by ensurePT
 	var m uint64
 	if pmd.isDisabled(i1) {
@@ -752,18 +1053,19 @@ func (t *Table) MapChunk(a VAddr, frames []Frame, writable bool, d Pdom) {
 		m = 1
 	}
 	tmpl := packPTE(PTE{Present: true, Writable: writable, Pdom: d})
-	pp := pt.ptes[i0 : i0+n]
-	newPresent := 0
-	if !hadPT {
-		// Freshly materialized page table: every entry is absent.
-		for j := range pp {
-			pp[j] = tmpl | packedPTE(frames[j])<<10
-		}
-		newPresent = n
+	present := 0
+	var ins [leafRuns]run
+	k, ok := 0, false
+	if h < 0 {
+		k, ok = runsOf(frames, i0, tmpl, &ins)
+	}
+	if ok {
+		present = t.rewrite(pmd, i1, h, i0, i0+n, 0, 0, true, ins[:k])
 	} else {
+		pp := t.flat(pmd, i1, h).ptes[i0 : i0+n]
 		for j := range pp {
-			if pp[j]&pteP == 0 {
-				newPresent++
+			if pp[j]&pteP != 0 {
+				present++
 			}
 			pp[j] = tmpl | packedPTE(frames[j])<<10
 		}
@@ -778,7 +1080,7 @@ func (t *Table) MapChunk(a VAddr, frames []Frame, writable bool, d Pdom) {
 	t.retiredPTE += retP
 	t.retiredPMD += retM
 	t.gen += uint64(n)
-	t.present += newPresent
+	t.present += n - present
 }
 
 // UnmapRange removes every present translation in [start, start+length)
@@ -786,32 +1088,16 @@ func (t *Table) MapChunk(a VAddr, frames []Frame, writable bool, d Pdom) {
 // Equivalent to calling Unmap on each page (PTEs under disabled PMD
 // entries are unmapped too), with one radix descent per leaf.
 func (t *Table) UnmapRange(start VAddr, length uint64) int {
-	checkAligned(start, length)
 	n := 0
-	end := start + VAddr(length)
-	for a := start; a < end; {
-		chunk := a.PMDAlign() + PMDSize
-		if chunk > end {
-			chunk = end
+	t.eachLeaf(start, length, func(h int32, pmd *pmdNode, i1, lo, hi int) {
+		if h == 0 {
+			return
 		}
-		pages := uint64(chunk-a) / PageSize
-		t.gen += pages
-		pt := t.ptOf(a)
-		if pt == nil {
-			a = chunk
-			continue
-		}
-		i0 := int(uint64(a) >> 12 & 0x1ff)
-		for ; a < chunk; a, i0 = a+PageSize, i0+1 {
-			if pt.ptes[i0]&pteP == 0 {
-				continue
-			}
-			pt.ptes[i0] = 0
-			t.present--
-			t.PTEWrites++
-			n++
-		}
-	}
+		cnt := t.rewrite(pmd, i1, h, lo, hi, 0, 0, true, nil)
+		t.present -= cnt
+		t.PTEWrites += uint64(cnt)
+		n += cnt
+	})
 	return n
 }
 
@@ -820,42 +1106,15 @@ func (t *Table) UnmapRange(start VAddr, length uint64) int {
 // must be page-aligned. Equivalent to calling SetWritable on each page:
 // pages under a disabled PMD entry walk as not-present and are skipped.
 func (t *Table) SetWritableRange(start VAddr, length uint64, w bool) int {
-	checkAligned(start, length)
 	n := 0
-	end := start + VAddr(length)
-	for a := start; a < end; {
-		chunk := a.PMDAlign() + PMDSize
-		if chunk > end {
-			chunk = end
+	t.eachLeaf(start, length, func(h int32, pmd *pmdNode, i1, lo, hi int) {
+		if h == 0 || pmd.isDisabled(i1) {
+			return
 		}
-		pages := uint64(chunk-a) / PageSize
-		t.gen += pages
-		pmd := t.pmdOf(a)
-		if pmd == nil {
-			a = chunk
-			continue
-		}
-		i1 := int(uint64(a) >> 21 & 0x1ff)
-		if pmd.isDisabled(i1) { // walks as not-present: skipped
-			a = chunk
-			continue
-		}
-		ti := pmd.pts[i1]
-		if ti == 0 {
-			a = chunk
-			continue
-		}
-		pt := t.leaf(ti)
-		i0 := int(uint64(a) >> 12 & 0x1ff)
-		for ; a < chunk; a, i0 = a+PageSize, i0+1 {
-			if pt.ptes[i0]&pteP == 0 {
-				continue
-			}
-			pt.ptes[i0].setWritable(w)
-			t.PTEWrites++
-			n++
-		}
-	}
+		cnt := t.rewrite(pmd, i1, h, lo, hi, pteW, writableBit(w), false, nil)
+		t.PTEWrites += uint64(cnt)
+		n += cnt
+	})
 	return n
 }
 
@@ -917,9 +1176,9 @@ func (t *Table) RemapRange(start VAddr, length uint64, d Pdom) (pmds, ptes int) 
 	return pmds, ptes
 }
 
-// Pages calls fn for every present PTE, in ascending address order. fn may
-// not mutate the table.
-func (t *Table) Pages(fn func(a VAddr, pte PTE)) {
+// Pages calls fn for every present PTE, in ascending address order, until
+// fn returns false. fn may not mutate the table.
+func (t *Table) Pages(fn func(a VAddr, pte PTE) bool) {
 	for i3, pi := range t.pgd {
 		if pi == 0 {
 			continue
@@ -931,17 +1190,26 @@ func (t *Table) Pages(fn func(a VAddr, pte PTE)) {
 			}
 			pmd := &t.pmds[mi-1]
 			for i1, ti := range pmd.pts {
+				base := VAddr(uint64(i3)<<39 | uint64(i2)<<30 | uint64(i1)<<21)
+				if ti > 0 {
+					for i0, p := range t.leaf(ti).ptes[:] {
+						if p&pteP != 0 && !fn(base+VAddr(i0)<<PageShift, p.unpack()) {
+							return
+						}
+					}
+					continue
+				}
 				if ti == 0 {
 					continue
 				}
-				pt := t.leaf(ti)
-				for i0 := range pt.ptes {
-					if pt.ptes[i0]&pteP == 0 {
-						continue
+				for _, r := range t.runLeaf(ti).list() {
+					p := r.first()
+					for i0 := int(r.lo); i0 < r.end(); i0++ {
+						if !fn(base+VAddr(i0)<<PageShift, p.unpack()) {
+							return
+						}
+						p += pteFrame1
 					}
-					a := VAddr(uint64(i3)<<39 | uint64(i2)<<30 |
-						uint64(i1)<<21 | uint64(i0)<<12)
-					fn(a, pt.ptes[i0].unpack())
 				}
 			}
 		}

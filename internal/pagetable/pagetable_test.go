@@ -253,7 +253,7 @@ func TestPagesIteratesInOrder(t *testing.T) {
 		pt.Map(a, Frame(i), false, 0)
 	}
 	var got []VAddr
-	pt.Pages(func(a VAddr, pte PTE) { got = append(got, a) })
+	pt.Pages(func(a VAddr, pte PTE) bool { got = append(got, a); return true })
 	if len(got) != len(addrs) {
 		t.Fatalf("iterated %d pages, want %d", len(got), len(addrs))
 	}
@@ -319,7 +319,7 @@ func TestPresentCountConsistencyProperty(t *testing.T) {
 			}
 		}
 		n := 0
-		pt.Pages(func(VAddr, PTE) { n++ })
+		pt.Pages(func(VAddr, PTE) bool { n++; return true })
 		return n == pt.Present()
 	}, nil); err != nil {
 		t.Error(err)
@@ -375,10 +375,11 @@ func TestEvictRemapRoundTripProperty(t *testing.T) {
 		pt.EvictRange(base, length, 1)
 		pt.RemapRange(base, length, 7)
 		ok := true
-		pt.Pages(func(a VAddr, pte PTE) {
+		pt.Pages(func(a VAddr, pte PTE) bool {
 			if pte.Pdom != 7 {
 				ok = false
 			}
+			return true
 		})
 		// No PMD may remain disabled.
 		for off := uint64(0); off < length; off += PMDSize {

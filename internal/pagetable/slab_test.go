@@ -55,74 +55,129 @@ func roundTrip(t testing.TB, pt *Table) *Table {
 	return got
 }
 
+// leafForms are the two page layouts TestLeafSlabBoundaries builds each
+// leaf from: three scattered pages keep it a run leaf, and leafRuns+1
+// scattered pages expand it into a flat one.
+var leafForms = []struct {
+	name  string
+	pages int
+}{
+	{"runs", 3},
+	{"flat", leafRuns + 1},
+}
+
+// leafPageIndex returns the leaf index of page k of n in leaf j: the two
+// leaf edges and n-2 pages between them, never adjacent, so no two share
+// a run.
+func leafPageIndex(j, k, n int) uint64 {
+	switch k {
+	case 0:
+		return 0
+	case n - 1:
+		return EntriesPerTable - 1
+	}
+	return uint64(j%50 + 1 + 64*(k-1))
+}
+
+// leafNode returns the node backing the leaf covering a, of either form.
+func leafNode(pt *Table, a VAddr) any {
+	switch h, _, _ := pt.leafOf(a); {
+	case h > 0:
+		return pt.leaf(h)
+	case h < 0:
+		return pt.runLeaf(h)
+	}
+	return nil
+}
+
+// checkSlabs fails unless store p holds n nodes in the given number of
+// slabs, each at its scheduled capacity.
+func checkSlabs[N any](t *testing.T, what string, p *slabs[N], n, want int) {
+	t.Helper()
+	if len(p.s) != want {
+		t.Fatalf("%s: %d slabs, want %d", what, len(p.s), want)
+	}
+	used := 0
+	for s, slab := range p.s {
+		if c := min(1<<s, leafSlabMax); cap(slab) != c {
+			t.Fatalf("%s: slab %d holds %d nodes, want %d", what, s, cap(slab), c)
+		}
+		used += len(slab)
+	}
+	if used != n {
+		t.Fatalf("%s: %d nodes in use, want %d", what, used, n)
+	}
+}
+
 func TestLeafSlabBoundaries(t *testing.T) {
-	for _, c := range slabLeafCounts {
-		n := c.leaves
-		pt := New()
-		ref := map[VAddr]PTE{}
-		var order []VAddr // ascending page addresses, built leaf by leaf
-		var first *ptNode
-		for j := 0; j < n; j++ {
-			base := slabLeafAddr(j)
-			for k, i0 := range [...]uint64{0, uint64(j%509) + 1, 511} {
-				a := base + VAddr(i0<<PageShift)
-				e := PTE{Frame: Frame(3*j + k + 1), Present: true, Writable: k != 1, Pdom: Pdom(j % 16)}
-				pt.Map(a, e.Frame, e.Writable, e.Pdom)
-				ref[a] = e
-				order = append(order, a)
+	for _, form := range leafForms {
+		for _, c := range slabLeafCounts {
+			n := c.leaves
+			pt := New()
+			ref := map[VAddr]PTE{}
+			var order []VAddr // ascending page addresses, built leaf by leaf
+			var first any
+			for j := 0; j < n; j++ {
+				base := slabLeafAddr(j)
+				for k := 0; k < form.pages; k++ {
+					a := base + VAddr(leafPageIndex(j, k, form.pages)<<PageShift)
+					e := PTE{Frame: Frame(form.pages*j + k + 1), Present: true, Writable: k != 1, Pdom: Pdom(j % 16)}
+					pt.Map(a, e.Frame, e.Writable, e.Pdom)
+					ref[a] = e
+					order = append(order, a)
+				}
+				if h, _, _ := pt.leafOf(base); (h > 0) != (form.pages > leafRuns) {
+					t.Fatalf("%s n=%d: leaf %d has handle %d", form.name, n, j, h)
+				}
+				if j == 0 {
+					first = leafNode(pt, base)
+				}
 			}
-			if j == 0 {
-				first = pt.ptOf(base)
+			if leafNode(pt, slabLeafAddr(0)) != first {
+				t.Fatalf("%s n=%d: leaf 0 moved while later leaves materialized", form.name, n)
 			}
-		}
-		if got := pt.ptOf(slabLeafAddr(0)); got != first {
-			t.Fatalf("n=%d: leaf 0 moved while later leaves materialized", n)
-		}
-		if len(pt.leaves) != c.slabs {
-			t.Fatalf("n=%d: %d slabs, want %d", n, len(pt.leaves), c.slabs)
-		}
-		used := 0
-		for s, slab := range pt.leaves {
-			if want := min(1<<s, leafSlabMax); cap(slab) != want {
-				t.Fatalf("n=%d: slab %d holds %d leaves, want %d", n, s, cap(slab), want)
+			// Every leaf starts as runs; an expanded one leaves its run
+			// node behind.
+			checkSlabs(t, form.name+" run leaves", &pt.runs, n, c.slabs)
+			if form.pages > leafRuns {
+				checkSlabs(t, form.name+" flat leaves", &pt.leaves, n, c.slabs)
+			} else {
+				checkSlabs(t, form.name+" flat leaves", &pt.leaves, 0, 0)
 			}
-			used += len(slab)
-		}
-		if used != n {
-			t.Fatalf("n=%d: %d leaves in use", n, used)
-		}
-		for a, want := range ref {
-			if wr := pt.Walk(a); !wr.Present || wr.PTE != want || wr.LevelsVisited != Levels {
-				t.Fatalf("n=%d: walk(%#x) = %+v, want %+v", n, uint64(a), wr, want)
+			for a, want := range ref {
+				if wr := pt.Walk(a); !wr.Present || wr.PTE != want || wr.LevelsVisited != Levels {
+					t.Fatalf("%s n=%d: walk(%#x) = %+v, want %+v", form.name, n, uint64(a), wr, want)
+				}
 			}
-		}
 
-		// Pages visits exactly the reference pages in ascending order.
-		var got []VAddr
-		pt.Pages(func(a VAddr, pte PTE) {
-			if pte != ref[a] {
-				t.Fatalf("n=%d: Pages(%#x) = %+v, want %+v", n, uint64(a), pte, ref[a])
+			// Pages visits exactly the reference pages in ascending order.
+			var got []VAddr
+			pt.Pages(func(a VAddr, pte PTE) bool {
+				if pte != ref[a] {
+					t.Fatalf("%s n=%d: Pages(%#x) = %+v, want %+v", form.name, n, uint64(a), pte, ref[a])
+				}
+				got = append(got, a)
+				return true
+			})
+			if len(got) != len(order) {
+				t.Fatalf("%s n=%d: Pages visited %d pages, want %d", form.name, n, len(got), len(order))
 			}
-			got = append(got, a)
-		})
-		if len(got) != len(order) {
-			t.Fatalf("n=%d: Pages visited %d pages, want %d", n, len(got), len(order))
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i-1] >= got[i] {
-				t.Fatalf("n=%d: Pages not ascending at %d: %#x then %#x", n, i, uint64(got[i-1]), uint64(got[i]))
+			for i := 1; i < len(got); i++ {
+				if got[i-1] >= got[i] {
+					t.Fatalf("%s n=%d: Pages not ascending at %d: %#x then %#x", form.name, n, i, uint64(got[i-1]), uint64(got[i]))
+				}
 			}
-		}
 
-		// Disabled marks and an emptied leaf ride through the snapshot.
-		for j := 0; j < n; j += 3 {
-			pt.DisablePMD(slabLeafAddr(j))
-		}
-		pt.UnmapRange(slabLeafAddr(n-1), PMDSize)
-		restored := roundTrip(t, pt)
-		for a := range ref {
-			if g, w := restored.Walk(a), pt.Walk(a); g != w {
-				t.Fatalf("n=%d: restored walk(%#x) = %+v, want %+v", n, uint64(a), g, w)
+			// Disabled marks and an emptied leaf ride through the snapshot.
+			for j := 0; j < n; j += 3 {
+				pt.DisablePMD(slabLeafAddr(j))
+			}
+			pt.UnmapRange(slabLeafAddr(n-1), PMDSize)
+			restored := roundTrip(t, pt)
+			for a := range ref {
+				if g, w := restored.Walk(a), pt.Walk(a); g != w {
+					t.Fatalf("%s n=%d: restored walk(%#x) = %+v, want %+v", form.name, n, uint64(a), g, w)
+				}
 			}
 		}
 	}
@@ -130,25 +185,52 @@ func TestLeafSlabBoundaries(t *testing.T) {
 
 var tableSink *Table
 
+// expandLeaf maps leafRuns+1 scattered pages into the leaf at base, which
+// expands it into a flat leaf.
+func expandLeaf(pt *Table, base VAddr) {
+	for k := 0; k <= leafRuns; k++ {
+		pt.Map(base+VAddr(leafPageIndex(0, k, leafRuns+1)<<PageShift), Frame(2*k), true, 2)
+	}
+}
+
 func TestMapExistingLeafAllocFree(t *testing.T) {
+	// Run leaves: remapping DPTI's four touch pages (indices 0, 128,
+	// 256, 384) with fresh frames and tags edits runs in place.
 	pt := New()
 	pt.Map(slabLeafAddr(0), 1, true, 2)
 	pt.Map(slabLeafAddr(1), 2, true, 2)
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		// Alternate leaves so both the memoized and the full descent run.
+		a := slabLeafAddr(i%2) + VAddr(i/2%4*128)<<PageShift
+		pt.Map(a, Frame(i), true, Pdom(i%16))
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Map into an existing run leaf: %v allocs/op, want 0", allocs)
+	}
+	if len(pt.leaves.s) != 0 {
+		t.Fatalf("four pages per leaf expanded %d slabs of flat leaves", len(pt.leaves.s))
+	}
+
+	// Flat leaves: any page, any frame.
+	pt = New()
+	expandLeaf(pt, slabLeafAddr(0))
+	expandLeaf(pt, slabLeafAddr(1))
+	i = 0
+	allocs = testing.AllocsPerRun(100, func() {
 		a := slabLeafAddr(i%2) + VAddr(i%EntriesPerTable)<<PageShift
 		pt.Map(a, Frame(i), true, Pdom(i%16))
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("Map into an existing leaf: %v allocs/op, want 0", allocs)
+		t.Fatalf("Map into an existing flat leaf: %v allocs/op, want 0", allocs)
 	}
 }
 
 func TestLeafSlabAllocations(t *testing.T) {
 	// A one-leaf table allocates the Table, one pud, one pmd and one
-	// leaf: its slab directory lives inside the Table.
+	// run-leaf slab: both slab directories live inside the Table.
 	one := testing.AllocsPerRun(10, func() {
 		pt := New()
 		pt.Map(0x40000000, 1, true, 1)
@@ -157,12 +239,13 @@ func TestLeafSlabAllocations(t *testing.T) {
 	if one != 4 {
 		t.Errorf("one-leaf table: %v allocations, want 4", one)
 	}
-	// Every run builds the same pud/pmd skeleton and slab directory, so
-	// the difference between the two counts is the leaf slabs alone.
+	// Every run builds the same pud/pmd skeleton and slab directories,
+	// so the difference between the two counts is the leaf slabs alone.
 	skeleton := func() *Table {
 		pt := New()
 		slabPMDCoords(pt)
-		pt.leaves = make([][]ptNode, 0, 32)
+		pt.leaves.s = make([][]ptNode, 0, 32)
+		pt.runs.s = make([][]runNode, 0, 32)
 		return pt
 	}
 	base := testing.AllocsPerRun(10, func() { tableSink = skeleton() })
@@ -175,7 +258,18 @@ func TestLeafSlabAllocations(t *testing.T) {
 			tableSink = pt
 		})
 		if got := allocs - base; got != float64(c.slabs) {
-			t.Errorf("%d fresh leaves: %v leaf-slab allocations, want one per slab (%d)", c.leaves, got, c.slabs)
+			t.Errorf("%d fresh run leaves: %v leaf-slab allocations, want one per slab (%d)", c.leaves, got, c.slabs)
+		}
+		// Expanded leaves add one flat-leaf slab per slab of run leaves.
+		allocs = testing.AllocsPerRun(10, func() {
+			pt := skeleton()
+			for j := 0; j < c.leaves; j++ {
+				expandLeaf(pt, slabLeafAddr(j))
+			}
+			tableSink = pt
+		})
+		if got := allocs - base; got != float64(2*c.slabs) {
+			t.Errorf("%d expanded leaves: %v leaf-slab allocations, want two per slab (%d)", c.leaves, got, 2*c.slabs)
 		}
 	}
 }

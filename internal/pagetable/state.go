@@ -20,6 +20,10 @@ import "vdom/internal/wire"
 // A zero tag ends the records; the five counters follow. Gaps are
 // measured from the previous record (or entry) plus one, so any value
 // decodes to a strictly ascending sequence.
+//
+// The records are per entry whatever a leaf's form, so run and flat
+// leaves with the same entries write the same bytes. ReadState rebuilds
+// every leaf that fits in leafRuns runs as a run leaf.
 
 const (
 	coordPT = 1 << iota
@@ -58,7 +62,7 @@ func (t *Table) AppendState(b []byte) []byte {
 				b = wire.AppendUvarint(b, coord-next)
 				next = coord + 1
 				if ti != 0 {
-					b = t.leaf(ti).appendPresent(b)
+					b = t.appendPresent(b, ti)
 				}
 			}
 		}
@@ -70,17 +74,40 @@ func (t *Table) AppendState(b []byte) []byte {
 	return b
 }
 
-// appendPresent appends the leaf's present entries in index order.
-func (pt *ptNode) appendPresent(b []byte) []byte {
+// appendPresent appends leaf h's present entries in index order.
+func (t *Table) appendPresent(b []byte, h int32) []byte {
+	if h < 0 {
+		runs := t.runLeaf(h).list()
+		n := 0
+		for _, r := range runs {
+			n += int(r.n)
+		}
+		b = wire.AppendUvarint(b, uint64(n))
+		next := 0
+		for _, r := range runs {
+			b = wire.AppendUvarint(b, uint64(int(r.lo)-next))
+			p := r.first()
+			for i := 0; i < int(r.n); i++ {
+				if i > 0 {
+					b = append(b, 0) // uvarint gap 0
+				}
+				b = wire.AppendUvarint(b, uint64(p))
+				p += pteFrame1
+			}
+			next = r.end()
+		}
+		return b
+	}
+	pt := t.leaf(h)
 	n := 0
-	for _, p := range pt.ptes {
+	for _, p := range pt.ptes[:] {
 		if p&pteP != 0 {
 			n++
 		}
 	}
 	b = wire.AppendUvarint(b, uint64(n))
 	next := 0
-	for i0, p := range pt.ptes {
+	for i0, p := range pt.ptes[:] {
 		if p&pteP == 0 {
 			continue
 		}
@@ -96,6 +123,7 @@ func (pt *ptNode) appendPresent(b []byte) []byte {
 // counters and generation land exactly on the checkpointed values.
 func (t *Table) ReadState(r *wire.Reader) {
 	*t = Table{}
+	var scratch ptNode
 	var next uint64
 	for {
 		tag := r.Byte()
@@ -115,9 +143,16 @@ func (t *Table) ReadState(r *wire.Reader) {
 			pmd.setDisabled(i1, true)
 		}
 		if tag&coordPT != 0 {
-			ti := t.newLeaf()
-			pmd.pts[i1] = ti
-			t.readPresent(r, t.leaf(ti))
+			clear(scratch.ptes[:])
+			t.readPresent(r, &scratch)
+			var rn runNode
+			if rn.encode(&scratch) {
+				pmd.pts[i1] = t.newRunLeaf()
+				*t.runLeaf(pmd.pts[i1]) = rn
+			} else {
+				pmd.pts[i1] = t.newLeaf()
+				*t.leaf(pmd.pts[i1]) = scratch
+			}
 		}
 	}
 	t.PTEWrites = r.Uvarint()
@@ -127,7 +162,8 @@ func (t *Table) ReadState(r *wire.Reader) {
 	t.gen = r.Uvarint()
 }
 
-// readPresent fills a fresh leaf with the entries appendPresent wrote.
+// readPresent fills an empty flat leaf with the entries appendPresent
+// wrote.
 func (t *Table) readPresent(r *wire.Reader, pt *ptNode) {
 	n := r.Uvarint()
 	if n > EntriesPerTable {

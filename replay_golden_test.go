@@ -8,9 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vdom/internal/bench"
 	"vdom/internal/chaos"
 	"vdom/internal/replay"
-	"vdom/internal/scenario"
 	"vdom/internal/workload"
 )
 
@@ -21,10 +21,10 @@ var updateTraces = flag.Bool("update-traces", false, "rewrite testdata/traces go
 
 const traceDir = "testdata/traces"
 
-// goldenCorpus is the full golden-trace corpus: the paper workloads plus
-// the scenario subsystem's recorded cell.
+// goldenCorpus is the full golden-trace corpus: the paper workloads, the
+// scenario subsystem's recorded cell and a short chaos soak.
 func goldenCorpus() []workload.TraceSpec {
-	return append(workload.TraceCorpus(), scenario.TraceCorpus()...)
+	return bench.TraceCorpus()
 }
 
 // TestReplayGolden is the golden-trace regression: every corpus workload
