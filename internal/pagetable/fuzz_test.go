@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -143,6 +144,99 @@ func runTapes() [][]byte {
 	return [][]byte{split(0), split(63), split(32), expand, hole}
 }
 
+// descendingTape maps one page in each of the 32 pmds fuzzAddr reaches,
+// across all four puds, in descending directory-key order, so every
+// insert lands at the front of the directory.
+func descendingTape() []byte {
+	var tape []byte
+	for i3 := 3; i3 >= 0; i3-- {
+		for i2 := 7; i2 >= 0; i2-- {
+			tape = append(tape, opMapWritable, byte(i3<<6|i2<<3), byte(i2))
+		}
+	}
+	return tape
+}
+
+// walkModel is the radix a tape has built, kept apart from the table:
+// the pages present, the pgd slots (va>>39), pud slots (va>>30) and leaf
+// coordinates (va>>21) materialized, and the disabled pmd entries.
+type walkModel struct {
+	pages                       map[VAddr]PTE
+	pgds, puds, leaves, disable map[uint64]bool
+}
+
+func newWalkModel() *walkModel {
+	return &walkModel{pages: map[VAddr]PTE{}, pgds: map[uint64]bool{},
+		puds: map[uint64]bool{}, leaves: map[uint64]bool{}, disable: map[uint64]bool{}}
+}
+
+// materialize records the path to a's leaf, as Map and MapChunk build it.
+func (m *walkModel) materialize(a VAddr) {
+	v := uint64(a)
+	m.pgds[v>>39], m.puds[v>>dirShift], m.leaves[v>>PMDShift] = true, true, true
+}
+
+// reenable clears the disabled mark of the pmd entries of [a, end)
+// holding a present page there, as a retag that reaches a page does.
+func (m *walkModel) reenable(a, end VAddr) {
+	for p := range m.pages {
+		if p >= a && p < end {
+			m.disable[uint64(p)>>PMDShift] = false
+		}
+	}
+}
+
+// walk returns the walk the model predicts for a.
+func (m *walkModel) walk(a VAddr) WalkResult {
+	v := uint64(a)
+	switch c := v >> PMDShift; {
+	case !m.pgds[v>>39]:
+		return WalkResult{LevelsVisited: 1}
+	case !m.puds[v>>dirShift]:
+		return WalkResult{LevelsVisited: 2}
+	case m.disable[c]:
+		return WalkResult{LevelsVisited: 3, PMDDisabled: true}
+	case !m.leaves[c]:
+		return WalkResult{LevelsVisited: 3}
+	}
+	pte := m.pages[a]
+	return WalkResult{PTE: pte, Present: pte.Present, LevelsVisited: 4}
+}
+
+// walkProbes are fixed addresses around the ones fuzzAddr reaches: pgd
+// slot 2, which no tape touches, beside the four it does; pud slot 8,
+// the sibling of the eight a tape may fill; pmd entry 32, the sibling of
+// leaves 0..31, which only ranges reach and none maps; and leaf index 1,
+// which only a range or chunk covers.
+var walkProbes = func() []VAddr {
+	var ps []VAddr
+	for _, i3 := range []uint64{0, 1, 2, 256, 511} {
+		for _, i2 := range []uint64{0, 7, 8} {
+			for _, i1 := range []uint64{0, 32} {
+				for _, i0 := range []uint64{0, 1} {
+					ps = append(ps, VAddr(i3<<39|i2<<30|i1<<21|i0<<12))
+				}
+			}
+		}
+	}
+	return ps
+}()
+
+// checkProbes fails unless every probe walks as the model predicts after
+// op (the restored table when op < 0).
+func checkProbes(t *testing.T, op int, pt *Table, m *walkModel) {
+	t.Helper()
+	for _, a := range walkProbes {
+		if got, want := pt.Walk(a), m.walk(a); got != want {
+			what := fmt.Sprintf("op %d", op)
+			if op < 0 {
+				what = "restored table"
+			}
+			t.Fatalf("%s: walk(%#x) = %+v, model %+v", what, uint64(a), got, want)
+		}
+	}
+}
+
 // sameTable fails unless the range-op table and its per-page twin agree
 // on every observable: the snapshot image (radix skeleton, disabled
 // marks, PTEs, counters, generation) and the live counters.
@@ -176,7 +270,9 @@ func perPage(a VAddr, pages uint64, fn func(VAddr) bool) int {
 // rest of the system depends on. A twin table runs the same tape with
 // every range operation replaced by a loop over its per-page primitive;
 // the two must agree on the returned count and on the whole table after
-// every op.
+// every op. A walk model built from the tape predicts every walk of a
+// fixed probe set, misses included, after every op and on the restored
+// table.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0, 0, 0, 16, 16, 32, 255, 1, 9})
@@ -190,9 +286,11 @@ func FuzzTableOps(f *testing.F) {
 	for _, tape := range runTapes() {
 		f.Add(tape)
 	}
+	f.Add(descendingTape())
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		pt, twin := New(), New()
-		ref := map[VAddr]PTE{} // page → expected
+		m := newWalkModel()
+		ref := m.pages // page → expected
 		for i := 0; i+2 < len(tape); i += 3 {
 			op, hi, lo := tape[i], tape[i+1], tape[i+2]
 			a := fuzzAddr(hi, lo)
@@ -210,6 +308,8 @@ func FuzzTableOps(f *testing.F) {
 				pt.Map(a, pte.Frame, pte.Writable, pte.Pdom)
 				twin.Map(a, pte.Frame, pte.Writable, pte.Pdom)
 				ref[a] = pte
+				m.materialize(a)
+				m.disable[uint64(a)>>PMDShift] = false
 			case opUnmap:
 				had := ref[a].Present
 				delete(ref, a)
@@ -219,6 +319,7 @@ func FuzzTableOps(f *testing.F) {
 				}
 			case opSetPdom:
 				d := Pdom(op % 16)
+				m.reenable(a, a+PageSize)
 				twin.SetPdom(a, d)
 				if pt.SetPdom(a, d) {
 					e := ref[a]
@@ -233,10 +334,15 @@ func FuzzTableOps(f *testing.F) {
 			case opDisablePMD:
 				pt.DisablePMD(a)
 				twin.DisablePMD(a)
+				if c := uint64(a) >> PMDShift; m.leaves[c] {
+					m.disable[c] = true
+				}
 			case opEnablePMD:
 				pt.EnablePMD(a)
 				twin.EnablePMD(a)
+				m.disable[uint64(a)>>PMDShift] = false
 			case opRetagRange:
+				m.reenable(a, end)
 				got = pt.RetagRange(a, pages*PageSize, d)
 				want = perPage(a, pages, func(p VAddr) bool { return twin.SetPdom(p, d) })
 				for p, e := range ref {
@@ -271,6 +377,8 @@ func FuzzTableOps(f *testing.F) {
 					frames[j] = Frame(hi)<<16 | Frame(lo)<<8 + Frame(j)
 				}
 				pt.MapChunk(a, frames, w, d)
+				m.materialize(a)
+				m.disable[uint64(a)>>PMDShift] = false
 				for j, fr := range frames {
 					p := a + VAddr(j*PageSize)
 					twin.ResetCounts()
@@ -283,6 +391,7 @@ func FuzzTableOps(f *testing.F) {
 					i/3, op%numOps, uint64(a), pages, got, want)
 			}
 			sameTable(t, i/3, pt, twin)
+			checkProbes(t, i/3, pt, m)
 		}
 		// Present() equals the reference count.
 		if pt.Present() != len(ref) {
@@ -292,12 +401,14 @@ func FuzzTableOps(f *testing.F) {
 		// disabled PMD entries included.
 		restored := roundTrip(t, pt)
 		for a := range ref {
-			if g, w := restored.Walk(a), pt.Walk(a); g != w {
-				t.Fatalf("restored walk(%#x) = %+v, want %+v", uint64(a), g, w)
+			if g, w := restored.Walk(a), m.walk(a); g != w {
+				t.Fatalf("restored walk(%#x) = %+v, model %+v", uint64(a), g, w)
 			}
 		}
+		checkProbes(t, -1, restored, m)
 		// Every reference entry is found by a walk (modulo PMD
-		// disables, which hide but never lose entries).
+		// disables, which hide but never lose entries; the model's
+		// walks above pin the disabled ones).
 		for a, want := range ref {
 			pt.EnablePMD(a) // unhide for verification
 			wr := pt.Walk(a)

@@ -9,17 +9,17 @@
 //
 // # Representation
 //
-// The radix levels are stored as index-addressed node arrays rather than
-// pointer-linked tables: every directory entry is a nonzero int32 that
-// locates its child in the next level's node store (0 means absent). The
-// nodes hold no pointers, so the garbage collector never scans them,
-// installing an entry needs no write barrier, and a walk is a handful of
-// array indexations. Nodes are never freed — matching real hardware,
-// where an unmapped-but-materialized page table still adds a walk level —
-// so entries stay valid for a table's lifetime.
-//
-// The pud and pmd levels are contiguous slices indexed by entry-1: a
-// table has few of them and they rarely grow.
+// The simulated walk has four levels, but only the pmd and leaf levels
+// are stored as nodes. The pgd and pud levels above them are one sorted
+// directory of (key, pmd node) entries, keyed by the 1 GiB region an
+// entry covers (virtual address >> 30, that is pgd index<<9 | pud index),
+// in the manner of the variable-size blocks of VBI: a table pays for the
+// regions it uses, not for two 512-entry arrays per path. The first
+// entries live inside the Table, so a table that touches one or two
+// regions allocates no directory; a lookup is a binary search. A miss
+// still reports the levels the radix walk would visit: the pud level is
+// present exactly when some entry shares the missing key's pgd index, and
+// such an entry sits next to the key's insertion point.
 //
 // A leaf page table comes in two forms, told apart by the sign of its pmd
 // entry. It starts as a run leaf (negative entry): up to leafRuns runs,
@@ -36,16 +36,21 @@
 // Nothing outside this package sees the form: every count, generation,
 // Walk result and snapshot byte is the same for both.
 //
-// Both node kinds live in slabs that are never copied: slab s holds 1<<s
-// nodes up to a cap of 16, and an entry holds the node's
-// (slab<<4 | offset)+1, or its complement ^(slab<<4 | offset) for a run
-// leaf. Materializing a node allocates only when it opens a new slab,
+// Pmd nodes, run leaves and flat leaves each live in one store of slabs
+// that are never copied: slab s holds 1<<s nodes up to a cap of 16. A pmd
+// entry holds its leaf's (slab<<4 | offset)+1, or its complement
+// ^(slab<<4 | offset) for a run leaf; a directory entry points at its pmd
+// node. Materializing a node allocates only when it opens a new slab,
 // nothing is ever copied or zeroed twice, and a node pointer stays valid
 // for the table's lifetime (an expanded run node is left cleared). The
-// doubling keeps one-leaf tables at one small allocation; the cap bounds
-// the unused tail of the last slab at 15 nodes. A flat leaf is exactly
-// 4 KiB and a run leaf 128 bytes, both Go size classes, so small slabs
-// waste nothing to rounding.
+// doubling keeps one-leaf tables at one small allocation per store; the
+// cap bounds the unused tail of the last slab at 15 nodes. A flat leaf
+// is exactly 4 KiB and a run leaf 128 bytes, both Go size classes, so
+// small slabs waste nothing to rounding. The nodes hold no pointers, so
+// the garbage collector never scans them, and installing a leaf needs no
+// write barrier. Nodes are never freed — matching real hardware, where
+// an unmapped-but-materialized page table still adds a walk level — so
+// entries stay valid for a table's lifetime.
 //
 // Range operations (RetagRange, EvictRange, RemapRange, UnmapRange,
 // SetWritableRange, MapChunk, PopulateChunk) descend the radix once per
@@ -59,7 +64,10 @@
 // PopulateChunk against the demand-fault loop.
 package pagetable
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Virtual address geometry (x86-64-style 4-level, 4 KiB pages). The ARM
 // model reuses the same geometry; its 2 MiB domain granularity is enforced
@@ -106,9 +114,22 @@ type PTE struct {
 	Pdom     Pdom
 }
 
-// pudNode is one page-upper-directory: 512 pmd references.
-type pudNode struct {
-	pmds [EntriesPerTable]int32 // index+1 into Table.pmds; 0 = absent
+// dirShift is the shift of one directory entry's region (1 GiB): a
+// directory key is a virtual address >> dirShift, the pgd index<<9 | the
+// pud index.
+const (
+	dirShift   = PMDShift + 9
+	dirKeyMask = 1<<(AddrBits-dirShift) - 1
+)
+
+// dirKey returns the directory key of the region covering a, masked to
+// the walked address bits as the radix indices are.
+func dirKey(a VAddr) uint32 { return uint32(uint64(a)>>dirShift) & dirKeyMask }
+
+// dirEntry is one directory entry: the pmd node of the region key.
+type dirEntry struct {
+	key uint32
+	pmd *pmdNode
 }
 
 // pmdNode is one page-middle-directory: 512 leaf-table references plus
@@ -416,15 +437,19 @@ const (
 	leafSlabMax   = 1 << leafSlabShift
 )
 
-// slabs is a store of leaf nodes. Slab s holds min(1<<s, leafSlabMax)
-// nodes; its backing array is allocated whole when its first node
-// materializes and its length counts the nodes in use. The slab directory
-// starts on dir, so a store of up to len(dir) slabs allocates no
-// directory.
+// slabs is a store of pmd or leaf nodes. Slab s holds
+// 1<<min(s, leafSlabShift) nodes; its backing array is allocated whole
+// when its first node materializes and its length counts the nodes in
+// use. The slab directory starts on dir, so a store of up to len(dir)
+// slabs allocates no directory.
 type slabs[N any] struct {
 	s   [][]N
-	dir [4][]N
+	dir [slabDirInline][]N
 }
+
+// slabDirInline is the number of slabs a store holds before it allocates
+// a slab directory: two slabs hold three nodes.
+const slabDirInline = 2
 
 // at returns node i, slab<<leafSlabShift | offset.
 func (p *slabs[N]) at(i uint32) *N {
@@ -441,22 +466,24 @@ func (p *slabs[N]) add() uint32 {
 			p.s = p.dir[:0]
 		}
 		s++
-		p.s = append(p.s, make([]N, 0, min(1<<s, leafSlabMax)))
+		p.s = append(p.s, make([]N, 0, 1<<min(s, leafSlabShift)))
 	}
 	off := len(p.s[s])
 	p.s[s] = p.s[s][:off+1]
 	return uint32(s<<leafSlabShift | off)
 }
 
-// Table is one address space's page table, rooted at a pgd. The radix is
-// index-addressed: pgd/pud/pmd entries hold int32 locations (offset by
-// one, zero meaning absent) in the node stores, so the nodes are
-// pointer-free and walks touch only dense arrays.
+// Table is one address space's page table: a sorted directory of pmd
+// nodes standing for the pgd and pud levels, and the node stores below
+// it (see the package comment).
 type Table struct {
-	pgd  [EntriesPerTable]int32 // index+1 into puds; 0 = absent
-	puds []pudNode
-	pmds []pmdNode
-	// runs holds the run leaves, leaves the flat leaves.
+	// dir holds one entry per materialized pmd node, sorted by key. It
+	// starts on dirBuf.
+	dir    []dirEntry
+	dirBuf [2]dirEntry
+	// pmds holds the pmd nodes, runs the run leaves, leaves the flat
+	// leaves.
+	pmds   slabs[pmdNode]
 	runs   slabs[runNode]
 	leaves slabs[ptNode]
 
@@ -480,14 +507,14 @@ type Table struct {
 
 	// curCoord/curPT/curPMD memoize the leaf handle resolved by the last
 	// ensurePT so dense same-2MiB mutation runs (populate, retag) skip
-	// the radix descent. curPT == 0 means no memo. Links from pmd to pt
-	// are never severed (Unmap keeps the skeleton; an expansion moves the
-	// memo along), and every caller rechecks the disabled bit through the
-	// returned pmd, so the memo needs no other invalidation; ReadState's
-	// full reset clears it.
+	// the directory search. curPT == 0 means no memo. Links from pmd to
+	// pt are never severed (Unmap keeps the skeleton; an expansion moves
+	// the memo along), pmd nodes never move, and every caller rechecks
+	// the disabled bit through the returned pmd, so the memo needs no
+	// other invalidation; ReadState's full reset clears it.
 	curCoord uint64
 	curPT    int32
-	curPMD   int32
+	curPMD   *pmdNode
 }
 
 // Gen returns the table's mutation generation. It changes whenever any
@@ -536,15 +563,14 @@ type WalkResult struct {
 // Walk performs a page-table walk for the address.
 func (t *Table) Walk(a VAddr) WalkResult {
 	v := uint64(a)
-	pi := t.pgd[v>>39&0x1ff]
-	if pi == 0 {
+	key := dirKey(a)
+	i, pmd := t.find(key)
+	if pmd == nil {
+		if t.pgdPresent(i, key) {
+			return WalkResult{LevelsVisited: 2}
+		}
 		return WalkResult{LevelsVisited: 1}
 	}
-	mi := t.puds[pi-1].pmds[v>>30&0x1ff]
-	if mi == 0 {
-		return WalkResult{LevelsVisited: 2}
-	}
-	pmd := &t.pmds[mi-1]
 	i1 := int(v >> 21 & 0x1ff)
 	if pmd.isDisabled(i1) {
 		return WalkResult{LevelsVisited: 3, PMDDisabled: true}
@@ -569,18 +595,38 @@ func (t *Table) Walk(a VAddr) WalkResult {
 	return WalkResult{PTE: pte.unpack(), Present: pte&pteP != 0, LevelsVisited: 4}
 }
 
+// find returns the directory position of key, or the position it would
+// be inserted at, and the pmd node it locates (nil when absent).
+func (t *Table) find(key uint32) (int, *pmdNode) {
+	d := t.dir
+	lo, hi := 0, len(d)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if d[m].key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(d) && d[lo].key == key {
+		return lo, d[lo].pmd
+	}
+	return lo, nil
+}
+
+// pgdPresent reports whether the pgd entry of the absent key, whose
+// insertion point is i, is present: whether a pud under it holds any
+// pmd. Keys under one pgd entry are adjacent in the sorted directory, so
+// one of them would sit next to i.
+func (t *Table) pgdPresent(i int, key uint32) bool {
+	top := key >> 9
+	return i > 0 && t.dir[i-1].key>>9 == top || i < len(t.dir) && t.dir[i].key>>9 == top
+}
+
 // pmdOf resolves the pmd node covering a, or nil.
 func (t *Table) pmdOf(a VAddr) *pmdNode {
-	v := uint64(a)
-	pi := t.pgd[v>>39&0x1ff]
-	if pi == 0 {
-		return nil
-	}
-	mi := t.puds[pi-1].pmds[v>>30&0x1ff]
-	if mi == 0 {
-		return nil
-	}
-	return &t.pmds[mi-1]
+	_, pmd := t.find(dirKey(a))
+	return pmd
 }
 
 // leafOf resolves the leaf handle covering a (0 when absent) together
@@ -660,48 +706,27 @@ func (t *Table) rewrite(pmd *pmdNode, i1 int, h int32, lo, hi int, clear, set pa
 	return n
 }
 
-// appendNode appends one zero node to a directory-node array, growing the
-// backing array fourfold when full. Only the pud and pmd levels use it:
-// a table has few such nodes, so their occasional copy is cheap and keeps
-// the walk's first levels a single indexation each. Within capacity it
-// extends the length without writing: nodes are only ever appended, never
-// removed (ReadState replaces the arrays wholesale), so the slack beyond
-// len is still the pristine zero memory the allocator handed out. Pud and
-// pmd pointers do not survive a call; indices do.
-func appendNode[N any](nodes []N) []N {
-	if len(nodes) == cap(nodes) {
-		c := cap(nodes) * 4
-		if c == 0 {
-			c = 1
-		}
-		grown := make([]N, len(nodes), c)
-		copy(grown, nodes)
-		nodes = grown
+// materializePMD ensures the directory entry and pmd node for a
+// pmd-entry coordinate (virtual address >> PMDShift) exist and returns
+// the node together with the number of directory entries the radix
+// would install: a pud entry for a new node, plus a pgd entry when no
+// other node shares its pgd index.
+func (t *Table) materializePMD(coord uint64) (*pmdNode, uint64) {
+	key := uint32(coord>>9) & dirKeyMask
+	i, pmd := t.find(key)
+	if pmd != nil {
+		return pmd, 0
 	}
-	return nodes[: len(nodes)+1 : cap(nodes)]
-}
-
-// materializePMD ensures the pud/pmd path for a pmd-entry coordinate
-// (virtual address >> PMDShift) exists and returns the pmd's index+1
-// together with the number of directory entries it installed.
-func (t *Table) materializePMD(coord uint64) (mi int32, installs uint64) {
-	i3 := int(coord >> 18 & 0x1ff)
-	i2 := int(coord >> 9 & 0x1ff)
-	pi := t.pgd[i3]
-	if pi == 0 {
-		t.puds = appendNode(t.puds)
-		pi = int32(len(t.puds))
-		t.pgd[i3] = pi
+	installs := uint64(1)
+	if !t.pgdPresent(i, key) {
 		installs++
 	}
-	mi = t.puds[pi-1].pmds[i2]
-	if mi == 0 {
-		t.pmds = appendNode(t.pmds)
-		mi = int32(len(t.pmds))
-		t.puds[pi-1].pmds[i2] = mi
-		installs++
+	pmd = t.pmds.at(t.pmds.add())
+	if t.dir == nil {
+		t.dir = t.dirBuf[:0]
 	}
-	return mi, installs
+	t.dir = slices.Insert(t.dir, i, dirEntry{key: key, pmd: pmd})
+	return pmd, installs
 }
 
 // ensurePT materializes the path to the leaf covering a — a new leaf
@@ -712,11 +737,10 @@ func (t *Table) ensurePT(a VAddr) (int32, *pmdNode, int) {
 	coord := uint64(a) >> PMDShift
 	i1 := int(coord & 0x1ff)
 	if t.curPT != 0 && t.curCoord == coord {
-		return t.curPT, &t.pmds[t.curPMD-1], i1
+		return t.curPT, t.curPMD, i1
 	}
-	mi, installs := t.materializePMD(coord)
+	pmd, installs := t.materializePMD(coord)
 	t.PTEWrites += installs
-	pmd := &t.pmds[mi-1]
 	ti := pmd.pts[i1]
 	if ti == 0 {
 		ti = t.newRunLeaf()
@@ -725,7 +749,7 @@ func (t *Table) ensurePT(a VAddr) (int32, *pmdNode, int) {
 	}
 	t.curCoord = coord
 	t.curPT = ti
-	t.curPMD = mi
+	t.curPMD = pmd
 	return ti, pmd, i1
 }
 
@@ -1179,37 +1203,27 @@ func (t *Table) RemapRange(start VAddr, length uint64, d Pdom) (pmds, ptes int) 
 // Pages calls fn for every present PTE, in ascending address order, until
 // fn returns false. fn may not mutate the table.
 func (t *Table) Pages(fn func(a VAddr, pte PTE) bool) {
-	for i3, pi := range t.pgd {
-		if pi == 0 {
-			continue
-		}
-		pud := &t.puds[pi-1]
-		for i2, mi := range pud.pmds {
-			if mi == 0 {
+	for _, e := range t.dir {
+		for i1, ti := range e.pmd.pts {
+			base := VAddr(uint64(e.key)<<dirShift | uint64(i1)<<PMDShift)
+			if ti > 0 {
+				for i0, p := range t.leaf(ti).ptes[:] {
+					if p&pteP != 0 && !fn(base+VAddr(i0)<<PageShift, p.unpack()) {
+						return
+					}
+				}
 				continue
 			}
-			pmd := &t.pmds[mi-1]
-			for i1, ti := range pmd.pts {
-				base := VAddr(uint64(i3)<<39 | uint64(i2)<<30 | uint64(i1)<<21)
-				if ti > 0 {
-					for i0, p := range t.leaf(ti).ptes[:] {
-						if p&pteP != 0 && !fn(base+VAddr(i0)<<PageShift, p.unpack()) {
-							return
-						}
+			if ti == 0 {
+				continue
+			}
+			for _, r := range t.runLeaf(ti).list() {
+				p := r.first()
+				for i0 := int(r.lo); i0 < r.end(); i0++ {
+					if !fn(base+VAddr(i0)<<PageShift, p.unpack()) {
+						return
 					}
-					continue
-				}
-				if ti == 0 {
-					continue
-				}
-				for _, r := range t.runLeaf(ti).list() {
-					p := r.first()
-					for i0 := int(r.lo); i0 < r.end(); i0++ {
-						if !fn(base+VAddr(i0)<<PageShift, p.unpack()) {
-							return
-						}
-						p += pteFrame1
-					}
+					p += pteFrame1
 				}
 			}
 		}

@@ -2,6 +2,8 @@ package pagetable
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"testing"
 
 	"vdom/internal/wire"
@@ -15,6 +17,12 @@ var slabLeafCounts = []struct{ leaves, slabs int }{
 	{1, 1}, {2, 2}, {3, 2}, {4, 3}, {5, 3}, {8, 4}, {9, 4},
 	{15, 4}, {16, 5}, {17, 5}, {31, 5}, {32, 6},
 	{64, 8}, {65, 8}, {79, 8}, {80, 9}, {257, 20},
+}
+
+// bigLeafCounts run past the 63rd slab: slabs 0..62 hold 959 leaves, and
+// an uncapped 1<<s slab size overflows int at s = 63.
+var bigLeafCounts = []struct{ leaves, slabs int }{
+	{959, 63}, {960, 64}, {2000, 129},
 }
 
 // slabLeafAddr returns the base of the j-th leaf of a spread layout:
@@ -99,7 +107,7 @@ func checkSlabs[N any](t *testing.T, what string, p *slabs[N], n, want int) {
 	}
 	used := 0
 	for s, slab := range p.s {
-		if c := min(1<<s, leafSlabMax); cap(slab) != c {
+		if c := 1 << min(s, leafSlabShift); cap(slab) != c {
 			t.Fatalf("%s: slab %d holds %d nodes, want %d", what, s, cap(slab), c)
 		}
 		used += len(slab)
@@ -111,7 +119,7 @@ func checkSlabs[N any](t *testing.T, what string, p *slabs[N], n, want int) {
 
 func TestLeafSlabBoundaries(t *testing.T) {
 	for _, form := range leafForms {
-		for _, c := range slabLeafCounts {
+		for _, c := range append(slices.Clone(slabLeafCounts), bigLeafCounts...) {
 			n := c.leaves
 			pt := New()
 			ref := map[VAddr]PTE{}
@@ -228,16 +236,30 @@ func TestMapExistingLeafAllocFree(t *testing.T) {
 	}
 }
 
+// allocsOf returns the objects and bytes one call of fn allocates, on
+// average over runs calls.
+func allocsOf(runs int, fn func()) (objects, size uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 func TestLeafSlabAllocations(t *testing.T) {
-	// A one-leaf table allocates the Table, one pud, one pmd and one
-	// run-leaf slab: both slab directories live inside the Table.
-	one := testing.AllocsPerRun(10, func() {
+	// A one-leaf table allocates the Table, one pmd slab and one run-leaf
+	// slab: the pmd directory and the slab directories live inside the
+	// Table. Almost all of its 3 KiB is the one pmd node.
+	objects, size := allocsOf(100, func() {
 		pt := New()
 		pt.Map(0x40000000, 1, true, 1)
 		tableSink = pt
 	})
-	if one != 4 {
-		t.Errorf("one-leaf table: %v allocations, want 4", one)
+	if objects != 3 || size > 3<<10 {
+		t.Errorf("one-leaf table: %d allocations and %d bytes, want 3 and at most %d", objects, size, 3<<10)
 	}
 	// Every run builds the same pud/pmd skeleton and slab directories,
 	// so the difference between the two counts is the leaf slabs alone.
@@ -272,4 +294,56 @@ func TestLeafSlabAllocations(t *testing.T) {
 			t.Errorf("%d expanded leaves: %v leaf-slab allocations, want two per slab (%d)", c.leaves, got, 2*c.slabs)
 		}
 	}
+}
+
+// dirRegionKey returns the directory key of region r of
+// TestManyPMDNodes: 500 pgd indices with four puds under each.
+func dirRegionKey(r int) uint32 { return uint32(r%500)<<9 | uint32(r/500*100) }
+
+// TestManyPMDNodes builds a table of 2000 pmd nodes, past the 63rd pmd
+// slab, inserting them in descending key order so every insert lands at
+// the front of the directory. The directory stays sorted, the radix
+// install counts are those of the four-level walk, every present page,
+// sibling pud slot and absent pgd slot walks as the radix would, and the
+// snapshot round-trips.
+func TestManyPMDNodes(t *testing.T) {
+	const n = 2000
+	pt := New()
+	for r := n - 1; r >= 0; r-- {
+		pt.Map(VAddr(uint64(dirRegionKey(r))<<dirShift|uint64(r%512)<<PageShift), Frame(r), true, Pdom(r%16))
+	}
+	checkSlabs(t, "pmd nodes", &pt.pmds, n, 129)
+	for i := 1; i < len(pt.dir); i++ {
+		if pt.dir[i-1].key >= pt.dir[i].key {
+			t.Fatalf("directory not ascending at %d: %#x then %#x", i, pt.dir[i-1].key, pt.dir[i].key)
+		}
+	}
+	// Per region: one PTE, one leaf install and one pud install; per
+	// pgd index, one more install.
+	if got, want := pt.CumulativePTEWrites(), uint64(3*n+500); got != want {
+		t.Errorf("cumulative PTE writes = %d, want %d", got, want)
+	}
+	check := func(pt *Table) {
+		t.Helper()
+		for r := 0; r < n; r++ {
+			key := uint64(dirRegionKey(r))
+			a := VAddr(key<<dirShift | uint64(r%512)<<PageShift)
+			if wr := pt.Walk(a); !wr.Present || wr.PTE.Frame != Frame(r) || wr.LevelsVisited != 4 {
+				t.Fatalf("walk(%#x) = %+v, want frame %d at level 4", uint64(a), wr, r)
+			}
+			if wr := pt.Walk(a + PMDSize); wr.Present || wr.LevelsVisited != 3 {
+				t.Fatalf("sibling pmd entry walk(%#x) = %+v, want level 3", uint64(a+PMDSize), wr)
+			}
+			if wr := pt.Walk(VAddr((key + 1) << dirShift)); wr.Present || wr.LevelsVisited != 2 {
+				t.Fatalf("sibling pud walk(%#x) = %+v, want level 2", (key+1)<<dirShift, wr)
+			}
+		}
+		for i3 := uint64(500); i3 < 512; i3++ {
+			if wr := pt.Walk(VAddr(i3 << 39)); wr.Present || wr.LevelsVisited != 1 {
+				t.Fatalf("absent pgd walk(%#x) = %+v, want level 1", i3<<39, wr)
+			}
+		}
+	}
+	check(pt)
+	check(roundTrip(t, pt))
 }

@@ -10,9 +10,9 @@ import "vdom/internal/wire"
 // and the mutation generation — so a restored System's cycle accounting
 // is bit-identical to an uninterrupted run.
 //
-// The image is encoded straight from the radix, one record per PMD-entry
-// coordinate (virtual address >> PMDShift) that carries a leaf table or
-// a disabled mark, in ascending coordinate order:
+// The image is encoded straight from the sorted directory, one record
+// per PMD-entry coordinate (virtual address >> PMDShift) that carries a
+// leaf table or a disabled mark, in ascending coordinate order:
 //
 //	tag byte (coordPT | coordDisabled) | uvarint coordinate gap |
 //	    [if coordPT: uvarint #present | { uvarint index gap | uvarint packed PTE }*]
@@ -36,34 +36,24 @@ const maxCoord = 1 << (AddrBits - PMDShift)
 // AppendState appends the table's full image.
 func (t *Table) AppendState(b []byte) []byte {
 	var next uint64
-	for i3, pi := range t.pgd {
-		if pi == 0 {
-			continue
-		}
-		pud := &t.puds[pi-1]
-		for i2, mi := range pud.pmds {
-			if mi == 0 {
+	for _, e := range t.dir {
+		for i1, ti := range e.pmd.pts {
+			var tag byte
+			if ti != 0 {
+				tag |= coordPT
+			}
+			if e.pmd.isDisabled(i1) {
+				tag |= coordDisabled
+			}
+			if tag == 0 {
 				continue
 			}
-			pmd := &t.pmds[mi-1]
-			for i1, ti := range pmd.pts {
-				var tag byte
-				if ti != 0 {
-					tag |= coordPT
-				}
-				if pmd.isDisabled(i1) {
-					tag |= coordDisabled
-				}
-				if tag == 0 {
-					continue
-				}
-				coord := uint64(i3)<<18 | uint64(i2)<<9 | uint64(i1)
-				b = append(b, tag)
-				b = wire.AppendUvarint(b, coord-next)
-				next = coord + 1
-				if ti != 0 {
-					b = t.appendPresent(b, ti)
-				}
+			coord := uint64(e.key)<<9 | uint64(i1)
+			b = append(b, tag)
+			b = wire.AppendUvarint(b, coord-next)
+			next = coord + 1
+			if ti != 0 {
+				b = t.appendPresent(b, ti)
 			}
 		}
 	}
@@ -136,8 +126,7 @@ func (t *Table) ReadState(r *wire.Reader) {
 			return
 		}
 		next = coord + 1
-		mi, _ := t.materializePMD(coord)
-		pmd := &t.pmds[mi-1]
+		pmd, _ := t.materializePMD(coord)
 		i1 := int(coord & 0x1ff)
 		if tag&coordDisabled != 0 {
 			pmd.setDisabled(i1, true)
